@@ -161,16 +161,3 @@ def catalog_get(name) -> CatalogEntry:
         return _CATALOG[name]
     except KeyError:
         raise UnknownEntry(f"unknown catalog entry {name!r}") from None
-
-
-def oracle_expected_mf(q_map, w, tol=1e-10):
-    """Direct definition-chasing verdict: scan Im Q over a basis of S."""
-    s = w.j_image(q_map.n).perp()
-    from . import creal
-
-    worst = 0.0
-    for i in range(s.dim):
-        for j in range(i, s.dim):
-            q = q_map.q_eval(creal.re_to_cx(s.basis[:, i]), creal.re_to_cx(s.basis[:, j]))
-            worst = max(worst, float(np.linalg.norm(np.imag(q))))
-    return worst <= tol

@@ -17,7 +17,7 @@ except ImportError:  # pragma: no cover
 
 from . import catalog as _catalog
 from .certify import certify_all, check_orbit_multiplicity
-from .errors import NotInLambda, QSiegelError, SpecFileError
+from .errors import QSiegelError, SpecFileError, UsageError
 from .integrals import bergman_kernel
 from .kernels import build_kernel_params, gram_psd_report
 from .representation import SiegelPoint, standard_model
@@ -103,6 +103,17 @@ def _parse_point(text, dim_u, n):
         raise SpecFileError(f"point needs {dim_u}+{n} comma-separated complex entries")
     vals = [complex(t.replace("i", "j")) for t in parts]
     return SiegelPoint(np.array(vals[:dim_u]), np.array(vals[dim_u:]))
+
+
+def _sample_count(text):
+    """argparse type of --samples; raises UsageError, so main exits 1 with one line."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"--samples must be a positive integer, got {text!r}")
+    return value
 
 
 def _pairs(values):
@@ -234,7 +245,7 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--samples", type=int, default=None)
+        sp.add_argument("--samples", type=_sample_count, default=None)
         sp.add_argument("--tol", type=float, default=None, help="override the decision tolerance")
         sp.add_argument("--out", default=None)
 
@@ -269,19 +280,15 @@ def build_parser():
     sp = sub.add_parser("catalog", help="list or export built-in examples")
     sp.add_argument("--export", default=None)
     sp.add_argument("--variant", default=None)
-    sp.add_argument("--list", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_catalog)
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SpecFileError, NotInLambda) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except QSiegelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -83,3 +83,7 @@ class UnknownEntry(QSiegelError):
 
 class SpecFileError(QSiegelError):
     """Invalid CLI input file (schema or content)."""
+
+
+class UsageError(QSiegelError):
+    """Invalid command-line argument."""

@@ -2,12 +2,21 @@
 
 I(u) integrates exp(-2<u, y>) over the symmetric cone and I_Q(u) integrates
 exp(-2<u, Q(v, v)>) over V, both against Lebesgue measure in the fixed
-orthonormal coordinates.  Closed forms cover all built-in kinds (half-line
-products for diagonal algebras, the classical gamma integrals of the
-positive-definite cones for the matrix kinds, a Gaussian for I_Q);
-box-rejection Monte Carlo provides the independent cross-check.  All
-sampling is counter-based, keyed by (seed, stream, block index), so results
-do not depend on scheduling.
+orthonormal coordinates.  For a cone of rank r, dimension N and Peirce
+constant d every such integral is a determinant power times the Gindikin
+gamma function
+
+    Gamma_Omega(s) = (2 pi)^((N - r)/2) prod_{j < r} Gamma(s - j d / 2),
+
+through  int exp(-2<u, y>) Delta(u)^(s - N/r) du = Gamma_Omega(s) Delta(2y)^(-s)
+(Faraut-Koranyi, Analysis on Symmetric Cones, ch. VII), so I(u),
+1/(I(u) I_Q(u)) and the mass of the base measure are written once for every
+built-in kind; I_Q is a Gaussian.  The normalized densities
+Delta(u)^(s - N/r) exp(-2<u, y>) are sampled exactly: independent Gamma(s)
+coordinates for d = 0, Wishart matrices with 2s/d degrees of freedom over R
+or C for d = 1, 2.  Box-rejection Monte Carlo provides the independent
+cross-check of the closed forms.  All sampling is counter-based, keyed by
+(seed, stream, block index), so results do not depend on scheduling.
 """
 import math
 from dataclasses import dataclass
@@ -17,59 +26,40 @@ import numpy as np
 import scipy.integrate
 
 from .errors import MCVarianceTooHigh, NotInCone, NotInDomain
-from .rng import BLOCK, block_generator
-
-
-def _basis_stack(alg):
-    return np.stack([np.asarray(alg.to_matrix(e), dtype=complex) for e in np.eye(alg.dim)])
+from .rng import BLOCK, blocks
 
 
 def _batch_to_matrix(alg, xs):
-    return np.einsum("sk,kab->sab", xs, _basis_stack(alg))
+    return np.einsum("sk,kab->sab", xs, alg.matrix_basis)
 
 
 def _batch_from_matrix(alg, mats):
-    return np.real(np.einsum("sab,kab->sk", mats, _basis_stack(alg).conj()))
+    return np.real(np.einsum("sab,kab->sk", mats, alg.matrix_basis.conj()))
 
 
 # -- closed forms -----------------------------------------------------------
 
 
-def _gamma_cone_real(n, a):
-    """Gamma function of the real positive-definite cone."""
-    return math.pi ** (n * (n - 1) / 4.0) * math.prod(
-        math.gamma(a - k / 2.0) for k in range(n)
+def gindikin_gamma(alg, s):
+    """Gindikin gamma function Gamma_Omega(s) of the cone of ``alg``."""
+    r, d = alg.rank, alg.d
+    return (2.0 * math.pi) ** ((alg.dim - r) / 2.0) * math.prod(
+        math.gamma(s - j * d / 2.0) for j in range(r)
     )
 
 
-def _gamma_cone_complex(n, a):
-    return math.pi ** (n * (n - 1) / 2.0) * math.prod(
-        math.gamma(a - k) for k in range(n)
-    )
-
-
-def _laplace_constant(alg):
-    n = alg.rank
-    if alg.kind == "sym_real":
-        return 2.0 ** (n * (n - 1) / 4.0) * _gamma_cone_real(n, (n + 1) / 2.0), (n + 1) / 2.0
-    if alg.kind == "herm_complex":
-        return 2.0 ** (n * (n - 1) / 2.0) * _gamma_cone_complex(n, n), float(n)
-    raise ValueError(f"no closed form for kind {alg.kind!r}")
+def _log_det_2u(alg, u, what):
+    """log Delta(2u), raising NotInCone unless u lies in the open cone."""
+    mat = alg.to_matrix(u)
+    if np.linalg.eigvalsh(mat)[0] <= 0.0:
+        raise NotInCone(f"{what} requires its argument in the open cone")
+    return np.linalg.slogdet(2.0 * mat)[1]
 
 
 def cone_laplace(alg, u):
-    """Closed form of I(u), the Laplace transform of the cone at 2u."""
-    if alg.kind == "diagonal":
-        u = np.asarray(u, dtype=float)
-        if np.min(u) <= 0.0:
-            raise NotInCone("I(u) requires u in the open cone")
-        return float(np.prod(1.0 / (2.0 * u)))
-    const, power = _laplace_constant(alg)
-    mat = np.asarray(alg.to_matrix(u))
-    if np.linalg.eigvalsh(mat)[0] <= 0.0:
-        raise NotInCone("I(u) requires u in the open cone")
-    _, logdet = np.linalg.slogdet(2.0 * mat)
-    return float(const * math.exp(-power * logdet))
+    """Closed form of I(u) = Gamma_Omega(N/r) Delta(2u)^(-N/r)."""
+    s = alg.dim / alg.rank
+    return float(gindikin_gamma(alg, s) * math.exp(-s * _log_det_2u(alg, u, "I(u)")))
 
 
 def gaussian_iq(q_map, u):
@@ -85,17 +75,13 @@ def gaussian_iq(q_map, u):
 def _batch_inv_i_iq(alg, q_map, us):
     """Vectorized 1 / (I(u) I_Q(u)) for a batch of cone points.
 
-    Uses I_Q(u) = (pi/2)^n / det(mat u) for the matrix kinds (the Gaussian
-    determinant collapses to the matrix determinant) and the product forms
-    on diagonal algebras.
+    For the standard representation the Gaussian determinant of I_Q
+    collapses to I_Q(u) = (pi/2)^r / Delta(u).
     """
-    if alg.kind == "diagonal":
-        return np.prod(4.0 * us * us / math.pi, axis=1)
-    n = alg.rank
-    const, power = _laplace_constant(alg)
+    r, s = alg.rank, alg.dim / alg.rank
     dets = np.real(np.linalg.det(_batch_to_matrix(alg, us)))
-    inv_i = np.exp(power * (n * math.log(2.0) + np.log(dets))) / const
-    inv_iq = (2.0 / math.pi) ** n * dets
+    inv_i = np.exp(s * (r * math.log(2.0) + np.log(dets))) / gindikin_gamma(alg, s)
+    inv_iq = (2.0 / math.pi) ** r * dets
     return inv_i * inv_iq
 
 
@@ -122,19 +108,15 @@ def _cone_box_mc(alg, u, samples, seed, stream):
     uvec = np.asarray(u, dtype=float)
 
     total = total_sq = 0.0
-    count = 0
-    for b in range(0, samples, BLOCK):
-        nb = min(BLOCK, samples - b)
-        g = block_generator(seed, stream, b // BLOCK)
-        ys = lows + g.random((BLOCK, n))[:nb] * (highs - lows)
+    for g, rows in blocks(seed, stream, samples):
+        ys = lows + g.random((BLOCK, n))[: rows.stop - rows.start] * (highs - lows)
         inside = _batch_in_cone(alg, ys)
         f = np.where(inside, np.exp(-2.0 * ys @ uvec), 0.0)
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))
-        count += nb
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return vol * mean, vol * math.sqrt(var / count)
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return vol * mean, vol * math.sqrt(var / samples)
 
 
 def _batch_in_cone(alg, ys):
@@ -154,18 +136,14 @@ def _iq_box_mc(q_map, u, samples, seed, stream):
     r = math.sqrt(2.0 * _BOX_KAPPA / vals[0])
     vol = (2.0 * r) ** dim
     total = total_sq = 0.0
-    count = 0
-    for b in range(0, samples, BLOCK):
-        nb = min(BLOCK, samples - b)
-        g = block_generator(seed, stream, b // BLOCK)
-        vs = (2.0 * g.random((BLOCK, dim))[:nb] - 1.0) * r
+    for g, rows in blocks(seed, stream, samples):
+        vs = (2.0 * g.random((BLOCK, dim))[: rows.stop - rows.start] - 1.0) * r
         f = np.exp(-np.einsum("si,ij,sj->s", vs, m_u, vs))
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))
-        count += nb
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return vol * mean, vol * math.sqrt(var / count)
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return vol * mean, vol * math.sqrt(var / samples)
 
 
 @dataclass
@@ -206,130 +184,59 @@ def cone_integrals(alg, q_map, u, method="closed", samples=200_000, seed=0, se_l
     return ConeIntegrals(i_val, iq_val, "mc", i_se, iq_se, samples, seed, False, False)
 
 
-# -- the invariant base measure ------------------------------------------------
+# -- the invariant base measure and the exact samplers ------------------------
 
 
 def measure_mass(alg, y):
     """Closed-form mass of the measure exp(-2<u,y>) / (I(u) I_Q(u)) mu_U.
 
-    The integrand is a determinant power times an exponential, so the mass
-    is a gamma-type integral for every built-in kind.
+    The density is 2^N (2/pi)^r Delta(u)^(N/r + 1) exp(-2<u,y>) / Gamma_Omega(N/r),
+    so the mass is 2^N (2/pi)^r Gamma_Omega(2N/r + 1) / Gamma_Omega(N/r)
+    times Delta(2y)^(-(2N/r + 1)).
     """
-    if alg.kind == "diagonal":
-        y = np.asarray(y, dtype=float)
-        if np.min(y) <= 0.0:
-            raise NotInCone("measure mass requires y in the open cone")
-        return float(np.prod(1.0 / (math.pi * y ** 3)))
-    n = alg.rank
-    mat = np.asarray(alg.to_matrix(y))
-    if np.linalg.eigvalsh(mat)[0] <= 0.0:
-        raise NotInCone("measure mass requires y in the open cone")
-    _, logdet2y = np.linalg.slogdet(2.0 * mat)
-    if alg.kind == "sym_real":
-        const = (
-            2.0 ** (n * (n + 1) / 2.0)
-            * (2.0 / math.pi) ** n
-            * _gamma_cone_real(n, n + 2.0)
-            / _gamma_cone_real(n, (n + 1) / 2.0)
-        )
-        return float(const * math.exp(-(n + 2.0) * logdet2y))
-    if alg.kind == "herm_complex":
-        const = (
-            2.0 ** (n * n)
-            * (2.0 / math.pi) ** n
-            * _gamma_cone_complex(n, 2.0 * n + 1.0)
-            / _gamma_cone_complex(n, float(n))
-        )
-        return float(const * math.exp(-(2.0 * n + 1.0) * logdet2y))
-    raise ValueError(f"no closed form for kind {alg.kind!r}")
+    r, s = alg.rank, alg.dim / alg.rank
+    const = (
+        2.0 ** alg.dim * (2.0 / math.pi) ** r
+        * gindikin_gamma(alg, 2.0 * s + 1.0) / gindikin_gamma(alg, s)
+    )
+    return float(const * math.exp(-(2.0 * s + 1.0) * _log_det_2u(alg, y, "measure mass")))
+
+
+def _sample_cone_gamma(alg, y, s, count, seed, stream):
+    """Exact samples of the density ~ Delta(u)^(s - N/r) exp(-2<u, y>) on the cone.
+
+    This is the cone's Gamma family of shape s and scale (2y)^-1, with mean
+    s (2y)^-1.  For d = 0 the coordinates are independent Gamma(s) draws.
+    For d = 1, 2 a sample is A Z Z^H A^H, where Z is an r x 2s/d matrix of
+    standard normals over R or C and A A^H = (d/4) y^-1.
+    """
+    out = np.empty((count, alg.dim))
+    d, r = alg.d, alg.rank
+    if d == 0:
+        scale = 1.0 / (2.0 * np.asarray(y, dtype=float))
+        for g, rows in blocks(seed, stream, count):
+            out[rows] = g.gamma(s, size=(BLOCK, alg.dim))[: rows.stop - rows.start] * scale
+        return out
+    a = np.linalg.cholesky(np.linalg.inv((4.0 / d) * alg.to_matrix(y)))
+    shape = (BLOCK, r, round(2.0 * s / d))
+    for g, rows in blocks(seed, stream, count):
+        nb = rows.stop - rows.start
+        z = g.standard_normal(shape)[:nb]
+        if d == 2:
+            z = (z + 1j * g.standard_normal(shape)[:nb]) / math.sqrt(2.0)
+        az = a @ z
+        out[rows] = _batch_from_matrix(alg, az @ az.conj().swapaxes(1, 2))
+    return out
 
 
 def sample_invariant_measure(alg, y, count, seed, stream=4):
-    """Exact samples from the normalized measure exp(-2<u,y>)/(I I_Q) mu_U.
-
-    Componentwise Gamma(3) in the diagonal case; the matrix kinds are exact
-    Wishart families because the determinant powers are half-integers.
-    """
-    out = np.empty((count, alg.dim))
-    n = alg.rank
-    if alg.kind == "diagonal":
-        scale = 1.0 / (2.0 * np.asarray(y, dtype=float))
-        for b in range(0, count, BLOCK):
-            nb = min(BLOCK, count - b)
-            g = block_generator(seed, stream, b // BLOCK)
-            out[b : b + nb] = g.gamma(3.0, size=(BLOCK, alg.dim))[:nb] * scale
-        return out
-    ym = np.asarray(alg.to_matrix(y))
-    if alg.kind == "sym_real":
-        a = np.linalg.cholesky(np.linalg.inv(4.0 * np.real(ym)))
-        df = 2 * n + 4
-        for b in range(0, count, BLOCK):
-            nb = min(BLOCK, count - b)
-            g = block_generator(seed, stream, b // BLOCK)
-            zs = g.standard_normal((BLOCK, n, df))[:nb]
-            mats = np.einsum("ij,sjk,slk,ml->sim", a, zs, zs, a)
-            out[b : b + nb] = _batch_from_matrix(alg, mats.astype(complex))
-        return out
-    if alg.kind == "herm_complex":
-        a = np.linalg.cholesky(np.linalg.inv(2.0 * ym))
-        df = 2 * n + 1
-        for b in range(0, count, BLOCK):
-            nb = min(BLOCK, count - b)
-            g = block_generator(seed, stream, b // BLOCK)
-            zr = g.standard_normal((BLOCK, n, df))[:nb]
-            zi = g.standard_normal((BLOCK, n, df))[:nb]
-            zs = (zr + 1j * zi) / math.sqrt(2.0)
-            mats = np.einsum("ij,sjk,slk,ml->sim", a, zs, zs.conj(), a.conj())
-            out[b : b + nb] = _batch_from_matrix(alg, mats)
-        return out
-    raise ValueError(f"no invariant-measure sampler for kind {alg.kind!r}")
-
-
-# -- exact-proposal sampling from the cone ----------------------------------
+    """Exact samples from the normalized measure exp(-2<u,y>)/(I I_Q) mu_U (shape 2N/r + 1)."""
+    return _sample_cone_gamma(alg, y, 2.0 * alg.dim / alg.rank + 1.0, count, seed, stream)
 
 
 def sample_cone_exponential(alg, y0, count, seed, stream=3):
-    """Samples from the density exp(-2<u, y0>) / I(y0) on the cone.
-
-    Inverse-CDF exponentials in the diagonal case; Wishart families whose
-    determinant power vanishes for the matrix kinds, so the density is the
-    pure exponential weight.
-    """
-    n = alg.rank
-    out = np.empty((count, alg.dim))
-    if alg.kind == "diagonal":
-        rate = 2.0 * np.asarray(y0, dtype=float)
-        for b in range(0, count, BLOCK):
-            nb = min(BLOCK, count - b)
-            g = block_generator(seed, stream, b // BLOCK)
-            us = g.random((BLOCK, alg.dim))[:nb]
-            out[b : b + nb] = -np.log1p(-us) / rate
-        return out
-
-    y0m = np.asarray(alg.to_matrix(y0))
-    if alg.kind == "sym_real":
-        a = np.linalg.cholesky(np.linalg.inv(4.0 * np.real(y0m)))
-        df = n + 1
-        for b in range(0, count, BLOCK):
-            nb = min(BLOCK, count - b)
-            g = block_generator(seed, stream, b // BLOCK)
-            zs = g.standard_normal((BLOCK, n, df))[:nb]
-            mats = np.einsum("ij,sjk,slk,ml->sim", a, zs, zs, a)
-            out[b : b + nb] = _batch_from_matrix(alg, mats.astype(complex))
-        return out
-
-    if alg.kind == "herm_complex":
-        a = np.linalg.cholesky(np.linalg.inv(2.0 * y0m))
-        for b in range(0, count, BLOCK):
-            nb = min(BLOCK, count - b)
-            g = block_generator(seed, stream, b // BLOCK)
-            zr = g.standard_normal((BLOCK, n, n))[:nb]
-            zi = g.standard_normal((BLOCK, n, n))[:nb]
-            zs = (zr + 1j * zi) / math.sqrt(2.0)
-            mats = np.einsum("ij,sjk,slk,ml->sim", a, zs, zs.conj(), a.conj())
-            out[b : b + nb] = _batch_from_matrix(alg, mats)
-        return out
-    raise ValueError(f"no cone sampler for kind {alg.kind!r}")
+    """Samples from the density exp(-2<u, y0>) / I(y0) on the cone (shape N/r)."""
+    return _sample_cone_gamma(alg, y0, alg.dim / alg.rank, count, seed, stream)
 
 
 # -- Bergman kernel ----------------------------------------------------------

@@ -5,13 +5,16 @@ orthonormal for the ambient inner product, so the left multiplications T_x
 are symmetric matrices and every rank decision reduces to symmetric
 eigenproblems.  Elements are plain numpy vectors of coordinates.
 
-Built-in kinds:
+A simple algebra and its symmetric cone are described by three numbers: the
+rank r, the dimension N and the Peirce constant d, the common dimension of
+the off-diagonal Peirce spaces, so that N = r + d r (r - 1) / 2.  Every
+built-in kind is a space of n x n Hermitian matrices over a basis of
+matrices, with x o y = (xy + yx)/2 and <A, B> = Re tr(A B^H):
 
-* ``diagonal`` -- R^r with componentwise product (``rank1`` = r equal to 1),
-* ``sym_real`` -- real symmetric n x n matrices, x o y = (xy + yx)/2,
-* ``herm_complex`` -- complex Hermitian n x n matrices, same product,
-
-with <A, B> = tr(AB) in the matrix cases and the dot product otherwise.
+* ``diagonal`` -- d = 0, the diagonal matrices, i.e. R^r with the
+  componentwise product (``rank1`` is r = 1),
+* ``sym_real`` -- d = 1, real symmetric n x n matrices,
+* ``herm_complex`` -- d = 2, complex Hermitian n x n matrices.
 """
 from dataclasses import dataclass
 from typing import Callable, List
@@ -66,8 +69,8 @@ class EuclideanJordanAlgebra:
     pure function of its inputs, so they are safe to share across threads.
     """
 
-    def __init__(self, kind, dim, rank, structure, unit, labels=None, matrix_basis=None):
-        structure = np.asarray(structure, dtype=float)
+    def __init__(self, kind, dim, rank, structure, unit, matrix_basis=None):
+        structure = np.array(structure, dtype=float)
         if structure.shape != (dim, dim, dim):
             raise DimensionMismatch("structure tensor must be N x N x N")
         if np.max(np.abs(structure - structure.transpose(1, 0, 2))) > 1e-12:
@@ -81,13 +84,17 @@ class EuclideanJordanAlgebra:
         self.rank = rank
         self.structure = structure
         self.unit = np.asarray(unit, dtype=float)
-        self.labels = labels or [f"b{i}" for i in range(dim)]
         self.inner = np.eye(dim)  # basis is orthonormal by construction
         self.matrix_basis = matrix_basis
         # linear functional giving the Jordan trace: tr_J(x) = (r/N) tr T_x
-        self._trace_vec = np.array(
-            [np.trace(self.left_mult(e)) for e in np.eye(dim)]
-        ) * (rank / dim)
+        self._trace_vec = np.einsum("ijj->i", structure) * (rank / dim)
+
+    @property
+    def d(self):
+        """Peirce constant, from N = r + d r (r - 1) / 2; 0 for rank one."""
+        if self.rank == 1:
+            return 0
+        return round(2 * (self.dim - self.rank) / (self.rank * (self.rank - 1)))
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -293,92 +300,51 @@ class EuclideanJordanAlgebra:
     # -- frames and matrix coordinates --------------------------------------
 
     def standard_frame(self):
-        """The built-in Jordan frame (primitive idempotents summing to e)."""
-        if self.kind == "diagonal":
-            return [e.copy() for e in np.eye(self.dim)]
-        n = self.rank
-        frame = []
-        for i in range(n):
-            m = np.zeros((n, n), dtype=complex if self.kind == "herm_complex" else float)
-            m[i, i] = 1.0
-            frame.append(self.from_matrix(m))
-        return frame
+        """The built-in Jordan frame: the diagonal matrix units E_11, ..., E_rr."""
+        return [self.from_matrix(np.diag(row)) for row in np.eye(self.rank)]
 
     def to_matrix(self, x):
         x = self.check_element(x)
-        if self.kind == "diagonal":
-            return np.diag(x)
-        return sum(xi * b for xi, b in zip(x, self.matrix_basis))
+        return np.tensordot(x, self.matrix_basis, axes=1)
 
     def from_matrix(self, m):
-        if self.kind == "diagonal":
-            return np.real(np.diag(m)).copy()
-        return np.array([np.real(np.trace(m @ b.conj().T)) for b in self.matrix_basis])
+        return np.real(np.einsum("ab,kab->k", m, self.matrix_basis.conj()))
 
 
-def _matrix_algebra(kind, n):
-    if kind == "sym_real":
-        basis = []
-        labels = []
-        for i in range(n):
-            b = np.zeros((n, n))
-            b[i, i] = 1.0
-            basis.append(b)
-            labels.append(f"E{i + 1}{i + 1}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                b = np.zeros((n, n))
-                b[i, j] = b[j, i] = 1.0 / np.sqrt(2.0)
-                basis.append(b)
-                labels.append(f"S{i + 1}{j + 1}")
-    elif kind == "herm_complex":
-        basis = []
-        labels = []
-        for i in range(n):
-            b = np.zeros((n, n), dtype=complex)
-            b[i, i] = 1.0
-            basis.append(b)
-            labels.append(f"E{i + 1}{i + 1}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                b = np.zeros((n, n), dtype=complex)
-                b[i, j] = b[j, i] = 1.0 / np.sqrt(2.0)
-                basis.append(b)
-                labels.append(f"S{i + 1}{j + 1}")
-                b = np.zeros((n, n), dtype=complex)
-                b[i, j] = 1j / np.sqrt(2.0)
-                b[j, i] = -1j / np.sqrt(2.0)
-                basis.append(b)
-                labels.append(f"A{i + 1}{j + 1}")
-    else:  # pragma: no cover
-        raise ValueError(kind)
+def _matrix_algebra(kind, n, d):
+    """Hermitian n x n matrices with entries in R (d = 1) or C (d = 2).
 
-    dim = len(basis)
-    structure = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            prod = 0.5 * (basis[i] @ basis[j] + basis[j] @ basis[i])
-            for k in range(dim):
-                structure[i, j, k] = np.real(np.trace(prod @ basis[k].conj().T))
-    unit = np.array([np.real(np.trace(np.eye(n) @ b.conj().T)) for b in basis])
-    return EuclideanJordanAlgebra(kind, dim, n, structure, unit, labels, basis)
+    d = 0 keeps only the diagonal matrices.  The basis is E_ii, then for each
+    i < j the symmetric (E_ij + E_ji)/sqrt 2 and, for d = 2, the
+    antisymmetric i (E_ij - E_ji)/sqrt 2.
+    """
+    units = np.eye(n)
+    basis = [np.outer(units[i], units[i]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            off = np.outer(units[i], units[j]) / np.sqrt(2.0)
+            if d >= 1:
+                basis.append(off + off.T)
+            if d == 2:
+                basis.append(1j * (off - off.T))
+    basis = np.array(basis, dtype=complex if d == 2 else float)
+    # <B_i o B_j, B_k> = Re tr(B_i B_j B_k) for Hermitian B_k: the real part
+    # is already symmetric in i and j
+    structure = np.real(np.einsum("iab,jbc,kca->ijk", basis, basis, basis))
+    unit = np.real(np.einsum("kaa->k", basis))
+    return EuclideanJordanAlgebra(kind, len(basis), n, structure, unit, basis)
 
 
 def diagonal_algebra(r):
-    structure = np.zeros((r, r, r))
-    for i in range(r):
-        structure[i, i, i] = 1.0
-    return EuclideanJordanAlgebra(
-        "diagonal", r, r, structure, np.ones(r), [f"e{i + 1}" for i in range(r)]
-    )
+    return _matrix_algebra("diagonal", r, 0)
 
 
 def sym_real_algebra(n):
-    return _matrix_algebra("sym_real", n)
+    return _matrix_algebra("sym_real", n, 1)
 
 
 def herm_complex_algebra(n):
-    return _matrix_algebra("herm_complex", n)
+    return _matrix_algebra("herm_complex", n, 2)
 
 
 def make_algebra(kind, param=None):

@@ -90,7 +90,7 @@ class HermitianMapQ:
 
     def g_matrix(self, x):
         """Real symmetric 2n x 2n matrix of g_x(v, v') = <x, Re Q(v, v')>."""
-        return 2.0 * _re_sym(self.rep.r_op(x))
+        return 2.0 * creal.realify(self.rep.r_op(x))
 
     def omega_matrix(self, x):
         """Alternating matrix of omega_x(v, v') = g_x(v, j v')."""
@@ -216,11 +216,6 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "v0", np.asarray(self.v0, dtype=complex))
-
-
-def _re_sym(a):
-    """Real matrix of (v, v') -> Re h(A v, v') for Hermitian A."""
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
 def _block_diag(a, b):

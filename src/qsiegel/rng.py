@@ -20,20 +20,11 @@ def block_generator(seed, stream, block):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def stream_normal(seed, stream, count, dim):
-    """(count, dim) standard normals, reproducible per (seed, stream, index)."""
-    out = np.empty((count, dim))
-    for b in range(0, count, BLOCK):
-        n = min(BLOCK, count - b)
-        g = block_generator(seed, stream, b // BLOCK)
-        out[b : b + n] = g.standard_normal((BLOCK, dim))[:n]
-    return out
+def blocks(seed, stream, count):
+    """Yield (generator, rows) for each block of ``count`` samples of a stream.
 
-
-def stream_uniform(seed, stream, count, dim):
-    out = np.empty((count, dim))
+    ``rows`` is the slice of sample indices the block produces.  A block
+    always draws BLOCK rows and keeps the first ``rows.stop - rows.start``.
+    """
     for b in range(0, count, BLOCK):
-        n = min(BLOCK, count - b)
-        g = block_generator(seed, stream, b // BLOCK)
-        out[b : b + n] = g.random((BLOCK, dim))[:n]
-    return out
+        yield block_generator(seed, stream, b // BLOCK), slice(b, min(b + BLOCK, count))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsiegel import standard_model
+from qsiegel import creal, standard_model
 
 
 MODEL_KINDS = [("rank1", None), ("diagonal", 2), ("sym_real", 2), ("herm_complex", 2)]
@@ -35,3 +35,18 @@ def herm2(models):
 def random_elements(alg, count, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return [scale * rng.standard_normal(alg.dim) for _ in range(count)]
+
+
+def oracle_expected_mf(q_map, w, tol=1e-10):
+    """Direct definition-chasing verdict: scan Im Q over a basis of S.
+
+    Independent of the three certifiers; the catalog's frozen verdicts and
+    the certifiers are both checked against it.
+    """
+    s = w.j_image(q_map.n).perp()
+    worst = 0.0
+    for i in range(s.dim):
+        for j in range(i, s.dim):
+            q = q_map.q_eval(creal.re_to_cx(s.basis[:, i]), creal.re_to_cx(s.basis[:, j]))
+            worst = max(worst, float(np.linalg.norm(np.imag(q))))
+    return worst <= tol

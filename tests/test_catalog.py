@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from qsiegel import JordanRepresentation, classify_lambda
-from qsiegel.catalog import catalog_get, catalog_list, oracle_expected_mf
+from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.errors import UnknownEntry
+
+from conftest import oracle_expected_mf
 
 
 def test_listing_is_deterministic():

@@ -11,9 +11,11 @@ from qsiegel import (
     check_orbit_multiplicity,
     check_orthocomplement_identity,
 )
-from qsiegel.catalog import catalog_get, catalog_list, oracle_expected_mf
+from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.certify import BaseMetric
 from qsiegel.errors import HypothesisViolated, NotPSD
+
+from conftest import oracle_expected_mf
 
 
 def w_real(rank1):

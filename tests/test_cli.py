@@ -120,6 +120,15 @@ def test_catalog_cli(tmp_path, capsys):
     assert spec["algebra"]["kind"] == "sym_real"
 
 
+@pytest.mark.parametrize("command,samples", [("bergman", "0"), ("bergman", "-3"), ("check", "-5")])
+def test_nonpositive_samples_rejected(tmp_path, capsys, command, samples):
+    spec = write_spec(tmp_path, "sym2", "frame")
+    point = ["--p1", "1.2i,i,0.1i,0,0", "--p2", "i,i,0,0,0"] if command == "bergman" else []
+    assert main([command, spec, *point, "--samples", samples]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--samples" in err
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     spec = write_spec(tmp_path, "diag2", "phase")
     _, out1 = run_cli(["check", spec, "--seed", "3", "--no-scale"], capsys)

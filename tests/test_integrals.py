@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from qsiegel import SiegelPoint, bergman_kernel, cone_integrals
+from qsiegel import SiegelPoint, bergman_kernel, cone_integrals, standard_model
 from qsiegel.errors import MCVarianceTooHigh, NotInCone, NotInDomain
 from qsiegel.integrals import (
+    _batch_inv_i_iq,
     cone_laplace,
     gaussian_iq,
     measure_mass,
     sample_cone_exponential,
     sample_invariant_measure,
 )
+from qsiegel.rng import BLOCK, block_generator
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -104,26 +106,102 @@ def test_measure_mass_rank1_quadrature_oracle(rank1):
         assert measure_mass(alg, np.array([y])) == pytest.approx(1.0 / (math.pi * y**3), rel=1e-12)
 
 
-def test_invariant_measure_sampler_moments(sym2):
-    # Wishart first moment: df * Sigma = (2n + 4) (4 y)^{-1}
-    alg, _, q_map = sym2
-    us = sample_invariant_measure(alg, alg.unit, 200_000, seed=3)
-    mean = us.mean(axis=0)
-    assert np.allclose(mean, alg.from_matrix(2.0 * np.eye(2)), atol=0.02)
+def _assert_gamma_mean(alg, sampler, shape, seed):
+    # the cone's Gamma family of shape s and scale (2y)^{-1} has mean s (2y)^{-1}
+    y = alg.exp(0.3 * np.random.default_rng(seed).standard_normal(alg.dim))
+    us = sampler(alg, y, 100_000, seed=seed)
+    se = us.std(axis=0) / math.sqrt(len(us))
+    assert np.all(np.abs(us.mean(axis=0) - shape * alg.invert(2.0 * y)) <= 4.0 * se)
 
 
-def test_exponential_sampler_moments(diag2):
-    alg, _, q_map = diag2
-    y0 = np.array([1.0, 2.0])
-    us = sample_cone_exponential(alg, y0, 100_000, seed=4)
-    assert np.allclose(us.mean(axis=0), 1.0 / (2.0 * y0), atol=0.01)
+@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
+def test_invariant_measure_sampler_moments(models, kind):
+    alg = models[kind][0]
+    _assert_gamma_mean(alg, sample_invariant_measure, 2.0 * alg.dim / alg.rank + 1.0, seed=3)
 
 
-def test_herm_invariant_sampler_mean(herm2):
-    # complex Wishart first moment: df * Sigma = (2n + 1) (2 y)^{-1}
-    alg, _, q_map = herm2
-    us = sample_invariant_measure(alg, alg.unit, 200_000, seed=5)
-    assert np.allclose(us.mean(axis=0), alg.from_matrix(2.5 * np.eye(2)), atol=0.03)
+@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
+def test_exponential_sampler_moments(models, kind):
+    alg = models[kind][0]
+    _assert_gamma_mean(alg, sample_cone_exponential, alg.dim / alg.rank, seed=4)
+
+
+@pytest.mark.parametrize("kind", ["sym_real", "herm_complex"])
+def test_wishart_samples_match_explicit_contraction(models, kind):
+    # reference: the per-block einsum contraction of the same normals, drawn
+    # real part first; batched matmul only reorders the sums
+    alg = models[kind][0]
+    y = alg.from_matrix(np.array([[1.5, 0.4], [0.4, 0.8]]))
+    # degrees of freedom 2s/d at the invariant-measure shape s = 2N/r + 1
+    count, n, df = 1500, alg.rank, {"sym_real": 8, "herm_complex": 5}[kind]
+    ym = alg.to_matrix(y)
+    a = np.linalg.cholesky(np.linalg.inv((4.0 if kind == "sym_real" else 2.0) * ym))
+    expected = []
+    for b in range(0, count, BLOCK):
+        g = block_generator(7, 4, b // BLOCK)
+        zs = g.standard_normal((BLOCK, n, df))
+        if kind == "herm_complex":
+            zs = (zs + 1j * g.standard_normal((BLOCK, n, df))) / math.sqrt(2.0)
+        mats = np.einsum("ij,sjk,slk,ml->sim", a, zs, zs.conj(), a.conj())
+        expected.append([alg.from_matrix(m) for m in mats[: count - b]])
+    got = sample_invariant_measure(alg, y, count, seed=7, stream=4)
+    assert np.allclose(got, np.concatenate(expected), rtol=0.0, atol=1e-12 * np.abs(got).max())
+
+
+MODEL_SIZES = [
+    ("rank1", None),
+    ("diagonal", 3),
+    ("sym_real", 2),
+    ("sym_real", 3),
+    ("sym_real", 4),
+    ("herm_complex", 2),
+    ("herm_complex", 3),
+]
+
+
+def _gamma_sym(n, a):
+    return math.pi ** (n * (n - 1) / 4.0) * math.prod(math.gamma(a - k / 2.0) for k in range(n))
+
+
+def _gamma_herm(n, a):
+    return math.pi ** (n * (n - 1) / 2.0) * math.prod(math.gamma(a - k) for k in range(n))
+
+
+def _per_kind_laplace(kind, n, mat):
+    det2 = np.real(np.linalg.det(2.0 * mat))
+    if kind == "diagonal":
+        return float(np.prod(1.0 / (2.0 * np.real(np.diag(mat)))))
+    if kind == "sym_real":
+        return 2.0 ** (n * (n - 1) / 4.0) * _gamma_sym(n, (n + 1) / 2.0) * det2 ** (-(n + 1) / 2.0)
+    return 2.0 ** (n * (n - 1) / 2.0) * _gamma_herm(n, n) * det2 ** (-n)
+
+
+def _per_kind_mass(kind, n, mat):
+    det2 = np.real(np.linalg.det(2.0 * mat))
+    if kind == "diagonal":
+        return float(np.prod(1.0 / (math.pi * np.real(np.diag(mat)) ** 3)))
+    if kind == "sym_real":
+        const = 2.0 ** (n * (n + 1) / 2.0) * (2.0 / math.pi) ** n
+        return const * _gamma_sym(n, n + 2.0) / _gamma_sym(n, (n + 1) / 2.0) * det2 ** (-(n + 2.0))
+    const = 2.0 ** (n * n) * (2.0 / math.pi) ** n
+    return const * _gamma_herm(n, 2.0 * n + 1.0) / _gamma_herm(n, n) * det2 ** (-(2.0 * n + 1.0))
+
+
+@pytest.mark.parametrize("kind,param", MODEL_SIZES, ids=lambda v: str(v))
+def test_gindikin_forms_match_per_kind_formulas(kind, param):
+    # the classical per-kind gamma integrals of the three cone families, and
+    # the Gaussian I_Q, against the single Gamma_Omega / determinant-power forms
+    alg, _, q_map = standard_model(kind, param)
+    family = "diagonal" if kind == "rank1" else kind
+    rng = np.random.default_rng(12)
+    points = [alg.unit] + [alg.exp(0.5 * rng.standard_normal(alg.dim)) for _ in range(3)]
+    for u in points:
+        mat = alg.to_matrix(u)
+        assert cone_laplace(alg, u) == pytest.approx(_per_kind_laplace(family, alg.rank, mat), rel=1e-12)
+        assert measure_mass(alg, u) == pytest.approx(_per_kind_mass(family, alg.rank, mat), rel=1e-12)
+    inv = _batch_inv_i_iq(alg, q_map, np.array(points))
+    expected = [1.0 / (cone_laplace(alg, u) * gaussian_iq(q_map, u)) for u in points]
+    assert inv == pytest.approx(expected, rel=1e-12)
 
 
 # -- Bergman kernel ------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .kernels import (
     gram_psd_report,
     invariant_kernel_raw,
     frame_scalar_check,
+    kernel_matrix,
 )
 from .integrals import BergmanEstimate, ConeIntegrals, bergman_kernel, cone_integrals
 from .certify import (
@@ -66,6 +67,7 @@ __all__ = [
     "classify_lambda",
     "build_kernel_params",
     "eval_kernel",
+    "kernel_matrix",
     "invariant_kernel_raw",
     "fock_kernel",
     "gram_psd_report",

@@ -93,8 +93,17 @@ def load_spec(path):
     return alg, q_map, w, sampling
 
 
-def _parse_reals(text):
-    return np.array([float(t) for t in text.split(",")], dtype=float)
+def _parse_reals(text, length, flag):
+    """Comma-separated finite reals of the given length; raises UsageError."""
+    try:
+        values = np.array([float(t) for t in text.split(",")], dtype=float)
+    except ValueError:
+        raise UsageError(f"{flag} needs comma-separated numbers, got {text!r}") from None
+    if values.shape != (length,):
+        raise UsageError(f"{flag} needs {length} comma-separated entries, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"{flag} entries must be finite, got {text!r}")
+    return values
 
 
 def _parse_point(text, dim_u, n):
@@ -105,15 +114,19 @@ def _parse_point(text, dim_u, n):
     return SiegelPoint(np.array(vals[:dim_u]), np.array(vals[dim_u:]))
 
 
-def _sample_count(text):
-    """argparse type of --samples; raises UsageError, so main exits 1 with one line."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise UsageError(f"--samples must be a positive integer, got {text!r}")
-    return value
+def _positive_int(flag):
+    """argparse type of a count flag; raises UsageError, so main exits 1 with one line."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise UsageError(f"{flag} must be a positive integer, got {text!r}")
+        return value
+
+    return parse
 
 
 def _pairs(values):
@@ -151,8 +164,9 @@ def cmd_check(args):
 def cmd_kernels(args):
     alg, q_map, w, sampling = load_spec(args.spec)
     seed = args.seed if args.seed is not None else sampling.get("seed", 0)
-    x = _parse_reals(args.x)
-    chi = _parse_reals(args.chi) if args.chi else None
+    x = _parse_reals(args.x, alg.dim, "--x")
+    # chi lives on S, the orthocomplement of jW: dim S = 2n - dim W
+    chi = _parse_reals(args.chi, 2 * q_map.n - w.dim, "--chi") if args.chi else None
     params = build_kernel_params(q_map, w, x, chi=chi)
     rng = np.random.default_rng([seed, 0x6B])
     points = []
@@ -205,7 +219,7 @@ def cmd_bergman(args):
 
 def cmd_orbit(args):
     alg, q_map, w, sampling = load_spec(args.spec)
-    x = _parse_reals(args.x)
+    x = _parse_reals(args.x, alg.dim, "--x")
     tol = args.tol or sampling["tolerances"].get("subspace", TOL_SUB)
     cert = check_orbit_multiplicity(q_map, w, x, tol=tol)
     emit({"multiplicity_one": bool(cert.verdict), **cert.to_dict()}, args.out)
@@ -239,13 +253,21 @@ def cmd_catalog(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a usage error, so it exits 1 and not argparse's 2,
+    the code of the certifier-disagreement alarm."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="qsiegel", description=__doc__)
+    p = _Parser(prog="qsiegel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--samples", type=_sample_count, default=None)
+        sp.add_argument("--samples", type=_positive_int("--samples"), default=None)
         sp.add_argument("--tol", type=float, default=None, help="override the decision tolerance")
         sp.add_argument("--out", default=None)
 
@@ -259,7 +281,7 @@ def build_parser():
     sp.add_argument("spec")
     sp.add_argument("--x", required=True, help="comma-separated coordinates in U")
     sp.add_argument("--chi", default=None, help="comma-separated coefficients on S")
-    sp.add_argument("--points", type=int, default=20)
+    sp.add_argument("--points", type=_positive_int("--points"), default=20)
     common(sp)
     sp.set_defaults(func=cmd_kernels)
 

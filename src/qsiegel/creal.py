@@ -1,20 +1,21 @@
 """Conversions between complex vectors/operators and their real forms.
 
 Fixed coordinate convention on the realified space: a complex vector
-v in C^n becomes (Re v_1 .. Re v_n, Im v_1 .. Im v_n) in R^{2n}.
+v in C^n becomes (Re v_1 .. Re v_n, Im v_1 .. Im v_n) in R^{2n}.  The vector
+conversions act on the last axis, so a batch of rows converts at once.
 """
 import numpy as np
 
 
 def cx_to_re(v):
     v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
+    return np.concatenate([v.real, v.imag], axis=-1)
 
 
 def re_to_cx(w):
     w = np.asarray(w, dtype=float)
-    n = w.shape[0] // 2
-    return w[:n] + 1j * w[n:]
+    n = w.shape[-1] // 2
+    return w[..., :n] + 1j * w[..., n:]
 
 
 def realify(a):

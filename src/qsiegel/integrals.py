@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.integrate
 
 from .errors import MCVarianceTooHigh, NotInCone, NotInDomain
 from .rng import BLOCK, blocks
@@ -271,6 +270,7 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="auto"):
     if method == "quadrature":
         if alg.dim != 1:
             raise ValueError("quadrature path only covers rank-one algebras")
+        import scipy.integrate  # only here, so importing qsiegel does not load scipy
         a, b_ = float(re_w[0]), float(im_w[0])
 
         def integrand_re(u):

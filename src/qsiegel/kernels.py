@@ -12,6 +12,19 @@ v' = q' + s' split along V = P + S + jS is
 
 where conjugation is taken with respect to the real form S and
 A_x = 2 p_x^* R_x p_x for the projection p_x onto S^x + jS^x along P.
+
+``kernel_matrix`` evaluates all pairs of two point lists at once.  With
+h(a, b) = b^H a, <x, Q(v, v')> = v'^H (2 R_x) v and chi complex-linear, the
+exponent of the pair (a, b) expands into a term of the row point, a term of
+the column point and one bilinear pairing:
+
+    row(a)    = i <x, z_a> + h(s_a, A_x conj(s_a)) - i chi(s_a)
+    col(b)    = -i <x, conj(z_b)> + h(conj(s_b), A_x s_b) + i chi(conj(s_b))
+    cross(a, b) = - h(conj(s_b), A_x conj(s_a)) - h(s_a, A_x s_b)
+                  + 4 v_b^H R_x v_a
+
+so each point is split, conjugated and paired with chi once, and the cross
+terms of all pairs are one matrix product of stacked per-point features.
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -64,18 +77,6 @@ class KernelParams:
     a_x: np.ndarray          # n x n complex, self-adjoint, supported on S + jS
     conj_s: np.ndarray       # real 2n x 2n conjugation over the real form S
 
-    def chi_value(self, s):
-        """chi extended complex-linearly: chi(s1 + j s2) = chi(s1) + i chi(s2)."""
-        if self.chi.size == 0:
-            return 0.0 + 0.0j
-        sre = creal.cx_to_re(s)
-        b = self.spaces.s.basis
-        jb = creal.j_matrix(self.q_map.n) @ b
-        span = np.hstack([b, jb])
-        coeff, _, _, _ = np.linalg.lstsq(span, sre, rcond=None)
-        d = self.spaces.s.dim
-        return np.dot(self.chi, coeff[:d]) + 1j * np.dot(self.chi, coeff[d:])
-
 
 def build_kernel_params(q_map, w, x, chi=None, sx_basis=None):
     """Assemble kernel parameters; raises NotInLambda for inadmissible x."""
@@ -106,21 +107,57 @@ def invariant_kernel_raw(q_map, x, p1, p2):
     return np.exp(1j * np.dot(np.asarray(x, dtype=float), zpart))
 
 
+def _chi_values(params, s):
+    """chi extended complex-linearly, chi(s1 + j s2) = chi(s1) + i chi(s2),
+    on each row of s; one least-squares solve covers all rows."""
+    d = params.spaces.s.dim
+    if d == 0:
+        return np.zeros(s.shape[0], dtype=complex)
+    b = params.spaces.s.basis
+    span = np.hstack([b, creal.j_matrix(params.q_map.n) @ b])
+    coeff, _, _, _ = np.linalg.lstsq(span, creal.cx_to_re(s).T, rcond=None)
+    return params.chi @ coeff[:d] + 1j * (params.chi @ coeff[d:])
+
+
+def _point_terms(params, points):
+    """Per-point pieces of the kernel exponent: row and column terms and the
+    left and right features whose products give the cross terms."""
+    z = np.array([p.z for p in points], dtype=complex)
+    v = np.array([p.v for p in points], dtype=complex)
+    _, s = params.spaces.split_p_s(v)
+    sbar = creal.re_to_cx(creal.cx_to_re(s) @ params.conj_s.T)
+    m = len(points)
+    chi = _chi_values(params, np.vstack([s, sbar]))
+    a_s = s @ params.a_x.T
+    a_sbar = sbar @ params.a_x.T
+    xz = z @ params.x
+    row = 1j * xz + np.sum(a_sbar.conj() * s, axis=1) - 1j * chi[:m]
+    col = -1j * xz.conj() + np.sum(a_s.conj() * sbar, axis=1) + 1j * chi[m:]
+    rx = params.q_map.rep.r_op(params.x)
+    left = np.hstack([a_sbar.conj(), s, 4.0 * v @ rx.T])
+    right = np.hstack([-sbar, -a_s.conj(), v.conj()])
+    return row, col, left, right
+
+
+def kernel_matrix(params, pts_a, pts_b):
+    """Kernel values L(a, b) for all a in pts_a (rows) and b in pts_b (columns).
+
+    Each point list is split along P + S + jS once; passing the same list
+    twice splits it once.
+    """
+    terms_a = _point_terms(params, pts_a)
+    terms_b = terms_a if pts_b is pts_a else _point_terms(params, pts_b)
+    row, _, left, _ = terms_a
+    _, col, _, right = terms_b
+    g = left @ right.T
+    g += row[:, None]
+    g += col[None, :]
+    return np.exp(g, out=g)
+
+
 def eval_kernel(params, p1, p2):
     """Value of the extremal invariant kernel at a pair of points."""
-    q_map = params.q_map
-    q1, s1 = params.spaces.split_p_s(p1.v)
-    q2, s2 = params.spaces.split_p_s(p2.v)
-    first = invariant_kernel_raw(q_map, params.x, p1, p2)
-
-    s1bar = creal.re_to_cx(params.conj_s @ creal.cx_to_re(s1))
-    s2bar = creal.re_to_cx(params.conj_s @ creal.cx_to_re(s2))
-    d1 = s1 - s2bar
-    d2 = s1bar - s2
-    second = np.exp(np.vdot(params.a_x @ d2, d1))  # h(d1, A_x d2)
-
-    third = np.exp(-1j * params.chi_value(d1))
-    return complex(first * second * third)
+    return complex(kernel_matrix(params, [p1], [p2])[0, 0])
 
 
 def fock_kernel(q_map, x, q, qp, p_space=None):
@@ -144,12 +181,11 @@ class GramReport:
 def gram_psd_report(params, points, keep_matrix=False, tol=TOL_PSD):
     """Gram matrix of kernel values with a relative PSD verdict."""
     m = len(points)
-    g = np.empty((m, m), dtype=complex)
-    for i, pi in enumerate(points):
-        for j in range(i, m):
-            val = eval_kernel(params, pi, points[j])
-            g[i, j] = val
-            g[j, i] = np.conj(val)
+    g = kernel_matrix(params, points, points)
+    # exactly Hermitian: the lower triangle mirrors the upper, the diagonal is real
+    lower = np.tril_indices(m, -1)
+    g[lower] = g.T[lower].conj()
+    g[np.diag_indices(m)] = g.diagonal().real
     vals = np.linalg.eigvalsh(g)
     norm = float(np.max(np.abs(vals)))
     mn = float(vals[0])

@@ -150,16 +150,18 @@ class DerivedSpaces:
     split_matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
     def split_p_s(self, v):
-        """v = q + s with q in P and s in S + jS; raises on residual."""
-        vre = creal.cx_to_re(v)
-        coeff, resid, _, _ = np.linalg.lstsq(self.split_matrix, vre, rcond=None)
-        rec = self.split_matrix @ coeff
-        if np.linalg.norm(rec - vre) > TOL_SUB * max(1.0, np.linalg.norm(vre)):
+        """v = q + s with q in P and s in S + jS; raises on residual.
+
+        ``v`` is one vector (n,) or a batch of rows (m, n); one least-squares
+        solve covers the batch and every row must split within tolerance.
+        """
+        vre = creal.cx_to_re(v).T
+        coeff, _, _, _ = np.linalg.lstsq(self.split_matrix, vre, rcond=None)
+        resid = np.linalg.norm(self.split_matrix @ coeff - vre, axis=0)
+        if np.any(resid > TOL_SUB * np.maximum(1.0, np.linalg.norm(vre, axis=0))):
             raise DecompositionFailure("v does not decompose as P + (S + jS)")
-        dp = self.p.dim
-        q = self.p.basis @ coeff[:dp]
-        s = vre - q
-        return creal.re_to_cx(q), creal.re_to_cx(s)
+        q = self.p.basis @ coeff[: self.p.dim]
+        return creal.re_to_cx(q.T), creal.re_to_cx((vre - q).T)
 
 
 def basic_spaces(q_map, w, x):

@@ -129,6 +129,40 @@ def test_nonpositive_samples_rejected(tmp_path, capsys, command, samples):
     assert err.count("\n") == 1 and "--samples" in err
 
 
+@pytest.mark.parametrize(
+    "extra,flag",
+    [
+        (["--points", "0"], "--points"),
+        (["--points", "-3"], "--points"),
+        (["--x", "1,1"], "--x"),
+        (["--x", "1,nan,0"], "--x"),
+        (["--chi", "1,2"], "--chi"),
+    ],
+)
+def test_kernels_bad_arguments_rejected(tmp_path, capsys, extra, flag):
+    spec = write_spec(tmp_path, "sym2", "frame")
+    assert main(["kernels", spec, "--x", "1,0,1", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize("argv", [["check"], ["frobnicate"]])
+def test_usage_errors_exit_1_not_the_alarm_code(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: qsiegel")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qsiegel.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     spec = write_spec(tmp_path, "diag2", "phase")
     _, out1 = run_cli(["check", spec, "--seed", "3", "--no-scale"], capsys)
@@ -148,6 +182,26 @@ def test_reports_identical_across_thread_counts(tmp_path):
             check=True,
         )
         outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_kernels_reports_identical_across_thread_counts(tmp_path):
+    # boundary x (k = 1) with a nonzero chi, so every term of the exponent is live
+    spec = write_spec(tmp_path, "sym3", "frame")
+    alg = catalog_get("sym3").model()[0]
+    x = ",".join(repr(float(t)) for t in alg.standard_frame()[1])
+    outs = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsiegel.cli", "kernels", spec, "--x", x, "--chi", "1.5",
+             "--points", "120", "--seed", "5"],
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["k"] == 1
     assert outs[0] == outs[1]
 
 

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qsiegel import (
     RealSubspace,
+    standard_model,
     SiegelPoint,
     GroupElement,
     build_kernel_params,
@@ -12,9 +15,10 @@ from qsiegel import (
     gram_psd_report,
     invariant_kernel_raw,
     frame_scalar_check,
+    kernel_matrix,
 )
 from qsiegel import creal
-from qsiegel.catalog import catalog_get
+from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.errors import (
     DecompositionFailure,
     FactorizationResidualTooLarge,
@@ -256,6 +260,132 @@ def test_sx_choice_does_not_affect_values():
 
 def _frame_vector(alg, k):
     return alg.standard_frame()[k]
+
+
+# -- the broadcast kernel matrix against the per-pair reference --------------------
+
+
+def reference_kernel(params, p1, p2):
+    """Per-pair evaluation that kernel_matrix replaced, kept as its reference:
+    each point is split along P + S + jS and chi is solved for on its own."""
+
+    def split(v):
+        vre = creal.cx_to_re(v)
+        coeff, _, _, _ = np.linalg.lstsq(params.spaces.split_matrix, vre, rcond=None)
+        q = params.spaces.p.basis @ coeff[: params.spaces.p.dim]
+        return creal.re_to_cx(vre - q)
+
+    def chi_value(s):
+        if params.chi.size == 0:
+            return 0.0 + 0.0j
+        b = params.spaces.s.basis
+        span = np.hstack([b, creal.j_matrix(params.q_map.n) @ b])
+        coeff, _, _, _ = np.linalg.lstsq(span, creal.cx_to_re(s), rcond=None)
+        d = params.spaces.s.dim
+        return np.dot(params.chi, coeff[:d]) + 1j * np.dot(params.chi, coeff[d:])
+
+    s1, s2 = split(p1.v), split(p2.v)
+    first = invariant_kernel_raw(params.q_map, params.x, p1, p2)
+    s1bar = creal.re_to_cx(params.conj_s @ creal.cx_to_re(s1))
+    s2bar = creal.re_to_cx(params.conj_s @ creal.cx_to_re(s2))
+    d1 = s1 - s2bar
+    d2 = s1bar - s2
+    second = np.exp(np.vdot(params.a_x @ d2, d1))  # h(d1, A_x d2)
+    third = np.exp(-1j * chi_value(d1))
+    return complex(first * second * third)
+
+
+KERNEL_CASES = [
+    ("catalog", name, var.name)
+    for name in catalog_list()
+    for var in catalog_get(name).variants
+    if var.expected_mf
+] + [("frame", "sym_real", 4), ("frame", "sym_real", 6), ("frame", "herm_complex", 3), ("frame", "herm_complex", 4)]
+
+
+def _kernel_case(source, a, b):
+    """Model and W of a catalog variant (name, variant) or a frame W (kind, size)."""
+    if source == "catalog":
+        entry = catalog_get(a)
+        alg, _, q_map = entry.model()
+        return alg, q_map, entry.variant(b).subspace(q_map.n)
+    alg, _, q_map = standard_model(a, b)
+    w, _, _ = frame_w_subspace(alg, q_map, alg.standard_frame()[0])
+    return alg, q_map, w
+
+
+def _interior_and_boundary_x(alg, q_map, w, rng):
+    """An interior x, and a frame combination with one zero weight and k > 0
+    when the spec has one."""
+    xs = [alg.exp(0.5 * rng.standard_normal(alg.dim))]
+    frame = alg.standard_frame()
+    for zero in range(len(frame)):
+        weights = 0.5 + rng.random(len(frame))
+        weights[zero] = 0.0
+        x = sum(wi * ci for wi, ci in zip(weights, frame))
+        k = classify_lambda(q_map, w, x)
+        if k is not None and k > 0:
+            xs.append(x)
+            break
+    return xs
+
+
+@pytest.mark.parametrize("source,a,b", KERNEL_CASES)
+def test_kernel_matrix_matches_per_pair_reference(source, a, b):
+    alg, q_map, w = _kernel_case(source, a, b)
+    rng = np.random.default_rng(20)
+    s_dim = params_sdim(q_map, w)
+    xs = _interior_and_boundary_x(alg, q_map, w, rng)
+    if source == "frame":
+        assert len(xs) == 2, "the frame W has admissible boundary points with k > 0"
+    pts_a = sample_points(q_map, alg, 6, seed=21)
+    pts_b = sample_points(q_map, alg, 4, seed=22)
+    for x in xs:
+        params = build_kernel_params(q_map, w, x, chi=rng.standard_normal(s_dim))
+        if s_dim:
+            assert np.any(params.chi != 0.0)
+        for rows, cols in ((pts_a, pts_b), (pts_a, pts_a)):
+            got = kernel_matrix(params, rows, cols)
+            assert got.shape == (len(rows), len(cols))
+            want = np.array([[reference_kernel(params, a, b) for b in cols] for a in rows])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_eval_kernel_is_the_one_by_one_kernel_matrix(sym2):
+    alg, _, q_map = sym2
+    w = catalog_get("sym2").variant("frame").subspace(q_map.n)
+    params = build_kernel_params(q_map, w, alg.unit, chi=np.array([0.8]))
+    p1, p2 = sample_points(q_map, alg, 2, seed=23)
+    assert eval_kernel(params, p1, p2) == kernel_matrix(params, [p1], [p2])[0, 0]
+
+
+def test_gram_matrix_is_exactly_hermitian():
+    entry = catalog_get("sym3")
+    alg, _, q_map = entry.model()
+    w = entry.variant("frame").subspace(q_map.n)
+    params = build_kernel_params(q_map, w, alg.standard_frame()[1], chi=np.array([0.7]))
+    pts = sample_points(q_map, alg, 15, seed=24)
+    gram = gram_psd_report(params, pts, keep_matrix=True).gram
+    assert np.array_equal(gram, gram.conj().T)
+    upper = np.triu_indices(len(pts))
+    assert np.allclose(gram[upper], kernel_matrix(params, pts, pts)[upper], rtol=1e-13, atol=0.0)
+
+
+def test_batched_split_matches_single_splits_and_checks_every_row(sym2):
+    alg, _, q_map = sym2
+    w = catalog_get("sym2").variant("frame").subspace(q_map.n)
+    spaces = build_kernel_params(q_map, w, alg.unit).spaces
+    vs = np.array([p.v for p in sample_points(q_map, alg, 5, seed=25)])
+    q, s = spaces.split_p_s(vs)
+    for i, v in enumerate(vs):
+        qi, si = spaces.split_p_s(v)
+        assert np.allclose(q[i], qi, atol=1e-14) and np.allclose(s[i], si, atol=1e-14)
+    # drop the last S + jS direction: only rows without a component along it split
+    narrow = dataclasses.replace(spaces, split_matrix=spaces.split_matrix[:, :-1])
+    inside = creal.re_to_cx(narrow.split_matrix @ np.ones(narrow.split_matrix.shape[1]))
+    narrow.split_p_s(np.array([inside, inside]))
+    with pytest.raises(DecompositionFailure):
+        narrow.split_p_s(np.array([inside, vs[0], inside]))
 
 
 # -- positivity ---------------------------------------------------------------------

@@ -6,14 +6,11 @@ Exit codes: 0 success (and consistent verdicts), 1 input error,
 """
 import argparse
 import json
+import math
+import reprlib
 import sys
 
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import catalog as _catalog
 from .certify import certify_all, check_orbit_multiplicity
@@ -24,71 +21,109 @@ from .representation import SiegelPoint, standard_model
 from .subspaces import RealSubspace
 from .tolerances import TOL_PSD, TOL_RANK, TOL_SUB
 
-SPEC_SCHEMA = {
-    "type": "object",
-    "required": ["algebra", "W"],
-    "properties": {
-        "algebra": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["rank1", "diagonal", "sym_real", "herm_complex"]},
-                "param": {"type": "integer", "minimum": 1},
-                "r": {"type": "integer", "minimum": 1},
-                "n": {"type": "integer", "minimum": 1},
-            },
+
+def _finite(value):
+    """A JSON number that is a finite float; booleans and ints beyond float range are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _integer_at_least(minimum):
+    # JSON-Schema's "integer": an integral float such as 2.0 counts, a boolean does not
+    def test(value):
+        integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        return integral and not isinstance(value, bool) and value >= minimum
+
+    return test, f"an integer >= {minimum}"
+
+
+def _is_basis(value):
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(_finite(t) for t in row) for row in value
+    )
+
+
+_KINDS = ("rank1", "diagonal", "sym_real", "herm_complex")
+_POSITIVE_FINITE = (lambda value: _finite(value) and value > 0, "a positive finite number")
+
+# section -> ({key: (test, what the value must be)}, required keys); these
+# sections are the only top-level keys of a spec, and "algebra" and "W" are required
+_SPEC_FIELDS = {
+    "algebra": (
+        {
+            "kind": (lambda value: value in _KINDS, "one of " + ", ".join(_KINDS)),
+            "param": _integer_at_least(1),
+            "r": _integer_at_least(1),
+            "n": _integer_at_least(1),
         },
-        "representation": {
-            "type": "object",
-            "properties": {"kind": {"enum": ["standard"]}},
-        },
-        "W": {
-            "type": "object",
-            "required": ["basis"],
-            "properties": {
-                "basis": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
-            },
-        },
-        "tolerances": {"type": "object"},
-        "sampling": {
-            "type": "object",
-            "properties": {
-                "samples": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-    },
+        ("kind",),
+    ),
+    "representation": ({"kind": (lambda value: value == "standard", "'standard'")}, ()),
+    "W": ({"basis": (_is_basis, "a list of lists of finite numbers")}, ("basis",)),
+    "tolerances": ({"subspace": _POSITIVE_FINITE, "gram_psd": _POSITIVE_FINITE}, ()),
+    "sampling": ({"samples": _integer_at_least(1), "seed": _integer_at_least(0)}, ()),
 }
+
+
+def _check_object(obj, where, allowed, required):
+    if not isinstance(obj, dict):
+        raise SpecFileError(f"invalid spec: {where} must be an object, got {reprlib.repr(obj)}")
+    for key in obj:
+        if key not in allowed:
+            raise SpecFileError(
+                f"invalid spec: unknown key {key!r} in {where}; expected one of {', '.join(allowed)}"
+            )
+    for key in required:
+        if key not in obj:
+            raise SpecFileError(f"invalid spec: {where} needs the key {key!r}")
+
+
+def validate_spec(spec):
+    """Raise a one-line SpecFileError unless ``spec`` is a valid spec document.
+
+    Checks types, ranges, finiteness and known keys at every level; the
+    lengths of the W basis rows need the algebra and are checked by load_spec.
+    """
+    _check_object(spec, "the spec", _SPEC_FIELDS, ("algebra", "W"))
+    for section, (fields, required) in _SPEC_FIELDS.items():
+        if section not in spec:
+            continue
+        _check_object(spec[section], section, fields, required)
+        for key, value in spec[section].items():
+            test, what = fields[key]
+            if not test(value):
+                raise SpecFileError(f"invalid spec: {section}.{key} must be {what}, got {reprlib.repr(value)}")
+    algebra = spec["algebra"]
+    if algebra["kind"] != "rank1" and not any(key in algebra for key in ("param", "n", "r")):
+        raise SpecFileError("invalid spec: algebra needs a size parameter (param / n / r)")
 
 
 def load_spec(path):
     try:
         with open(path) as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(spec, SPEC_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise SpecFileError(f"spec file failed schema validation: {exc.message}") from exc
-    kind = spec["algebra"]["kind"]
-    param = spec["algebra"].get("param") or spec["algebra"].get("n") or spec["algebra"].get("r")
-    if kind != "rank1" and param is None:
-        raise SpecFileError("algebra needs a size parameter (param / n / r)")
-    alg, rep, q_map = standard_model(kind, param)
-    basis = np.asarray(spec["W"].get("basis", []), dtype=float)
-    if basis.size == 0:
+    validate_spec(spec)
+    algebra = spec["algebra"]
+    param = algebra.get("param") or algebra.get("n") or algebra.get("r")
+    alg, rep, q_map = standard_model(algebra["kind"], param)
+    rows = spec["W"]["basis"]
+    if not any(rows):  # no rows, or only empty ones: W = 0
         w = RealSubspace.zero(2 * q_map.n)
     else:
-        if basis.ndim != 2 or basis.shape[1] != 2 * q_map.n:
+        if any(len(row) != 2 * q_map.n for row in rows):
             raise SpecFileError(f"W basis vectors must have length {2 * q_map.n}")
+        basis = np.array(rows, dtype=float)
         svals = np.linalg.svd(basis.T, compute_uv=False)
-        if svals[-1] <= TOL_RANK * svals[0]:
+        if len(rows) > len(svals) or svals[-1] <= TOL_RANK * svals[0]:
             raise SpecFileError("W basis vectors are linearly dependent at tolerance")
         w = RealSubspace.from_spanning(basis.T)
-    sampling = spec.get("sampling", {})
-    sampling = dict(sampling)
+    sampling = {key: int(value) for key, value in spec.get("sampling", {}).items()}
     sampling["tolerances"] = spec.get("tolerances", {})
     return alg, q_map, w, sampling
 
@@ -106,27 +141,44 @@ def _parse_reals(text, length, flag):
     return values
 
 
-def _parse_point(text, dim_u, n):
+def _parse_point(text, dim_u, n, flag):
+    """Comma-separated finite complex entries (z then v, ``2+5i`` style); raises UsageError."""
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != dim_u + n:
-        raise SpecFileError(f"point needs {dim_u}+{n} comma-separated complex entries")
-    vals = [complex(t.replace("i", "j")) for t in parts]
-    return SiegelPoint(np.array(vals[:dim_u]), np.array(vals[dim_u:]))
+        raise UsageError(f"{flag} needs {dim_u}+{n} comma-separated complex entries, got {len(parts)}")
+    try:
+        vals = np.array([complex(t.replace("i", "j")) for t in parts])
+    except ValueError:
+        raise UsageError(f"{flag} needs complex numbers like 2+5i, got {text!r}") from None
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"{flag} entries must be finite, got {text!r}")
+    return SiegelPoint(vals[:dim_u], vals[dim_u:])
 
 
-def _positive_int(flag):
-    """argparse type of a count flag; raises UsageError, so main exits 1 with one line."""
+def _integer_flag(flag, minimum):
+    """argparse type of an integer flag; raises UsageError, so main exits 1 with one line."""
 
     def parse(text):
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value < 1:
-            raise UsageError(f"{flag} must be a positive integer, got {text!r}")
+            value = None
+        if value is None or value < minimum:
+            raise UsageError(f"{flag} must be an integer >= {minimum}, got {text!r}")
         return value
 
     return parse
+
+
+def _tolerance_flag(text):
+    """argparse type of --tol: a positive finite float; raises UsageError."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"--tol must be a positive finite number, got {text!r}")
+    return value
 
 
 def _pairs(values):
@@ -146,7 +198,7 @@ def cmd_check(args):
     alg, q_map, w, sampling = load_spec(args.spec)
     seed = args.seed if args.seed is not None else sampling.get("seed", 0)
     samples = args.samples if args.samples is not None else sampling.get("samples", 20)
-    tol = args.tol or sampling["tolerances"].get("subspace", TOL_SUB)
+    tol = args.tol if args.tol is not None else sampling["tolerances"].get("subspace", TOL_SUB)
     report = certify_all(
         alg,
         q_map,
@@ -177,7 +229,7 @@ def cmd_kernels(args):
         x0 = rng.standard_normal(alg.dim)
         y = np.real(q_map.q_eval(vc, vc)) + t * alg.unit
         points.append(SiegelPoint(x0 + 1j * y, vc))
-    tol = args.tol or sampling["tolerances"].get("gram_psd", TOL_PSD)
+    tol = args.tol if args.tol is not None else sampling["tolerances"].get("gram_psd", TOL_PSD)
     rep = gram_psd_report(params, points, tol=tol)
     emit(
         {
@@ -199,8 +251,8 @@ def cmd_bergman(args):
     alg, q_map, w, sampling = load_spec(args.spec)
     seed = args.seed if args.seed is not None else sampling.get("seed", 0)
     samples = args.samples if args.samples is not None else sampling.get("samples", 200_000)
-    p1 = _parse_point(args.p1, alg.dim, q_map.n)
-    p2 = _parse_point(args.p2, alg.dim, q_map.n)
+    p1 = _parse_point(args.p1, alg.dim, q_map.n, "--p1")
+    p2 = _parse_point(args.p2, alg.dim, q_map.n, "--p2")
     est = bergman_kernel(alg, q_map, p1, p2, samples=samples, seed=seed, method=args.method)
     emit(
         {
@@ -220,7 +272,7 @@ def cmd_bergman(args):
 def cmd_orbit(args):
     alg, q_map, w, sampling = load_spec(args.spec)
     x = _parse_reals(args.x, alg.dim, "--x")
-    tol = args.tol or sampling["tolerances"].get("subspace", TOL_SUB)
+    tol = args.tol if args.tol is not None else sampling["tolerances"].get("subspace", TOL_SUB)
     cert = check_orbit_multiplicity(q_map, w, x, tol=tol)
     emit({"multiplicity_one": bool(cert.verdict), **cert.to_dict()}, args.out)
     return 0
@@ -266,9 +318,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--samples", type=_positive_int("--samples"), default=None)
-        sp.add_argument("--tol", type=float, default=None, help="override the decision tolerance")
+        sp.add_argument("--seed", type=_integer_flag("--seed", 0), default=None)
+        sp.add_argument("--samples", type=_integer_flag("--samples", 1), default=None)
+        sp.add_argument("--tol", type=_tolerance_flag, default=None, help="override the decision tolerance")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("check", help="run and cross-validate all certifiers")
@@ -281,7 +333,7 @@ def build_parser():
     sp.add_argument("spec")
     sp.add_argument("--x", required=True, help="comma-separated coordinates in U")
     sp.add_argument("--chi", default=None, help="comma-separated coefficients on S")
-    sp.add_argument("--points", type=_positive_int("--points"), default=20)
+    sp.add_argument("--points", type=_integer_flag("--points", 1), default=20)
     common(sp)
     sp.set_defaults(func=cmd_kernels)
 

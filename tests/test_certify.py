@@ -211,3 +211,43 @@ def test_certifiers_agree_on_random_subspaces(models):
             w = RealSubspace.from_spanning(rng.standard_normal((2 * q_map.n, d)))
             report = certify_all(alg, q_map, w, n_coiso=6, n_orbit=12, seed=trial)
             assert report.consistent, f"{kind} trial {trial} dim {d}"
+
+
+# -- invariance: the verdict must not depend on choices that do not matter ---------------
+
+CATALOG_VARIANTS = [(name, var.name) for name in catalog_list() for var in catalog_get(name).variants]
+
+
+@pytest.mark.parametrize("name,variant", CATALOG_VARIANTS)
+def test_mf_verdict_invariant_under_rebasing_and_seed(name, variant):
+    entry = catalog_get(name)
+    alg, _, q_map = entry.model()
+    var = entry.variant(variant)
+    basis = np.array(var.basis, dtype=float).reshape(-1, 2 * q_map.n)
+    k = basis.shape[0]
+    rng = np.random.default_rng(2024)
+    reports = []
+    for _ in range(3):
+        # a random invertible change of basis with condition number at most 4
+        q1, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        rebased = q1 @ np.diag(rng.uniform(0.5, 2.0, k)) @ q2 @ basis
+        w = RealSubspace.from_spanning(rebased.T) if k else var.subspace(q_map.n)
+        reports.append(certify_all(alg, q_map, w, n_coiso=6, n_orbit=12, seed=0))
+    for seed in (1, 2, 3):
+        reports.append(certify_all(alg, q_map, var.subspace(q_map.n), n_coiso=6, n_orbit=12, seed=seed))
+    assert all(r.consistent and r.mf == var.expected_mf for r in reports)
+
+
+@pytest.mark.parametrize("name,variant", CATALOG_VARIANTS)
+def test_orbit_verdict_invariant_under_scaling_x(name, variant):
+    entry = catalog_get(name)
+    alg, _, q_map = entry.model()
+    var = entry.variant(variant)
+    w = var.subspace(q_map.n)
+    rng = np.random.default_rng(7)
+    interior = [alg.exp(0.7 * rng.standard_normal(alg.dim)) for _ in range(3)]
+    for x in interior + [alg.standard_frame()[0]]:
+        verdicts = {check_orbit_multiplicity(q_map, w, t * x).verdict for t in (1e-3, 1.0, 1e3)}
+        assert len(verdicts) == 1
+    assert all(check_orbit_multiplicity(q_map, w, x).verdict == var.expected_mf for x in interior)

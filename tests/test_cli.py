@@ -70,6 +70,10 @@ def test_check_dependent_basis_rejected(tmp_path, capsys):
         )
     )
     assert main(["check", str(path)]) == 1
+    # more rows than the dimension 2n = 4 are dependent too
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]
+    path.write_text(json.dumps({"algebra": {"kind": "diagonal", "param": 2}, "W": {"basis": rows}}))
+    assert main(["check", str(path)]) == 1
 
 
 def test_kernels_psd_and_not_in_lambda(tmp_path, capsys):
@@ -155,12 +159,108 @@ def test_usage_errors_exit_1_not_the_alarm_code(capsys, argv):
 
 def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, qsiegel.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, qsiegel.cli; print('scipy' in sys.modules, 'jsonschema' in sys.modules)"],
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def _set(spec, path, value):
+    *parents, key = path.split(".")
+    for name in parents:
+        spec = spec.setdefault(name, {})
+    spec[key] = value
+
+
+@pytest.mark.parametrize(
+    "path,value,named",
+    [
+        ("algebra.param", "3", "algebra.param"),
+        ("algebra.param", True, "algebra.param"),
+        ("algebra.param", 0, "algebra.param"),
+        ("algebra.kind", "nope", "algebra.kind"),
+        ("representation.kind", "spin", "representation.kind"),
+        ("W.basis", [[1.0, 0.0, float("nan"), 0.0]], "W.basis"),
+        ("W.basis", [[1.0, 0.0, float("inf"), 0.0]], "W.basis"),
+        ("W.basis", [1.0, 0.0, 0.0, 0.0], "W.basis"),
+        ("W.basis", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "length 4"),
+        ("tolerances.subspace", "abc", "tolerances.subspace"),
+        ("tolerances.gram_psd", -1e-8, "tolerances.gram_psd"),
+        ("tolerances.subspce", 1e-6, "subspce"),
+        ("tolerances", [1e-6], "tolerances"),
+        ("sampling.samples", 0, "sampling.samples"),
+        ("sampling.seed", -1, "sampling.seed"),
+        ("sampling", 5, "sampling"),
+        ("extra", {}, "extra"),
+        ("algebra.size", 2, "size"),
+    ],
+)
+def test_invalid_spec_rejected_in_one_line(tmp_path, capsys, path, value, named):
+    spec = catalog_get("sym2").spec_dict("frame")
+    _set(spec, path, value)
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(spec))
+    assert main(["check", str(target), "--no-scale"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [[], {"W": {"basis": []}}, {"algebra": {"param": 2}, "W": {"basis": []}}, {"algebra": {"kind": "sym_real"}, "W": {}}],
+)
+def test_spec_structure_rejected_in_one_line(tmp_path, capsys, spec):
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(spec))
+    assert main(["check", str(target), "--no-scale"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: invalid spec")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000])
+def test_unreadable_spec_rejected_in_one_line(tmp_path, capsys, content):
+    target = tmp_path / "bad.json"
+    target.write_bytes(content)
+    assert main(["check", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot read spec file" in err
+
+
+def test_integral_floats_count_as_integers(tmp_path, capsys):
+    # JSON-Schema's meaning of "integer": 2.0 is one, and runs exactly like 2
+    spec = catalog_get("sym2").spec_dict("frame", samples=4, seed=3)
+    reports = []
+    for kind in (int, float):
+        _set(spec, "algebra.param", kind(2))
+        _set(spec, "sampling.samples", kind(4))
+        _set(spec, "sampling.seed", kind(3))
+        target = tmp_path / f"{kind.__name__}.json"
+        target.write_text(json.dumps(spec))
+        reports.append(run_cli(["check", str(target), "--no-scale"], capsys))
+    assert reports[0][0] == 0 and reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["kernels", "--x", "1,0,1", "--tol", "nan"], "--tol"),
+        (["orbit", "--x", "1,0,1", "--tol", "-1"], "--tol"),
+        (["check", "--no-scale", "--tol", "0"], "--tol"),
+        (["check", "--no-scale", "--tol", "inf"], "--tol"),
+        (["kernels", "--x", "1,0,1", "--seed", "-1"], "--seed"),
+        (["bergman", "--p1", "1+,i,0,0,0", "--p2", "i,i,0,0,0"], "--p1"),
+        (["bergman", "--p1", "i,i,0,0,0", "--p2", "nan,i,0,0,0"], "--p2"),
+        (["bergman", "--p1", "i,i,0,0", "--p2", "i,i,0,0,0"], "--p1"),
+    ],
+)
+def test_bad_flags_rejected_in_one_line(tmp_path, capsys, argv, flag):
+    spec = write_spec(tmp_path, "sym2", "frame")
+    command, *rest = argv
+    assert main([command, spec, *rest]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):

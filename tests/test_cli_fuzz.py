@@ -1,0 +1,120 @@
+"""Fuzz test of the CLI boundary: any spec file and any argv ends in exit 0, 1
+or 2, never in an exception escaping ``main``.
+
+Specs start well-formed (so that most draws reach the certifiers, the kernel
+and the Bergman code) and then take a few random mutations: a deleted or extra
+key, a value of the wrong type, NaN or inf, a short row.  Algebra sizes stay
+at most 4: a cap on the size of a spec is not part of its validation yet.
+"""
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qsiegel.cli import main
+
+KINDS = ("rank1", "diagonal", "sym_real", "herm_complex")
+
+SMALL_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(-4, 4),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=1),
+)
+# any float or a JSON integer beyond float range; only placed inside lists,
+# never where it could become an algebra size
+NUMBER_JUNK = st.one_of(st.floats(), st.integers(-(10**400), 10**400))
+
+FLAG_NUMBERS = ["1", "0", "-1", "0.5", "2", "1e-3", "nan", "inf", "1e300", "abc", ""]
+POINT_ENTRIES = ["i", "2i", "1+2i", "0", "0.1", "0.3-0.2i", "1+", "nan", "infj", "x"]
+
+
+def _containers(obj):
+    yield obj
+    children = obj.values() if isinstance(obj, dict) else obj
+    for child in children:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+@st.composite
+def requests(draw):
+    kind = draw(st.sampled_from(KINDS))
+    r = 1 if kind == "rank1" else draw(st.integers(1, 3))
+    dim = {"rank1": 1, "diagonal": r, "sym_real": r * (r + 1) // 2, "herm_complex": r * r}[kind]
+    n = r
+    row = st.lists(st.floats(-3, 3), min_size=2 * n, max_size=2 * n)
+    spec = {
+        "algebra": {"kind": kind, "param": r},
+        "W": {"basis": draw(st.lists(row, max_size=2 * n))},
+    }
+    if draw(st.booleans()):
+        spec["representation"] = {"kind": "standard"}
+    if draw(st.booleans()):
+        spec["tolerances"] = {"subspace": 1e-7, "gram_psd": 1e-8}
+    if draw(st.booleans()):
+        spec["sampling"] = {"samples": draw(st.integers(1, 4)), "seed": draw(st.integers(0, 2**40))}
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from(list(_containers(spec))))
+        if isinstance(target, dict):
+            key = draw(st.sampled_from(sorted(target) + ["extra"]))
+            if draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = draw(SMALL_JUNK)
+        elif target and draw(st.booleans()):
+            del target[draw(st.integers(0, len(target) - 1))]
+        else:
+            target.insert(draw(st.integers(0, len(target))), draw(st.one_of(SMALL_JUNK, NUMBER_JUNK)))
+    if draw(st.integers(0, 9)) == 0:
+        spec = draw(SMALL_JUNK)
+
+    def edited(entries, pool):
+        if entries and draw(st.booleans()):
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(pool))
+        if entries and draw(st.integers(0, 4)) == 0:
+            entries.pop()
+        return ",".join(entries)
+
+    def reals(length):
+        entries = draw(st.lists(st.sampled_from(FLAG_NUMBERS[:5]), min_size=length, max_size=length))
+        return edited(entries, FLAG_NUMBERS)
+
+    def point():
+        return edited(["1.5i"] * dim + ["0.1"] * n, POINT_ENTRIES)
+
+    command = draw(st.sampled_from(["check", "kernels", "bergman", "orbit"]))
+    argv = {
+        "check": ["--no-scale", "--samples", "2"],
+        "kernels": ["--x", reals(dim), "--points", "3"],
+        "bergman": ["--p1", point(), "--p2", point(), "--samples", "50"],
+        "orbit": ["--x", reals(dim)],
+    }[command]
+    if command in ("kernels", "bergman") and draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", "x", str(2**70)]))]
+    if command != "bergman" and draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(FLAG_NUMBERS))]
+    if command == "kernels" and draw(st.booleans()):
+        argv += ["--chi", reals(draw(st.integers(1, 2 * n)))]
+    return spec, command, argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(requests())
+def test_cli_ends_in_an_exit_code_never_an_exception(tmp_path_factory, case):
+    spec, command, argv = case
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(spec))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, str(path), *argv])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().count("\n") == 1

@@ -1,7 +1,8 @@
 """Cone integrals and the Bergman kernel, closed forms vs Monte Carlo.
 
 Covers: I(u) and I_Q(u) with their closed forms and box-MC cross-checks,
-the Bergman kernel by quadrature (rank one) and by importance-sampled MC,
+the Bergman kernel in closed form (the Gindikin integral) and by
+importance-sampled MC,
 and the closed-form invariant metric against its MC moment oracle.
 """
 import math
@@ -18,10 +19,10 @@ ci = cone_integrals(alg, q_map, np.array([1.0]))
 print(f"I(1) = {ci.i_value}  (exact 1/2);  I_Q(1) = {ci.iq_value}  (exact pi/2 = {math.pi/2:.6f})")
 
 p = SiegelPoint([1j], [0j])
-quad = bergman_kernel(alg, q_map, p, p, method="quadrature")
+closed = bergman_kernel(alg, q_map, p, p, method="closed")
 mc = bergman_kernel(alg, q_map, p, p, samples=200_000, seed=1, method="mc")
 print(f"Bergman kernel at ((i,0),(i,0)):")
-print(f"  quadrature: {quad.value.real:.8f}   exact 1/(2 pi^2) = {1/(2*math.pi**2):.8f}")
+print(f"  closed form: {closed.value.real:.8f}   exact 1/(2 pi^2) = {1/(2*math.pi**2):.8f}")
 print(f"  monte carlo: {mc.value.real:.8f} +- {mc.se:.2e}")
 
 print()
@@ -35,8 +36,13 @@ print(f"I_Q(e): closed {ci.iq_value:.6f}   box-MC {mc_ci.iq_value:.6f} +- {mc_ci
 v = np.array([0.2 + 0.1j, -0.3 + 0.4j])
 y = np.real(q_map.q_eval(v, v)) + alg.unit
 pt = SiegelPoint(1j * y, v)
-est = bergman_kernel(alg, q_map, pt, pt, samples=200_000, seed=3)
-print(f"Bergman kernel at a diagonal pair: {est.value.real:.6e} +- {est.se:.1e}")
+closed = bergman_kernel(alg, q_map, pt, pt)
+est = bergman_kernel(alg, q_map, pt, pt, samples=200_000, seed=3, method="mc")
+print(f"Bergman kernel at a diagonal pair: closed {closed.value.real:.6e}   MC {est.value.real:.6e} +- {est.se:.1e}")
+pt2 = SiegelPoint(0.3 + 1j * (y + 0.2 * alg.unit), 0.5 * v)
+closed = bergman_kernel(alg, q_map, pt, pt2)
+est = bergman_kernel(alg, q_map, pt, pt2, samples=200_000, seed=3, method="mc")
+print(f"Bergman kernel off the diagonal: closed {closed.value:.6e}   MC {est.value:.6e} +- {est.se:.1e}")
 
 print()
 print("=== invariant metric at the base point ===")

@@ -323,11 +323,12 @@ def certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=0, metric_scale=None
     certificate verdict is the conjunction, with per-sample verdicts kept for
     diagnosis.  ``consistent`` is True when all three conditions agree.
     """
+    metric = base_metric(alg, q_map)
     if compute_scale and metric_scale is None:
-        metric_scale, _ = bergman_metric_scale(alg, q_map, seed=seed)
+        metric_scale, _ = bergman_metric_scale(alg, q_map, metric=metric, seed=seed)
     c_imq = check_imq_vanishes(q_map, w)
     c_coiso = check_coisotropic(
-        alg, q_map, w, n_samples=n_coiso, seed=seed, metric_scale=metric_scale, tol=tol
+        alg, q_map, w, n_samples=n_coiso, seed=seed, metric_scale=metric_scale, metric=metric, tol=tol
     )
 
     rng = np.random.default_rng([seed, 0x0B17])

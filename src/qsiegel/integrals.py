@@ -10,13 +10,16 @@ gamma function
 
 through  int exp(-2<u, y>) Delta(u)^(s - N/r) du = Gamma_Omega(s) Delta(2y)^(-s)
 (Faraut-Koranyi, Analysis on Symmetric Cones, ch. VII), so I(u),
-1/(I(u) I_Q(u)) and the mass of the base measure are written once for every
-built-in kind; I_Q is a Gaussian.  The normalized densities
-Delta(u)^(s - N/r) exp(-2<u, y>) are sampled exactly: independent Gamma(s)
-coordinates for d = 0, Wishart matrices with 2s/d degrees of freedom over R
-or C for d = 1, 2.  Box-rejection Monte Carlo provides the independent
-cross-check of the closed forms.  All sampling is counter-based, keyed by
-(seed, stream, block index), so results do not depend on scheduling.
+1/(I(u) I_Q(u)), the mass of the base measure and the Bergman kernel are
+written once for every built-in kind; I_Q is a Gaussian.  The same
+factorization is the Bartlett decomposition of the normalized densities
+Delta(u)^(s - N/r) exp(-2<u, y>): u = A T T^H A^H with A A^H = (2y)^-1 and T
+lower triangular, T_jj^2 ~ Gamma(s - j d/2) and d independent N(0, 1/2) real
+parts in each entry below the diagonal.  So a sample costs r Gamma draws and
+N - r normals, every coordinate of u is a quadratic form in them, and
+Delta(u) = prod_j T_jj^2 / Delta(2y).  Box-rejection Monte Carlo provides the
+independent cross-check of the closed forms.  All sampling is counter-based,
+keyed by (seed, stream, block index), so results do not depend on scheduling.
 """
 import math
 from dataclasses import dataclass
@@ -30,10 +33,6 @@ from .rng import BLOCK, blocks
 
 def _batch_to_matrix(alg, xs):
     return np.einsum("sk,kab->sab", xs, alg.matrix_basis)
-
-
-def _batch_from_matrix(alg, mats):
-    return np.real(np.einsum("sab,kab->sk", mats, alg.matrix_basis.conj()))
 
 
 # -- closed forms -----------------------------------------------------------
@@ -71,17 +70,15 @@ def gaussian_iq(q_map, u):
     return float(math.pi ** (n_r / 2.0) * math.exp(-0.5 * np.sum(np.log(vals))))
 
 
-def _batch_inv_i_iq(alg, q_map, us):
-    """Vectorized 1 / (I(u) I_Q(u)) for a batch of cone points.
+def _inv_i_iq(alg, dets):
+    """1 / (I(u) I_Q(u)) from the determinants Delta(u) of cone points.
 
     For the standard representation the Gaussian determinant of I_Q
-    collapses to I_Q(u) = (pi/2)^r / Delta(u).
+    collapses to I_Q(u) = (pi/2)^r / Delta(u), so the product is
+    2^N (2/pi)^r Delta(u)^(N/r + 1) / Gamma_Omega(N/r).
     """
     r, s = alg.rank, alg.dim / alg.rank
-    dets = np.real(np.linalg.det(_batch_to_matrix(alg, us)))
-    inv_i = np.exp(s * (r * math.log(2.0) + np.log(dets))) / gindikin_gamma(alg, s)
-    inv_iq = (2.0 / math.pi) ** r * dets
-    return inv_i * inv_iq
+    return 2.0 ** alg.dim * (2.0 / math.pi) ** r / gindikin_gamma(alg, s) * dets ** (s + 1.0)
 
 
 # -- box-rejection Monte Carlo ----------------------------------------------
@@ -201,40 +198,90 @@ def measure_mass(alg, y):
     return float(const * math.exp(-(2.0 * s + 1.0) * _log_det_2u(alg, y, "measure mass")))
 
 
+# a chunk of samples holds about this many pair products (128 kB), and at
+# least one block
+_CHUNK_VALUES = 1 << 14
+
+
+def _bartlett_form(alg, y):
+    """Every coordinate of u as a quadratic form in the Bartlett variables.
+
+    The variables theta are T_00..T_(r-1)(r-1), then d standard normals for
+    each entry below the diagonal of T (row-major); variable i sits at
+    (row_i, col_i) of T with value unit_i theta_i, where unit_i is 1 on the
+    diagonal and 1/sqrt 2 or i/sqrt 2 below it.  With A A^H = (2y)^-1 and
+    C_k = A^H B_k A,
+
+        u_k = Re<T T^H, C_k> = sum_(col_i = col_j) theta_i theta_j Re(unit_i conj(unit_j) conj(C_k[row_i, row_j])),
+
+    so only variables of one column of T meet.  Returns those pairs (i <= j),
+    the r pairs (j, j) of the diagonal first, the weights w with
+    u = sum_pairs theta_i theta_j w, and Delta(2y).
+    """
+    r, d = alg.rank, alg.d
+    two_y = 2.0 * alg.to_matrix(y)
+    a = np.linalg.cholesky(np.linalg.inv(two_y))
+    c = a.conj().T @ alg.matrix_basis @ a
+    low_rows, low_cols = np.tril_indices(r, -1)
+    row = np.concatenate([np.arange(r), np.repeat(low_rows, d)])
+    col = np.concatenate([np.arange(r), np.repeat(low_cols, d)])
+    unit = np.concatenate([np.ones(r), np.tile([1.0, 1.0j][:d], len(low_rows)) / math.sqrt(2.0)])
+    i, j = np.nonzero(np.triu(col[:, None] == col[None, :]))
+    first = np.argsort((i >= r) | (i != j), kind="stable")
+    i, j = i[first], j[first]
+    # a pair i < j also stands for the equal term (j, i)
+    weights = np.where(i == j, 1.0, 2.0) * np.real(unit[i] * unit[j].conj() * c[:, row[i], row[j]].conj())
+    return i, j, weights.T, float(np.real(np.linalg.det(two_y)))
+
+
 def _sample_cone_gamma(alg, y, s, count, seed, stream):
-    """Exact samples of the density ~ Delta(u)^(s - N/r) exp(-2<u, y>) on the cone.
+    """Exact samples u of the density ~ Delta(u)^(s - N/r) exp(-2<u, y>), and Delta(u).
 
     This is the cone's Gamma family of shape s and scale (2y)^-1, with mean
-    s (2y)^-1.  For d = 0 the coordinates are independent Gamma(s) draws.
-    For d = 1, 2 a sample is A Z Z^H A^H, where Z is an r x 2s/d matrix of
-    standard normals over R or C and A A^H = (d/4) y^-1.
+    s (2y)^-1, drawn by its Bartlett decomposition (see the module
+    docstring).  Block b draws BLOCK values of each Gamma(s - j d/2) in turn,
+    then an (N - r) x BLOCK array of normals.
     """
-    out = np.empty((count, alg.dim))
-    d, r = alg.d, alg.rank
-    if d == 0:
-        scale = 1.0 / (2.0 * np.asarray(y, dtype=float))
-        for g, rows in blocks(seed, stream, count):
-            out[rows] = g.gamma(s, size=(BLOCK, alg.dim))[: rows.stop - rows.start] * scale
-        return out
-    a = np.linalg.cholesky(np.linalg.inv((4.0 / d) * alg.to_matrix(y)))
-    shape = (BLOCK, r, round(2.0 * s / d))
-    for g, rows in blocks(seed, stream, count):
-        nb = rows.stop - rows.start
-        z = g.standard_normal(shape)[:nb]
-        if d == 2:
-            z = (z + 1j * g.standard_normal(shape)[:nb]) / math.sqrt(2.0)
-        az = a @ z
-        out[rows] = _batch_from_matrix(alg, az @ az.conj().swapaxes(1, 2))
-    return out
+    r, n = alg.rank, alg.dim
+    i, j, weights, det_2y = _bartlett_form(alg, y)
+    shapes = s - 0.5 * alg.d * np.arange(r)
+    # rows of one shape (all r when d = 0) draw in one call, in the same order
+    cuts = [0, *(np.flatnonzero(np.diff(shapes)) + 1).tolist(), r]
+    runs = [(a, b, float(shapes[a])) for a, b in zip(cuts[:-1], cuts[1:])]
+    # T_jj meets another variable only when normals lie below it (j < r - 1)
+    roots = r - 1 if n > r else 0
+    step = max(1, _CHUNK_VALUES // (len(i) * BLOCK)) * BLOCK
+    out = np.empty((count, n))
+    dets = np.empty(count)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        # pairs[p] = theta_i theta_j; its first r rows, T_jj^2, are the Gamma
+        # draws themselves.  theta holds T_jj for j < roots, then the normals.
+        pairs = np.empty((len(i), hi - lo))
+        theta = np.empty((n, hi - lo))
+        for g, rows in blocks(seed, stream, hi, start=lo):
+            cols = slice(rows.start - lo, rows.stop - lo)
+            nb = rows.stop - rows.start
+            for a, b, shape in runs:
+                pairs[a:b, cols] = g.gamma(shape, size=(b - a, BLOCK))[:, :nb]
+            if n > r:  # an empty draw still costs a call per block
+                theta[r:, cols] = g.standard_normal((n - r, BLOCK))[:, :nb]
+        np.prod(pairs[:r], axis=0, out=dets[lo:hi])
+        np.sqrt(pairs[:roots], out=theta[:roots])
+        np.multiply(theta[i[r:]], theta[j[r:]], out=pairs[r:])
+        np.dot(pairs.T, weights, out=out[lo:hi])
+    dets /= det_2y
+    return out, dets
 
 
 def sample_invariant_measure(alg, y, count, seed, stream=4):
     """Exact samples from the normalized measure exp(-2<u,y>)/(I I_Q) mu_U (shape 2N/r + 1)."""
-    return _sample_cone_gamma(alg, y, 2.0 * alg.dim / alg.rank + 1.0, count, seed, stream)
+    return _sample_cone_gamma(alg, y, 2.0 * alg.dim / alg.rank + 1.0, count, seed, stream)[0]
 
 
 def sample_cone_exponential(alg, y0, count, seed, stream=3):
-    """Samples from the density exp(-2<u, y0>) / I(y0) on the cone (shape N/r)."""
+    """Samples u from the density exp(-2<u, y0>) / I(y0) on the cone (shape N/r),
+    with their determinants Delta(u)."""
     return _sample_cone_gamma(alg, y0, alg.dim / alg.rank, count, seed, stream)
 
 
@@ -253,56 +300,36 @@ class BergmanEstimate:
 def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="auto"):
     """Reproducing kernel of the square-integrable holomorphic functions.
 
-    1D adaptive quadrature in the rank-one case; otherwise (or on request)
-    importance-sampled MC with the exact exponential-weight proposal at the
-    cone midpoint of the two points.
+    With w = z1 - conj(z2) - 2i Q(v1, v2) the kernel is
+    (2 pi)^-N int e^{i<u, w>} / (I(u) I_Q(u)) du over the cone.  'closed'
+    (the default, 'auto') evaluates it by the Gindikin integral,
+    pi^-N (2/pi)^r Gamma_Omega(2N/r + 1) / Gamma_Omega(N/r) Delta(-i w)^-(2N/r + 1),
+    where the exponent is an integer.  'mc' importance-samples it with the
+    exact exponential-weight proposal at the cone midpoint Im w / 2.
     """
     for p in (p1, p2):
         if not q_map.domain_contains(p):
             raise NotInDomain("Bergman kernel arguments must lie in the domain")
     w = p1.z - np.conj(p2.z) - 2j * q_map.q_eval(p1.v, p2.v)
-    re_w = np.real(w)
-    im_w = np.imag(w)
+    n, r, s = alg.dim, alg.rank, alg.dim / alg.rank
 
-    if method == "auto":
-        method = "quadrature" if alg.dim == 1 else "mc"
+    if method in ("auto", "closed"):
+        power = 2 * n // r + 1
+        const = math.pi ** -n * (2.0 / math.pi) ** r * gindikin_gamma(alg, power) / gindikin_gamma(alg, s)
+        det = complex(np.linalg.det(np.tensordot(-1j * w, alg.matrix_basis, axes=1)))
+        return BergmanEstimate(const * det ** -power, 0.0, "closed")
+    if method != "mc":
+        raise ValueError("method must be 'auto', 'closed' or 'mc'")
 
-    if method == "quadrature":
-        if alg.dim != 1:
-            raise ValueError("quadrature path only covers rank-one algebras")
-        import scipy.integrate  # only here, so importing qsiegel does not load scipy
-        a, b_ = float(re_w[0]), float(im_w[0])
-
-        def integrand_re(u):
-            return (2.0 / math.pi ** 2) * u * u * math.exp(-u * b_) * math.cos(u * a)
-
-        def integrand_im(u):
-            return (2.0 / math.pi ** 2) * u * u * math.exp(-u * b_) * math.sin(u * a)
-
-        vr, er = scipy.integrate.quad(integrand_re, 0.0, np.inf)
-        vi, ei = scipy.integrate.quad(integrand_im, 0.0, np.inf)
-        return BergmanEstimate(complex(vr, vi), float(math.hypot(er, ei)), "quadrature")
-
-    y0 = im_w / 2.0
+    y0 = np.imag(w) / 2.0
     if not alg.cone_contains(y0, mode="open"):
         raise NotInDomain("midpoint cone part left the open cone")
-    i_y0 = cone_laplace(alg, y0)
-
-    us = sample_cone_exponential(alg, y0, samples, seed, stream=3)
-    total = 0.0 + 0.0j
-    total_sq = np.zeros(2)
-    for b in range(0, samples, _CHUNK):
-        f = np.exp(1j * us[b : b + _CHUNK] @ re_w) * _batch_inv_i_iq(alg, q_map, us[b : b + _CHUNK])
-        total += np.sum(f)
-        total_sq += np.array([np.sum(f.real ** 2), np.sum(f.imag ** 2)])
-    mean = total / samples
-    var = np.maximum(total_sq / samples - np.array([mean.real ** 2, mean.imag ** 2]), 0.0)
-    scale = i_y0 / (2.0 * math.pi) ** alg.dim
-    se = scale * math.sqrt(float(np.sum(var)) / samples)
-    return BergmanEstimate(complex(scale * mean), float(se), "mc", samples, seed)
-
-
-_CHUNK = 1 << 16
+    us, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3)
+    f = np.exp(1j * (us @ np.real(w))) * _inv_i_iq(alg, dets)
+    mean = np.mean(f)
+    se = math.sqrt(np.mean(np.abs(f - mean) ** 2) / samples)
+    scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** n
+    return BergmanEstimate(complex(scale * mean), float(scale * se), "mc", samples, seed)
 
 
 # -- moments of the base measure for the metric oracle -----------------------
@@ -319,15 +346,9 @@ def base_measure_moments(alg, q_map, directions_u, directions_v, samples=200_000
     """
     e = alg.unit
     delta = measure_mass(alg, e)
-    m1 = np.zeros(len(directions_u), dtype=complex)
-    m2 = np.zeros(len(directions_u))
-    qv = np.zeros(len(directions_v))
-    qgs = [np.real(q_map.q_eval(g, g)) for g in directions_v]
     us = sample_invariant_measure(alg, e, samples, seed, stream=4)
-    for d, zeta in enumerate(directions_u):
-        vals = us @ np.asarray(zeta)
-        m1[d] = np.mean(vals)
-        m2[d] = float(np.mean(np.abs(vals) ** 2))
-    for d, qg in enumerate(qgs):
-        qv[d] = float(np.mean(us @ qg))
-    return delta, m1, m2, qv
+    # real products, so the samples are never copied to complex
+    zetas = np.array(directions_u, dtype=complex).reshape(-1, alg.dim)
+    vals = us @ zetas.real.T + 1j * (us @ zetas.imag.T)
+    qgs = np.array([np.real(q_map.q_eval(g, g)) for g in directions_v]).reshape(-1, alg.dim)
+    return delta, np.mean(vals, axis=0), np.mean(np.abs(vals) ** 2, axis=0), np.mean(us @ qgs.T, axis=0)

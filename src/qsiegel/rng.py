@@ -11,20 +11,32 @@ import numpy as np
 BLOCK = 1024
 
 
+def _key_word(stream, block):
+    return ((stream & 0xFFFFFFFF) << 32) | (block & 0xFFFFFFFF)
+
+
+def _key(seed, stream, block):
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, _key_word(stream, block)], dtype=np.uint64)
+
+
 def block_generator(seed, stream, block):
     """Generator for one block of one logical stream."""
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(((stream & 0xFFFFFFFF) << 32) | (block & 0xFFFFFFFF))],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream, block)))
 
 
-def blocks(seed, stream, count):
-    """Yield (generator, rows) for each block of ``count`` samples of a stream.
+def blocks(seed, stream, count, start=0):
+    """Yield (generator, rows) for each block of samples ``start``..``count - 1``.
 
-    ``rows`` is the slice of sample indices the block produces.  A block
-    always draws BLOCK rows and keeps the first ``rows.stop - rows.start``.
+    ``start`` is a multiple of BLOCK.  ``rows`` is the slice of sample indices
+    the block produces.  A block always draws BLOCK rows and keeps the first
+    ``rows.stop - rows.start``.  One generator is re-keyed for every block,
+    which draws exactly what ``block_generator`` would and costs far less than
+    building a new one; it is valid until the next block is yielded.
     """
-    for b in range(0, count, BLOCK):
-        yield block_generator(seed, stream, b // BLOCK), slice(b, min(b + BLOCK, count))
+    bits = np.random.Philox(key=_key(seed, stream, 0))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    for b in range(start, count, BLOCK):
+        fresh["state"]["key"][1] = _key_word(stream, b // BLOCK)
+        bits.state = fresh
+        yield gen, slice(b, min(b + BLOCK, count))

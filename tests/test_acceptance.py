@@ -269,8 +269,8 @@ def test_criterion_9_bergman_oracle_and_metric_scale():
     mc = bergman_kernel(alg, q_map, p, p, samples=1_000_000, seed=9, method="mc")
     assert abs(mc.value - exact) <= 0.02 * exact
     assert abs(mc.value - exact) <= 3.0 * mc.se
-    quad = bergman_kernel(alg, q_map, p, p, method="quadrature")
-    assert quad.value.real == pytest.approx(exact, rel=1e-8)
+    closed = bergman_kernel(alg, q_map, p, p, method="closed")
+    assert closed.value.real == pytest.approx(exact, rel=1e-8)
 
     scales = [bergman_metric_scale(alg, q_map, seed=s, samples=400_000)[0] for s in range(5)]
     spread = (max(scales) - min(scales)) / np.mean(scales)

@@ -104,7 +104,7 @@ def test_bergman_cli_value(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["value"][0] == pytest.approx(0.05066059, abs=1e-6)
-    assert rep["method"] == "quadrature"
+    assert rep["method"] == "closed"
 
 
 def test_orbit_cli(tmp_path, capsys):
@@ -253,6 +253,7 @@ def test_integral_floats_count_as_integers(tmp_path, capsys):
         (["bergman", "--p1", "1+,i,0,0,0", "--p2", "i,i,0,0,0"], "--p1"),
         (["bergman", "--p1", "i,i,0,0,0", "--p2", "nan,i,0,0,0"], "--p2"),
         (["bergman", "--p1", "i,i,0,0", "--p2", "i,i,0,0,0"], "--p1"),
+        (["bergman", "--p1", "i,i,0,0,0", "--p2", "i,i,0,0,0", "--method", "quadrature"], "closed"),
     ],
 )
 def test_bad_flags_rejected_in_one_line(tmp_path, capsys, argv, flag):
@@ -302,6 +303,25 @@ def test_kernels_reports_identical_across_thread_counts(tmp_path):
         )
         outs.append(proc.stdout)
     assert json.loads(outs[0])["k"] == 1
+    assert outs[0] == outs[1]
+
+
+def test_bergman_mc_reports_identical_across_thread_counts(tmp_path):
+    # the sampler contracts each chunk of samples with one matrix product
+    spec = write_spec(tmp_path, "herm2", "frame")
+    point = ["--p1=0.3+1.2i,1.1i,0.2i,-0.1i,0.2+0.1i,-0.3i", "--p2=-0.2+i,1.3i,0.1i,0.3i,0.1,0.2-0.2i"]
+    outs = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsiegel.cli", "bergman", spec, *point, "--method", "mc",
+             "--samples", "100000", "--seed", "5"],
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["method"] == "mc"
     assert outs[0] == outs[1]
 
 

@@ -7,9 +7,11 @@ import scipy.integrate
 from qsiegel import SiegelPoint, bergman_kernel, cone_integrals, standard_model
 from qsiegel.errors import MCVarianceTooHigh, NotInCone, NotInDomain
 from qsiegel.integrals import (
-    _batch_inv_i_iq,
+    _inv_i_iq,
+    _sample_cone_gamma,
     cone_laplace,
     gaussian_iq,
+    gindikin_gamma,
     measure_mass,
     sample_cone_exponential,
     sample_invariant_measure,
@@ -123,29 +125,83 @@ def test_invariant_measure_sampler_moments(models, kind):
 @pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
 def test_exponential_sampler_moments(models, kind):
     alg = models[kind][0]
-    _assert_gamma_mean(alg, sample_cone_exponential, alg.dim / alg.rank, seed=4)
+
+    def samples_only(*args, **kwargs):
+        return sample_cone_exponential(*args, **kwargs)[0]
+
+    _assert_gamma_mean(alg, samples_only, alg.dim / alg.rank, seed=4)
 
 
-@pytest.mark.parametrize("kind", ["sym_real", "herm_complex"])
-def test_wishart_samples_match_explicit_contraction(models, kind):
-    # reference: the per-block einsum contraction of the same normals, drawn
-    # real part first; batched matmul only reorders the sums
+def _sampler_y(alg):
+    return alg.exp(0.3 * np.random.default_rng(8).standard_normal(alg.dim))
+
+
+SHAPES = {"invariant": lambda alg: 2.0 * alg.dim / alg.rank + 1.0, "exponential": lambda alg: alg.dim / alg.rank}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
+def test_bartlett_samples_match_explicit_reference(models, kind, shape):
+    # reference: per sample, the lower-triangular T from the same draws (the
+    # Gamma(s - j d/2) rows, then the normals, d per entry below the diagonal
+    # in row-major order), then A T T^H A^H with A = cholesky((2y)^-1), then
+    # from_matrix; Delta(u) against np.linalg.det
     alg = models[kind][0]
-    y = alg.from_matrix(np.array([[1.5, 0.4], [0.4, 0.8]]))
-    # degrees of freedom 2s/d at the invariant-measure shape s = 2N/r + 1
-    count, n, df = 1500, alg.rank, {"sym_real": 8, "herm_complex": 5}[kind]
-    ym = alg.to_matrix(y)
-    a = np.linalg.cholesky(np.linalg.inv((4.0 if kind == "sym_real" else 2.0) * ym))
-    expected = []
+    r, d, n = alg.rank, alg.d, alg.dim
+    s = SHAPES[shape](alg)
+    y = _sampler_y(alg)
+    a = np.linalg.cholesky(np.linalg.inv(2.0 * alg.to_matrix(y)))
+    count = 1500
+    got, dets = _sample_cone_gamma(alg, y, s, count, seed=7, stream=4)
+    low_rows, low_cols = np.tril_indices(r, -1)
     for b in range(0, count, BLOCK):
         g = block_generator(7, 4, b // BLOCK)
-        zs = g.standard_normal((BLOCK, n, df))
-        if kind == "herm_complex":
-            zs = (zs + 1j * g.standard_normal((BLOCK, n, df))) / math.sqrt(2.0)
-        mats = np.einsum("ij,sjk,slk,ml->sim", a, zs, zs.conj(), a.conj())
-        expected.append([alg.from_matrix(m) for m in mats[: count - b]])
-    got = sample_invariant_measure(alg, y, count, seed=7, stream=4)
-    assert np.allclose(got, np.concatenate(expected), rtol=0.0, atol=1e-12 * np.abs(got).max())
+        gammas = [g.gamma(s - j * d / 2.0, size=BLOCK) for j in range(r)]
+        normals = g.standard_normal((n - r, BLOCK)) if n > r else np.zeros((0, BLOCK))
+        for k in range(min(BLOCK, count - b)):
+            t = np.diag([math.sqrt(gam[k]) for gam in gammas]).astype(complex)
+            parts = normals[:, k].reshape(len(low_rows), d)
+            for (p, q), x in zip(zip(low_rows, low_cols), parts):
+                t[p, q] = x @ np.array([1.0, 1.0j])[:d] / math.sqrt(2.0)
+            u = a @ t @ t.conj().T @ a.conj().T
+            expected = alg.from_matrix(u)
+            assert np.allclose(got[b + k], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+            assert dets[b + k] == pytest.approx(np.real(np.linalg.det(u)), rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
+def test_sampler_second_moments(models, kind, shape):
+    # a Gamma/Wishart of shape s and scale Y = (2y)^{-1} has
+    # Var <u, a> = s tr((A Y)^2), A = to_matrix(a); within 4 se of the
+    # sample variance, se from the fourth central moment
+    alg = models[kind][0]
+    s = SHAPES[shape](alg)
+    y = _sampler_y(alg)
+    us, _ = _sample_cone_gamma(alg, y, s, 200_000, seed=5, stream=4)
+    ym = alg.to_matrix(alg.invert(2.0 * y))
+    for a in np.random.default_rng(9).standard_normal((3, alg.dim)):
+        am = alg.to_matrix(a)
+        expected = s * np.real(np.trace(am @ ym @ am @ ym))
+        vals = us @ a
+        dev = vals - vals.mean()
+        var = np.mean(dev**2)
+        se = math.sqrt((np.mean(dev**4) - var**2) / len(vals))
+        assert abs(var - expected) <= 4.0 * se
+
+
+@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
+def test_sampler_prefix_is_stable(models, kind):
+    # sample i depends only on (seed, stream, i): a shorter run is a prefix,
+    # bit for bit, across block and chunk boundaries
+    alg = models[kind][0]
+    y = _sampler_y(alg)
+    s = SHAPES["invariant"](alg)
+    short, short_dets = _sample_cone_gamma(alg, y, s, 700, seed=2, stream=4)
+    for count in (1500, 40_000):
+        long, long_dets = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4)
+        assert np.array_equal(long[:700], short) and np.array_equal(long_dets[:700], short_dets)
+    assert np.array_equal(sample_invariant_measure(alg, y, 1500, seed=2, stream=4)[:700], short)
 
 
 MODEL_SIZES = [
@@ -199,7 +255,7 @@ def test_gindikin_forms_match_per_kind_formulas(kind, param):
         mat = alg.to_matrix(u)
         assert cone_laplace(alg, u) == pytest.approx(_per_kind_laplace(family, alg.rank, mat), rel=1e-12)
         assert measure_mass(alg, u) == pytest.approx(_per_kind_mass(family, alg.rank, mat), rel=1e-12)
-    inv = _batch_inv_i_iq(alg, q_map, np.array(points))
+    inv = _inv_i_iq(alg, np.array([np.real(np.linalg.det(alg.to_matrix(u))) for u in points]))
     expected = [1.0 / (cone_laplace(alg, u) * gaussian_iq(q_map, u)) for u in points]
     assert inv == pytest.approx(expected, rel=1e-12)
 
@@ -207,10 +263,33 @@ def test_gindikin_forms_match_per_kind_formulas(kind, param):
 # -- Bergman kernel ------------------------------------------------------------------
 
 
+def _w(q_map, p1, p2):
+    return p1.z - np.conj(p2.z) - 2j * q_map.q_eval(p1.v, p2.v)
+
+
+def _rank1_quadrature(q_map, p1, p2):
+    """Test-local oracle: the rank-one kernel (2/pi^2) int_0^inf u^2 e^{i u w} du
+    by adaptive quadrature, w = z1 - conj(z2) - 2i Q(v1, v2)."""
+    w = complex(_w(q_map, p1, p2)[0])
+
+    def part(trig):
+        return scipy.integrate.quad(
+            lambda u: (2.0 / math.pi**2) * u * u * math.exp(-u * w.imag) * trig(u * w.real), 0.0, np.inf
+        )[0]
+
+    return complex(part(math.cos), part(math.sin))
+
+
+def _domain_point(alg, q_map, rng):
+    v = 0.3 * (rng.standard_normal(q_map.n) + 1j * rng.standard_normal(q_map.n))
+    y = np.real(q_map.q_eval(v, v)) + alg.exp(0.3 * rng.standard_normal(alg.dim))
+    return SiegelPoint(0.5 * rng.standard_normal(alg.dim) + 1j * y, v)
+
+
 def test_bergman_rank1_base_value(rank1):
     alg, _, q_map = rank1
     p = SiegelPoint([1j], [0j])
-    est = bergman_kernel(alg, q_map, p, p, method="quadrature")
+    est = bergman_kernel(alg, q_map, p, p, method="closed")
     assert est.value.real == pytest.approx(1.0 / (2.0 * math.pi**2), rel=1e-8)
     assert abs(est.value.imag) <= 1e-12
 
@@ -218,7 +297,7 @@ def test_bergman_rank1_base_value(rank1):
 def test_bergman_rank1_shifted(rank1):
     alg, _, q_map = rank1
     p = SiegelPoint([2j], [0j])
-    est = bergman_kernel(alg, q_map, p, p, method="quadrature")
+    est = bergman_kernel(alg, q_map, p, p, method="closed")
     assert est.value.real == pytest.approx(1.0 / (16.0 * math.pi**2), rel=1e-8)
 
 
@@ -226,9 +305,73 @@ def test_bergman_mc_matches_quadrature(rank1):
     alg, _, q_map = rank1
     p1 = SiegelPoint([0.4 + 1.5j], [0.3 + 0.2j])
     p2 = SiegelPoint([-0.1 + 1.1j], [0.1 - 0.4j])
-    quad = bergman_kernel(alg, q_map, p1, p2, method="quadrature")
+    quad = _rank1_quadrature(q_map, p1, p2)
     mc = bergman_kernel(alg, q_map, p1, p2, samples=400_000, seed=6, method="mc")
-    assert abs(mc.value - quad.value) <= 4.0 * mc.se + 1e-9
+    assert abs(mc.value - quad) <= 4.0 * mc.se + 1e-9
+
+
+def test_bergman_closed_matches_rank1_quadrature(rank1):
+    alg, _, q_map = rank1
+    rng = np.random.default_rng(21)
+    points = [SiegelPoint([1j], [0j])] + [_domain_point(alg, q_map, rng) for _ in range(4)]
+    for p1 in points:
+        for p2 in points:
+            closed = bergman_kernel(alg, q_map, p1, p2)
+            assert closed.method == "closed" and closed.se == 0.0
+            assert abs(closed.value - _rank1_quadrature(q_map, p1, p2)) <= 1e-10 * abs(closed.value)
+
+
+@pytest.mark.parametrize("kind,param", MODEL_SIZES, ids=lambda v: str(v))
+def test_bergman_closed_on_diagonal_is_measure_mass(kind, param):
+    # at coincident points the integral is the measure mass at the cone part
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        p = _domain_point(alg, q_map, rng)
+        exact = measure_mass(alg, q_map.cone_part(p)) / (2.0 * math.pi) ** alg.dim
+        value = bergman_kernel(alg, q_map, p, p, method="closed").value
+        assert abs(value - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("kind,param", MODEL_SIZES, ids=lambda v: str(v))
+def test_bergman_closed_invariant_and_hermitian(kind, param):
+    from qsiegel import GroupElement
+
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(23)
+    p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
+    g = GroupElement(rng.standard_normal(alg.dim), rng.standard_normal(q_map.n) + 1j * rng.standard_normal(q_map.n))
+    k12 = bergman_kernel(alg, q_map, p1, p2, method="closed").value
+    moved = bergman_kernel(alg, q_map, q_map.group_act(g, p1), q_map.group_act(g, p2), method="closed").value
+    assert moved == pytest.approx(k12, rel=1e-10)
+    assert bergman_kernel(alg, q_map, p2, p1, method="closed").value == pytest.approx(np.conj(k12), rel=1e-10)
+
+
+CALIBRATION_SIZES = [("rank1", None), ("diagonal", 2), ("sym_real", 2), ("herm_complex", 2), ("sym_real", 3)]
+
+
+@pytest.mark.parametrize("diagonal", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("kind,param", CALIBRATION_SIZES, ids=lambda v: str(v))
+def test_bergman_mc_calibrated_against_closed_form(kind, param, diagonal):
+    # |MC - closed| <= 4 max(reported se, closed-form se).  The weight
+    # Delta(u)^(N/r + 1) under the shape-N/r proposal has
+    # E[f^2] / E[f]^2 = R = Gamma_Omega(3N/r + 2) Gamma_Omega(N/r) / Gamma_Omega(2N/r + 1)^2,
+    # so the se is K sqrt((R - 1)/n) on the diagonal, and at most
+    # K(p_mid) sqrt(R/n) off it, with p_mid the point of cone part Im w / 2
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(24)
+    p1 = _domain_point(alg, q_map, rng)
+    p2 = p1 if diagonal else _domain_point(alg, q_map, rng)
+    samples, k = 200_000, alg.dim / alg.rank
+    ratio = gindikin_gamma(alg, 3 * k + 2) * gindikin_gamma(alg, k) / gindikin_gamma(alg, 2 * k + 1) ** 2
+    closed = bergman_kernel(alg, q_map, p1, p2, method="closed").value
+    if diagonal:
+        se_closed = abs(closed) * math.sqrt((ratio - 1.0) / samples)
+    else:
+        k_mid = measure_mass(alg, np.imag(_w(q_map, p1, p2)) / 2.0) / (2.0 * math.pi) ** alg.dim
+        se_closed = k_mid * math.sqrt(ratio / samples)
+    mc = bergman_kernel(alg, q_map, p1, p2, samples=samples, seed=25, method="mc")
+    assert abs(mc.value - closed) <= 4.0 * max(mc.se, se_closed)
 
 
 def test_bergman_translation_invariance(rank1):
@@ -238,9 +381,9 @@ def test_bergman_translation_invariance(rank1):
     p1 = SiegelPoint([0.2 + 1.3j], [0.1 + 0j])
     p2 = SiegelPoint([1.1j], [0.2j])
     g = GroupElement([0.7], [0j])
-    k1 = bergman_kernel(alg, q_map, p1, p2, method="quadrature")
+    k1 = bergman_kernel(alg, q_map, p1, p2, method="closed")
     k2 = bergman_kernel(
-        alg, q_map, q_map.group_act(g, p1), q_map.group_act(g, p2), method="quadrature"
+        alg, q_map, q_map.group_act(g, p1), q_map.group_act(g, p2), method="closed"
     )
     assert k1.value == pytest.approx(k2.value, rel=1e-10)
 
@@ -249,8 +392,8 @@ def test_bergman_hermitian_within_error(rank1):
     alg, _, q_map = rank1
     p1 = SiegelPoint([0.4 + 1.5j], [0.3 + 0.2j])
     p2 = SiegelPoint([-0.1 + 1.1j], [0.1 - 0.4j])
-    k12 = bergman_kernel(alg, q_map, p1, p2, method="quadrature")
-    k21 = bergman_kernel(alg, q_map, p2, p1, method="quadrature")
+    k12 = bergman_kernel(alg, q_map, p1, p2, method="closed")
+    k21 = bergman_kernel(alg, q_map, p2, p1, method="closed")
     assert k12.value == pytest.approx(np.conj(k21.value), rel=1e-9)
 
 
@@ -271,6 +414,13 @@ def test_bergman_requires_domain(rank1):
     bad = SiegelPoint([0j], [0j])
     with pytest.raises(NotInDomain):
         bergman_kernel(alg, q_map, good, bad)
+
+
+def test_bergman_unknown_method_rejected(rank1):
+    alg, _, q_map = rank1
+    p = SiegelPoint([1j], [0j])
+    with pytest.raises(ValueError, match="'closed'"):
+        bergman_kernel(alg, q_map, p, p, method="quadrature")
 
 
 def test_bergman_mc_determinism(sym2):

@@ -106,20 +106,14 @@ class BaseMetric:
 def base_metric(alg, q_map):
     """Invariant metric at the base point (ie, 0) in closed form.
 
-    U-part: (a + ib, a' + ib') -> (tr T + tr R)(a o a' + b o b') / 2, with
-    the complex trace on V.  V-part: the form of e'.  Mixed block zero.
+    e' is the cone point with <e', x> = 2(tr T_x + tr R_x), where
+    tr T_x = (N / r) tr x.  U-part: (a + ib, a' + ib') -> <e', a o a' + b o b'> / 4,
+    so H = T_{e'} / 4.  V-part: the form of e'.  Mixed block zero.
     """
     dim, n = alg.dim, q_map.n
-    eye = np.eye(dim)
-    h = np.empty((dim, dim))
-    for k in range(dim):
-        for l in range(k, dim):
-            prod = alg.mult(eye[k], eye[l])
-            val = 0.5 * (np.trace(alg.left_mult(prod)) + np.trace(q_map.rep.r_op(prod)).real)
-            h[k, l] = h[l, k] = val
-    e_prime = np.array(
-        [2.0 * (np.trace(alg.left_mult(e)) + np.trace(q_map.rep.r_op(e)).real) for e in eye]
-    )
+    e_prime = 2.0 * (alg.dim / alg.rank * alg.unit + np.einsum("kaa->k", q_map.rep.r_basis).real)
+    t = alg.left_mult(e_prime)
+    h = 0.125 * (t + t.T)
     v_block = q_map.g_matrix(e_prime)
     g = np.zeros((2 * (dim + n), 2 * (dim + n)))
     g[:dim, :dim] = h
@@ -149,13 +143,7 @@ def bergman_metric_scale(alg, q_map, metric=None, seed=0, samples=100_000, n_dir
     for d, zeta in enumerate(dirs_u):
         oracle = float(m2[d] - np.abs(m1[d]) ** 2)
         a, b = np.real(zeta), np.imag(zeta)
-        closed = float(
-            0.5
-            * (
-                np.trace(alg.left_mult(alg.mult(a, a) + alg.mult(b, b)))
-                + np.trace(q_map.rep.r_op(alg.mult(a, a) + alg.mult(b, b))).real
-            )
-        )
+        closed = float(a @ metric.u_block @ a + b @ metric.u_block @ b)
         ratios.append(closed / oracle)
     for d, gamma in enumerate(dirs_v):
         oracle = float(2.0 * qv[d])

@@ -16,6 +16,7 @@ from . import catalog as _catalog
 from .certify import certify_all, check_orbit_multiplicity
 from .errors import QSiegelError, SpecFileError, UsageError
 from .integrals import bergman_kernel
+from .jordan import algebra_dim
 from .kernels import build_kernel_params, gram_psd_report
 from .representation import SiegelPoint, standard_model
 from .subspaces import RealSubspace
@@ -48,6 +49,8 @@ def _is_basis(value):
 
 
 _KINDS = ("rank1", "diagonal", "sym_real", "herm_complex")
+# largest algebra dimension N a spec may ask for; see the README for its cost
+MAX_ALGEBRA_DIM = 64
 _POSITIVE_FINITE = (lambda value: _finite(value) and value > 0, "a positive finite number")
 
 # section -> ({key: (test, what the value must be)}, required keys); these
@@ -85,8 +88,9 @@ def _check_object(obj, where, allowed, required):
 def validate_spec(spec):
     """Raise a one-line SpecFileError unless ``spec`` is a valid spec document.
 
-    Checks types, ranges, finiteness and known keys at every level; the
-    lengths of the W basis rows need the algebra and are checked by load_spec.
+    Checks types, ranges, finiteness and known keys at every level, and the
+    algebra dimension against MAX_ALGEBRA_DIM; the lengths of the W basis
+    rows need the algebra and are checked by load_spec.
     """
     _check_object(spec, "the spec", _SPEC_FIELDS, ("algebra", "W"))
     for section, (fields, required) in _SPEC_FIELDS.items():
@@ -100,6 +104,16 @@ def validate_spec(spec):
     algebra = spec["algebra"]
     if algebra["kind"] != "rank1" and not any(key in algebra for key in ("param", "n", "r")):
         raise SpecFileError("invalid spec: algebra needs a size parameter (param / n / r)")
+    dim = algebra_dim(algebra["kind"], _size_param(algebra))
+    if dim > MAX_ALGEBRA_DIM:
+        raise SpecFileError(
+            f"invalid spec: algebra {algebra['kind']} {reprlib.repr(_size_param(algebra))} has "
+            f"dimension N = {reprlib.repr(dim)}, above the bound {MAX_ALGEBRA_DIM}"
+        )
+
+
+def _size_param(algebra):
+    return algebra.get("param") or algebra.get("n") or algebra.get("r")
 
 
 def load_spec(path):
@@ -110,8 +124,7 @@ def load_spec(path):
         raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
     validate_spec(spec)
     algebra = spec["algebra"]
-    param = algebra.get("param") or algebra.get("n") or algebra.get("r")
-    alg, rep, q_map = standard_model(algebra["kind"], param)
+    alg, rep, q_map = standard_model(algebra["kind"], _size_param(algebra))
     rows = spec["W"]["basis"]
     if not any(rows):  # no rows, or only empty ones: W = 0
         w = RealSubspace.zero(2 * q_map.n)

@@ -73,6 +73,10 @@ class NotPSD(QSiegelError):
     pass
 
 
+class NonFiniteValue(QSiegelError):
+    """A computed value overflowed to inf or NaN."""
+
+
 class HypothesisViolated(QSiegelError):
     pass
 

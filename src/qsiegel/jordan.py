@@ -1,9 +1,11 @@
 """Euclidean Jordan algebra arithmetic and spectral calculus.
 
-An algebra is encoded by its structure tensor over a basis that is
-orthonormal for the ambient inner product, so the left multiplications T_x
-are symmetric matrices and every rank decision reduces to symmetric
-eigenproblems.  Elements are plain numpy vectors of coordinates.
+Elements are plain numpy vectors of coordinates x over a basis of matrices
+B_k that is orthonormal for the ambient inner product, so the left
+multiplications T_x are symmetric matrices.  Every operation is written once
+on the matrix X = sum_k x_k B_k: products and the quadratic representation
+are matrix products, and the spectral calculus is the Hermitian
+eigenproblem of X.
 
 A simple algebra and its symmetric cone are described by three numbers: the
 rank r, the dimension N and the Peirce constant d, the common dimension of
@@ -37,8 +39,8 @@ class SpectralDecomposition:
 
     Eigenvalues are sorted descending; numerically close eigenvalues are
     grouped, so idempotents need not be primitive.  ``multiplicities[k]``
-    is the Jordan rank of c_k, so sum(multiplicities) equals the algebra
-    rank and det x = prod lambda_k ** m_k.
+    is the size of the k-th group, the Jordan rank of c_k, so
+    sum(multiplicities) equals the algebra rank and det x = prod lambda_k ** m_k.
     """
 
     eigenvalues: np.ndarray
@@ -65,29 +67,19 @@ class PeirceSystem:
 class EuclideanJordanAlgebra:
     """Finite-dimensional Euclidean Jordan algebra with its symmetric cone.
 
-    Instances are never mutated after construction and every operation is a
-    pure function of its inputs, so they are safe to share across threads.
+    ``matrix_basis`` is an N x n x n stack of Hermitian matrices B_k,
+    orthonormal for <A, B> = Re tr(A B^H); the rank r is n.  Instances are
+    never mutated after construction and every operation is a pure function
+    of its inputs, so they are safe to share across threads.
     """
 
-    def __init__(self, kind, dim, rank, structure, unit, matrix_basis=None):
-        structure = np.array(structure, dtype=float)
-        if structure.shape != (dim, dim, dim):
-            raise DimensionMismatch("structure tensor must be N x N x N")
-        if np.max(np.abs(structure - structure.transpose(1, 0, 2))) > 1e-12:
-            raise ValueError("structure tensor must define a commutative product")
-        # compatibility of the unit with the inner product: <x o y, z> = <y, x o z>,
-        # which over an orthonormal basis is symmetry in the last two slots
-        if np.max(np.abs(structure - structure.transpose(0, 2, 1))) > 1e-10:
-            raise ValueError("inner product is not associative for this product")
+    def __init__(self, kind, matrix_basis):
         self.kind = kind
-        self.dim = dim
-        self.rank = rank
-        self.structure = structure
-        self.unit = np.asarray(unit, dtype=float)
-        self.inner = np.eye(dim)  # basis is orthonormal by construction
         self.matrix_basis = matrix_basis
-        # linear functional giving the Jordan trace: tr_J(x) = (r/N) tr T_x
-        self._trace_vec = np.einsum("ijj->i", structure) * (rank / dim)
+        self.dim, self.rank = matrix_basis.shape[:2]
+        self._dual = matrix_basis.conj().reshape(self.dim, -1)
+        self.inner = np.eye(self.dim)  # basis is orthonormal by construction
+        self.unit = self.from_matrix(np.eye(self.rank))
 
     @property
     def d(self):
@@ -107,17 +99,24 @@ class EuclideanJordanAlgebra:
         return x
 
     def mult(self, x, y):
-        return np.einsum("ijk,i,j->k", self.structure, x, y)
+        """Jordan product x o y = (XY + YX) / 2."""
+        xm = np.tensordot(x, self.matrix_basis, axes=1)
+        ym = np.tensordot(y, self.matrix_basis, axes=1)
+        return self.from_matrix(xm @ ym + ym @ xm) / 2.0
 
     def left_mult(self, x):
-        """Matrix of T_x, the unique symmetric operator with T_x e = x."""
-        x = self.check_element(x)
-        return np.einsum("ijk,i->kj", self.structure, x)
+        """Matrix of T_x, the unique symmetric operator with T_x e = x.
+
+        Column j holds the coordinates of X o B_j = (X B_j + B_j X) / 2.
+        Coordinates only see the Hermitian part of a matrix, and that of
+        X B_j is X o B_j, so the products X B_j suffice.
+        """
+        return self.from_matrix(self.to_matrix(x) @ self.matrix_basis).T
 
     def quad_rep(self, x):
-        """Quadratic representation P(x) = 2 T_x^2 - T_{x^2}."""
-        t = self.left_mult(x)
-        return 2.0 * (t @ t) - self.left_mult(self.mult(x, x))
+        """Quadratic representation P(x), with columns the coordinates of X B_j X."""
+        xm = self.to_matrix(x)
+        return self.from_matrix(xm @ self.matrix_basis @ xm).T
 
     def box_operator(self, u, up):
         """u box u' = T_{u o u'} + [T_u, T_{u'}]."""
@@ -132,8 +131,8 @@ class EuclideanJordanAlgebra:
         return float(np.dot(x, y))
 
     def trace(self, x):
-        """Jordan trace (sum of spectral eigenvalues with multiplicity)."""
-        return float(np.dot(self._trace_vec, x))
+        """Jordan trace <e, x> = tr X (sum of spectral eigenvalues with multiplicity)."""
+        return float(np.dot(self.unit, x))
 
     def invert(self, x):
         """Jordan inverse x^{-1} = P(x)^{-1} x."""
@@ -150,60 +149,24 @@ class EuclideanJordanAlgebra:
     # -- spectral calculus --------------------------------------------------
 
     def spectral_decompose(self, x):
-        """Spectral decomposition through the associative subalgebra of powers.
+        """Spectral decomposition from the Hermitian eigenproblem of X.
 
-        T_x leaves R[x] = span{e, x, x^2, ...} invariant and acts on it with
-        the spectral eigenvalues of x; expanding e in the eigenbasis yields
-        the idempotents directly.
+        Eigenvalues closer than TOL_EIG * max(1, |x|) form one group; its
+        idempotent is the spectral projector V_g V_g^H and its multiplicity
+        the group size.
         """
         x = self.check_element(x)
-        scale = max(1.0, float(np.linalg.norm(x)))
-        xs = x / scale
-
-        powers = [self.unit.copy()]
-        for _ in range(self.rank):
-            powers.append(self.mult(xs, powers[-1]))
-        k = np.column_stack(powers)
-        uu, ss, _ = np.linalg.svd(k, full_matrices=False)
-        m = int(np.sum(ss > TOL_RANK * ss[0]))
-        basis = uu[:, :m]
-
-        t_restr = basis.T @ self.left_mult(xs) @ basis
-        t_restr = 0.5 * (t_restr + t_restr.T)
         try:
-            vals, vecs = np.linalg.eigh(t_restr)
+            vals, vecs = np.linalg.eigh(self.to_matrix(x))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise EigSolverFailure(str(exc)) from exc
-        vals = vals * scale
-        y = basis @ vecs
-        alpha = y.T @ self.unit
-
-        order = np.argsort(vals)[::-1]
-        vals, alpha, y = vals[order], alpha[order], y[:, order]
-
+        vals, vecs = vals[::-1], vecs[:, ::-1]
         gap = TOL_EIG * max(1.0, float(np.linalg.norm(x)))
-        groups = []
-        start = 0
-        for i in range(1, m + 1):
-            if i == m or vals[i - 1] - vals[i] > gap:
-                groups.append(slice(start, i))
-                start = i
-
-        eigenvalues, idempotents, mults = [], [], []
-        for g in groups:
-            c = y[:, g] @ alpha[g]
-            lam = float(np.mean(vals[g]))
-            mult = self.trace(c)
-            mult_int = int(round(mult))
-            if abs(mult - mult_int) > 1e-6 or mult_int < 1:
-                raise EigSolverFailure(
-                    f"idempotent rank {mult:.6f} is not a positive integer"
-                )
-            eigenvalues.append(lam)
-            idempotents.append(c)
-            mults.append(mult_int)
+        groups = np.split(np.arange(self.rank), np.flatnonzero(vals[:-1] - vals[1:] > gap) + 1)
         return SpectralDecomposition(
-            np.array(eigenvalues), idempotents, np.array(mults, dtype=int)
+            np.array([np.mean(vals[g]) for g in groups]),
+            [self.from_matrix(vecs[:, g] @ vecs[:, g].conj().T) for g in groups],
+            np.array([len(g) for g in groups]),
         )
 
     def det(self, x):
@@ -275,27 +238,13 @@ class EuclideanJordanAlgebra:
         return PeirceSystem(c, projs[1.0], projs[0.5], projs[0.0])
 
     def mult_exp(self, u, t=1.0):
-        """e^{t T_u} through spectral calculus on u.
+        """e^{t T_u} = P(exp(t u / 2)).
 
-        Uses the joint Peirce projectors of the idempotent system of u, on
-        which T_u acts by (lambda_k + lambda_l)/2, so e^{t T_u} e equals the
-        spectral exponential of t u exactly.
+        On the joint Peirce space of the eigenvalues lambda_k, lambda_l of u,
+        T_u acts by (lambda_k + lambda_l) / 2 and P(exp(t u / 2)) by
+        e^{t lambda_k / 2} e^{t lambda_l / 2}.
         """
-        dec = self.spectral_decompose(u)
-        cs, ls = dec.idempotents, dec.eigenvalues
-        out = np.zeros((self.dim, self.dim))
-        total = np.zeros((self.dim, self.dim))
-        for k, ck in enumerate(cs):
-            ekk = self.quad_rep(ck)
-            out += np.exp(t * ls[k]) * ekk
-            total += ekk
-            for l in range(k + 1, len(cs)):
-                ekl = 4.0 * self.left_mult(ck) @ self.left_mult(cs[l])
-                out += np.exp(t * (ls[k] + ls[l]) / 2.0) * ekl
-                total += ekl
-        if np.linalg.norm(total - np.eye(self.dim)) > 1e-7:
-            raise EigSolverFailure("Peirce projectors do not resolve the identity")
-        return out
+        return self.quad_rep(self.exp(0.5 * t * self.check_element(u)))
 
     # -- frames and matrix coordinates --------------------------------------
 
@@ -308,7 +257,9 @@ class EuclideanJordanAlgebra:
         return np.tensordot(x, self.matrix_basis, axes=1)
 
     def from_matrix(self, m):
-        return np.real(np.einsum("ab,kab->k", m, self.matrix_basis.conj()))
+        """Coordinates <B_k, M> of an n x n matrix, or of each one in a stack."""
+        m = np.asarray(m)
+        return np.real(m.reshape(*m.shape[:-2], -1) @ self._dual.T)
 
 
 def _matrix_algebra(kind, n, d):
@@ -327,12 +278,7 @@ def _matrix_algebra(kind, n, d):
                 basis.append(off + off.T)
             if d == 2:
                 basis.append(1j * (off - off.T))
-    basis = np.array(basis, dtype=complex if d == 2 else float)
-    # <B_i o B_j, B_k> = Re tr(B_i B_j B_k) for Hermitian B_k: the real part
-    # is already symmetric in i and j
-    structure = np.real(np.einsum("iab,jbc,kca->ijk", basis, basis, basis))
-    unit = np.real(np.einsum("kaa->k", basis))
-    return EuclideanJordanAlgebra(kind, len(basis), n, structure, unit, basis)
+    return EuclideanJordanAlgebra(kind, np.array(basis, dtype=complex if d == 2 else float))
 
 
 def diagonal_algebra(r):
@@ -347,14 +293,19 @@ def herm_complex_algebra(n):
     return _matrix_algebra("herm_complex", n, 2)
 
 
+_PEIRCE_D = {"rank1": 0, "diagonal": 0, "sym_real": 1, "herm_complex": 2}
+
+
+def algebra_dim(kind, param=None):
+    """Dimension N = r + d r (r - 1) / 2 of make_algebra(kind, param), without building it."""
+    r = 1 if kind == "rank1" else int(param)
+    return r + _PEIRCE_D[kind] * r * (r - 1) // 2
+
+
 def make_algebra(kind, param=None):
     """Factory for the algebra kinds accepted in spec files."""
+    if kind not in _PEIRCE_D:
+        raise ValueError(f"unknown algebra kind {kind!r}")
     if kind == "rank1":
         return diagonal_algebra(1)
-    if kind == "diagonal":
-        return diagonal_algebra(int(param))
-    if kind == "sym_real":
-        return sym_real_algebra(int(param))
-    if kind == "herm_complex":
-        return herm_complex_algebra(int(param))
-    raise ValueError(f"unknown algebra kind {kind!r}")
+    return _matrix_algebra(kind, int(param), _PEIRCE_D[kind])

@@ -36,6 +36,7 @@ from .errors import (
     FactorizationResidualTooLarge,
     FrameInvalid,
     NotALinearSpace,
+    NonFiniteValue,
     NotIdempotent,
     NotInLambda,
 )
@@ -179,9 +180,16 @@ class GramReport:
 
 
 def gram_psd_report(params, points, keep_matrix=False, tol=TOL_PSD):
-    """Gram matrix of kernel values with a relative PSD verdict."""
+    """Gram matrix of kernel values with a relative PSD verdict.
+
+    Raises NonFiniteValue when a kernel value overflows to inf or NaN, as a
+    large chi makes it do.
+    """
     m = len(points)
-    g = kernel_matrix(params, points, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = kernel_matrix(params, points, points)
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteValue(f"kernel values overflow: the {m} x {m} Gram matrix has non-finite entries")
     # exactly Hermitian: the lower triangle mirrors the upper, the diagonal is real
     lower = np.tril_indices(m, -1)
     g[lower] = g.T[lower].conj()

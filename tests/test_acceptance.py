@@ -26,6 +26,7 @@ from qsiegel import (
 )
 from qsiegel import creal
 from qsiegel.catalog import catalog_get, catalog_list
+from qsiegel.kernels import frame_w_subspace
 
 ALGS = [("diagonal", 2), ("diagonal", 3), ("sym_real", 2), ("sym_real", 3), ("herm_complex", 2)]
 
@@ -287,23 +288,37 @@ def test_criterion_10_determinism(tmp_path):
     import sys
     import os
 
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(catalog_get("sym2").spec_dict("frame", samples=8, seed=3)))
-    outs = []
-    for threads in ("1", "4"):
-        env = dict(
-            os.environ,
-            OMP_NUM_THREADS=threads,
-            OPENBLAS_NUM_THREADS=threads,
-            MKL_NUM_THREADS=threads,
-        )
-        for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "qsiegel.cli", "check", str(spec_path), "--seed", "3"],
-                capture_output=True,
-                env=env,
-                check=True,
+    # sym2 frame, and herm4 frame with the metric scale: its verdict path runs
+    # through eigh of complex Hermitian matrices
+    alg, _, q_map = standard_model("herm_complex", 4)
+    w_herm4, _, _ = frame_w_subspace(alg, q_map, alg.standard_frame()[0])
+    specs = {
+        "sym2": catalog_get("sym2").spec_dict("frame", samples=8, seed=3),
+        "herm4": {
+            "algebra": {"kind": "herm_complex", "param": 4},
+            "W": {"basis": w_herm4.basis.T.tolist()},
+            "sampling": {"samples": 8, "seed": 3},
+        },
+    }
+    for name, spec in specs.items():
+        spec_path = tmp_path / f"{name}.json"
+        spec_path.write_text(json.dumps(spec))
+        outs = []
+        for threads in ("1", "4"):
+            env = dict(
+                os.environ,
+                OMP_NUM_THREADS=threads,
+                OPENBLAS_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
             )
-            outs.append(proc.stdout)
-    assert all(o == outs[0] for o in outs[1:])
-    _report(10, "byte-identical certificates across repeated runs and thread counts")
+            for _ in range(2):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "qsiegel.cli", "check", str(spec_path), "--seed", "3"],
+                    capture_output=True,
+                    env=env,
+                    check=True,
+                )
+                outs.append(proc.stdout)
+        assert all(o == outs[0] for o in outs[1:]), name
+        assert json.loads(outs[0])["certificates"][1]["metric_scale"] is not None
+    _report(10, "byte-identical certificates across repeated runs and thread counts (sym2, herm4)")

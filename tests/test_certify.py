@@ -10,12 +10,13 @@ from qsiegel import (
     check_imq_vanishes,
     check_orbit_multiplicity,
     check_orthocomplement_identity,
+    standard_model,
 )
 from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.certify import BaseMetric
 from qsiegel.errors import HypothesisViolated, NotPSD
 
-from conftest import oracle_expected_mf
+from conftest import base_metric_u_block_oracle, oracle_expected_mf
 
 
 def w_real(rank1):
@@ -72,6 +73,14 @@ def test_base_metric_block_structure(models):
         assert np.allclose(bm.matrix[: 2 * nu, 2 * nu :], 0.0)
         assert np.linalg.eigvalsh(bm.matrix)[0] > 0
         assert np.allclose(bm.matrix[:nu, nu : 2 * nu], 0.0)
+
+
+@pytest.mark.parametrize("kind,param", [("sym_real", 2), ("sym_real", 6), ("herm_complex", 4)])
+def test_base_metric_u_block_matches_entrywise_definition(kind, param):
+    alg, _, q_map = standard_model(kind, param)
+    want = base_metric_u_block_oracle(alg, q_map)
+    got = base_metric(alg, q_map).u_block
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind", ["rank1", "sym_real"])

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qsiegel import cli
 from qsiegel.catalog import catalog_get
 from qsiegel.cli import main
 
@@ -141,6 +142,9 @@ def test_nonpositive_samples_rejected(tmp_path, capsys, command, samples):
         (["--x", "1,1"], "--x"),
         (["--x", "1,nan,0"], "--x"),
         (["--chi", "1,2"], "--chi"),
+        # a chi this large overflows e^{-i chi(s - conj s')} in every kernel value
+        (["--x", "1,0,0", "--points", "3", "--chi", "1e300"], "overflow"),
+        (["--x", "1,0,0", "--points", "3", "--chi", "1e150"], "overflow"),
     ],
 )
 def test_kernels_bad_arguments_rejected(tmp_path, capsys, extra, flag):
@@ -205,6 +209,27 @@ def test_invalid_spec_rejected_in_one_line(tmp_path, capsys, path, value, named)
     assert main(["check", str(target), "--no-scale"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize(
+    "kind,param",
+    [("sym_real", 40), ("sym_real", 10**6), ("diagonal", 65), ("sym_real", 11), ("herm_complex", 9)],
+)
+def test_spec_above_size_cap_rejected_before_building(tmp_path, capsys, monkeypatch, kind, param):
+    def build(*args):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(cli, "standard_model", build)
+    target = tmp_path / "big.json"
+    target.write_text(json.dumps({"algebra": {"kind": kind, "param": param}, "W": {"basis": []}}))
+    assert main(["check", str(target), "--no-scale"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"above the bound {cli.MAX_ALGEBRA_DIM}" in err
+
+
+@pytest.mark.parametrize("kind,param", [("rank1", 10**6), ("diagonal", 64), ("sym_real", 10), ("herm_complex", 8)])
+def test_largest_specs_under_size_cap_are_valid(kind, param):
+    cli.validate_spec({"algebra": {"kind": kind, "param": param}, "W": {"basis": []}})
 
 
 @pytest.mark.parametrize(

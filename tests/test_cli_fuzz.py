@@ -4,14 +4,16 @@ or 2, never in an exception escaping ``main``.
 Specs start well-formed (so that most draws reach the certifiers, the kernel
 and the Bergman code) and then take a few random mutations: a deleted or extra
 key, a value of the wrong type, NaN or inf, a short row.  Algebra sizes stay
-at most 4: a cap on the size of a spec is not part of its validation yet.
+at most 3 so that a draw runs fast, except that one spec in ten asks for a
+size far above the cap of ``validate_spec``, which must reject it before
+building anything.  Fixed examples pin kernel overflow to a one-line error.
 """
 import contextlib
 import io
 import json
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qsiegel.cli import main
@@ -55,6 +57,8 @@ def requests(draw):
         "algebra": {"kind": kind, "param": r},
         "W": {"basis": draw(st.lists(row, max_size=2 * n))},
     }
+    if draw(st.integers(0, 9)) == 0:
+        spec["algebra"]["param"] = draw(st.one_of(st.integers(65, 10**12), st.just(10**400)))
     if draw(st.booleans()):
         spec["representation"] = {"kind": "standard"}
     if draw(st.booleans()):
@@ -106,8 +110,13 @@ def requests(draw):
     return spec, command, argv
 
 
+RANK1_IMAGINARY_LINE = {"algebra": {"kind": "rank1", "param": 1}, "W": {"basis": [[0.0, 1.0]]}}
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(requests())
+@example((RANK1_IMAGINARY_LINE, "kernels", ["--x", "1", "--points", "3", "--chi", "1e300"]))
+@example((RANK1_IMAGINARY_LINE, "kernels", ["--x", "1", "--points", "3", "--chi", "1e150"]))
 def test_cli_ends_in_an_exit_code_never_an_exception(tmp_path_factory, case):
     spec, command, argv = case
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qsiegel import diagonal_algebra, herm_complex_algebra, make_algebra, sym_real_algebra
+from qsiegel.jordan import algebra_dim
 from qsiegel.errors import DimensionMismatch, DomainError, NotIdempotent, Singular
 
-from conftest import random_elements
+from conftest import StructureTensorOracle, random_elements
 
 ALGEBRAS = [
     diagonal_algebra(1),
@@ -366,5 +369,68 @@ def test_make_algebra_kinds():
     assert make_algebra("diagonal", 3).dim == 3
     assert make_algebra("sym_real", 3).dim == 6
     assert make_algebra("herm_complex", 2).dim == 4
+    for kind, param in [("rank1", None), ("diagonal", 4), ("sym_real", 5), ("herm_complex", 3)]:
+        assert algebra_dim(kind, param) == make_algebra(kind, param).dim
     with pytest.raises(ValueError):
         make_algebra("spin", 3)
+
+
+# -- the matrix-native calculus against the structure-tensor oracle ---------------------
+
+ORACLE_SIZES = (
+    [("rank1", None), ("diagonal", 3)]
+    + [("sym_real", n) for n in range(2, 7)]
+    + [("herm_complex", n) for n in range(2, 5)]
+)
+
+
+def _rel(got, want):
+    return np.linalg.norm(np.asarray(got) - np.asarray(want)) / max(1.0, np.linalg.norm(want))
+
+
+def _oracle_elements(alg):
+    """The unit, each frame idempotent, an element with a repeated eigenvalue
+    (except at rank one) and random elements."""
+    rng = np.random.default_rng(13)
+    r = alg.rank
+    lam = np.concatenate([[2.0, 2.0], np.linspace(-1.5, 1.0, r - 2)]) if r > 1 else np.ones(1)
+    if alg.kind == "diagonal":
+        q = np.eye(r)
+    else:
+        z = rng.standard_normal((r, r)) + (1j * rng.standard_normal((r, r)) if alg.d == 2 else 0.0)
+        q, _ = np.linalg.qr(z)
+    repeated = alg.from_matrix(q @ np.diag(lam) @ q.conj().T)
+    return [alg.unit, *alg.standard_frame(), repeated] + [rng.standard_normal(alg.dim) for _ in range(10)]
+
+
+@pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
+def test_spectral_calculus_matches_structure_tensor_oracle(kind, param):
+    alg = make_algebra(kind, param)
+    oracle = StructureTensorOracle(alg)
+    rng = np.random.default_rng(14)
+    for x in _oracle_elements(alg):
+        dec = alg.spectral_decompose(x)
+        vals, idempotents, mults = oracle.spectral_decompose(x)
+        assert list(dec.multiplicities) == list(mults)
+        assert np.max(np.abs(dec.eigenvalues - vals)) <= 1e-12 * max(1.0, np.linalg.norm(x))
+        for got, want in zip(dec.idempotents, idempotents):
+            assert _rel(got, want) <= 1e-12
+        y = rng.standard_normal(alg.dim)
+        assert _rel(alg.mult(x, y), oracle.mult(x, y)) <= 1e-12
+        assert _rel(alg.left_mult(x), oracle.left_mult(x)) <= 1e-12
+        assert _rel(alg.quad_rep(x), oracle.quad_rep(x)) <= 1e-12
+        for t in (1.0, -0.7):
+            assert _rel(alg.mult_exp(x, t), oracle.mult_exp(x, t)) <= 1e-12
+        assert abs(alg.det(x) - oracle.det(x)) <= 1e-12 * max(1.0, abs(oracle.det(x)))
+
+
+def test_make_algebra_holds_no_cubic_tensor():
+    # the N x N x N structure tensor of sym_real 30 (N = 465) would take about 800 MB
+    tracemalloc.start()
+    try:
+        alg = make_algebra("sym_real", 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == 465 and not hasattr(alg, "structure")
+    assert peak < 20 * 2**20

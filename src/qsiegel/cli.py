@@ -234,14 +234,13 @@ def cmd_kernels(args):
     chi = _parse_reals(args.chi, 2 * q_map.n - w.dim, "--chi") if args.chi else None
     params = build_kernel_params(q_map, w, x, chi=chi)
     rng = np.random.default_rng([seed, 0x6B])
-    points = []
+    draws = []
     for _ in range(args.points):
         v = rng.uniform(-2.0, 2.0, size=2 * q_map.n) / np.sqrt(2 * q_map.n)
-        vc = v[: q_map.n] + 1j * v[q_map.n :]
-        t = rng.uniform(0.2, 5.0)
-        x0 = rng.standard_normal(alg.dim)
-        y = np.real(q_map.q_eval(vc, vc)) + t * alg.unit
-        points.append(SiegelPoint(x0 + 1j * y, vc))
+        draws.append((v[: q_map.n] + 1j * v[q_map.n :], rng.uniform(0.2, 5.0), rng.standard_normal(alg.dim)))
+    vcs = np.array([vc for vc, _, _ in draws])
+    qs = np.real(q_map.q_eval(vcs, vcs))
+    points = [SiegelPoint(x0 + 1j * (q + t * alg.unit), vc) for (vc, t, x0), q in zip(draws, qs)]
     tol = args.tol if args.tol is not None else sampling["tolerances"].get("gram_psd", TOL_PSD)
     rep = gram_psd_report(params, points, tol=tol)
     emit(

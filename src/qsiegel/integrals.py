@@ -31,10 +31,6 @@ from .errors import MCVarianceTooHigh, NotInCone, NotInDomain
 from .rng import BLOCK, blocks
 
 
-def _batch_to_matrix(alg, xs):
-    return np.einsum("sk,kab->sab", xs, alg.matrix_basis)
-
-
 # -- closed forms -----------------------------------------------------------
 
 
@@ -116,10 +112,7 @@ def _cone_box_mc(alg, u, samples, seed, stream):
 
 
 def _batch_in_cone(alg, ys):
-    if alg.kind == "diagonal":
-        return np.all(ys > 0.0, axis=1)
-    vals = np.linalg.eigvalsh(_batch_to_matrix(alg, ys))
-    return vals[:, 0] > 0.0
+    return np.linalg.eigvalsh(alg.to_matrix(ys))[:, 0] > 0.0
 
 
 def _iq_box_mc(q_map, u, samples, seed, stream):
@@ -221,7 +214,6 @@ def _bartlett_form(alg, y):
     r, d = alg.rank, alg.d
     two_y = 2.0 * alg.to_matrix(y)
     a = np.linalg.cholesky(np.linalg.inv(two_y))
-    c = a.conj().T @ alg.matrix_basis @ a
     low_rows, low_cols = np.tril_indices(r, -1)
     row = np.concatenate([np.arange(r), np.repeat(low_rows, d)])
     col = np.concatenate([np.arange(r), np.repeat(low_cols, d)])
@@ -229,9 +221,11 @@ def _bartlett_form(alg, y):
     i, j = np.nonzero(np.triu(col[:, None] == col[None, :]))
     first = np.argsort((i >= r) | (i != j), kind="stable")
     i, j = i[first], j[first]
+    # C_k[row_i, row_j] = a_(row_i)^H B_k a_(row_j) for the columns a_p of A
+    c = alg.outer_coords(a.T[row[j]], a.T[row[i]])
     # a pair i < j also stands for the equal term (j, i)
-    weights = np.where(i == j, 1.0, 2.0) * np.real(unit[i] * unit[j].conj() * c[:, row[i], row[j]].conj())
-    return i, j, weights.T, float(np.real(np.linalg.det(two_y)))
+    factor = np.where(i == j, 1.0, 2.0) * unit[i] * unit[j].conj()
+    return i, j, np.real(factor[:, None] * c.conj()), float(np.real(np.linalg.det(two_y)))
 
 
 def _sample_cone_gamma(alg, y, s, count, seed, stream):
@@ -316,7 +310,7 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="auto"):
     if method in ("auto", "closed"):
         power = 2 * n // r + 1
         const = math.pi ** -n * (2.0 / math.pi) ** r * gindikin_gamma(alg, power) / gindikin_gamma(alg, s)
-        det = complex(np.linalg.det(np.tensordot(-1j * w, alg.matrix_basis, axes=1)))
+        det = complex(np.linalg.det(alg.to_matrix(-1j * w)))
         return BergmanEstimate(const * det ** -power, 0.0, "closed")
     if method != "mc":
         raise ValueError("method must be 'auto', 'closed' or 'mc'")
@@ -350,5 +344,6 @@ def base_measure_moments(alg, q_map, directions_u, directions_v, samples=200_000
     # real products, so the samples are never copied to complex
     zetas = np.array(directions_u, dtype=complex).reshape(-1, alg.dim)
     vals = us @ zetas.real.T + 1j * (us @ zetas.imag.T)
-    qgs = np.array([np.real(q_map.q_eval(g, g)) for g in directions_v]).reshape(-1, alg.dim)
+    gammas = np.array(directions_v, dtype=complex).reshape(-1, q_map.n)
+    qgs = np.real(q_map.q_eval(gammas, gammas))
     return delta, np.mean(vals, axis=0), np.mean(np.abs(vals) ** 2, axis=0), np.mean(us @ qgs.T, axis=0)

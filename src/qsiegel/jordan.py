@@ -3,9 +3,10 @@
 Elements are plain numpy vectors of coordinates x over a basis of matrices
 B_k that is orthonormal for the ambient inner product, so the left
 multiplications T_x are symmetric matrices.  Every operation is written once
-on the matrix X = sum_k x_k B_k: products and the quadratic representation
-are matrix products, and the spectral calculus is the Hermitian
-eigenproblem of X.
+on the matrix X = sum_k x_k B_k: products are matrix products, and the
+spectral calculus is the Hermitian eigenproblem of X.  The basis is kept in
+index form, one index pair and one weight per B_k, so ``to_matrix`` is a
+scatter and ``from_matrix`` a gather, both O(n^2) per element.
 
 A simple algebra and its symmetric cone are described by three numbers: the
 rank r, the dimension N and the Peirce constant d, the common dimension of
@@ -19,7 +20,7 @@ matrices, with x o y = (xy + yx)/2 and <A, B> = Re tr(A B^H):
 * ``herm_complex`` -- d = 2, complex Hermitian n x n matrices.
 """
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
@@ -67,26 +68,28 @@ class PeirceSystem:
 class EuclideanJordanAlgebra:
     """Finite-dimensional Euclidean Jordan algebra with its symmetric cone.
 
-    ``matrix_basis`` is an N x n x n stack of Hermitian matrices B_k,
-    orthonormal for <A, B> = Re tr(A B^H); the rank r is n.  Instances are
+    The n x n Hermitian matrices with entries in R (d = 1) or C (d = 2), or
+    the diagonal ones (d = 0); the rank r is n.  The orthonormal basis is
+    E_ii, then for each i < j in row-major order the symmetric
+    (E_ij + E_ji)/sqrt 2 and, for d = 2, the antisymmetric
+    i (E_ij - E_ji)/sqrt 2.  It is held in index form,
+    B_k = w_k E_(a_k b_k) + conj(w_k) E_(b_k a_k), with w_k = 1/2 on the
+    diagonal (a_k = b_k) and 1/sqrt 2 or i/sqrt 2 above it.  Instances are
     never mutated after construction and every operation is a pure function
     of its inputs, so they are safe to share across threads.
     """
 
-    def __init__(self, kind, matrix_basis):
-        self.kind = kind
-        self.matrix_basis = matrix_basis
-        self.dim, self.rank = matrix_basis.shape[:2]
-        self._dual = matrix_basis.conj().reshape(self.dim, -1)
-        self.inner = np.eye(self.dim)  # basis is orthonormal by construction
-        self.unit = self.from_matrix(np.eye(self.rank))
-
-    @property
-    def d(self):
-        """Peirce constant, from N = r + d r (r - 1) / 2; 0 for rank one."""
-        if self.rank == 1:
-            return 0
-        return round(2 * (self.dim - self.rank) / (self.rank * (self.rank - 1)))
+    def __init__(self, kind, n, d):
+        self.kind, self.rank, self.d = kind, n, d
+        self._upper = np.triu_indices(n, 1)
+        # the d units of the off-diagonal basis matrices of one pair i < j
+        self._units = np.array([1.0, 1.0j][:d]) / np.sqrt(2.0)
+        pairs = len(self._upper[0])
+        self._a = np.concatenate([np.arange(n), np.repeat(self._upper[0], d)])
+        self._b = np.concatenate([np.arange(n), np.repeat(self._upper[1], d)])
+        self._w = np.concatenate([np.full(n, 0.5), np.tile(self._units, pairs)])
+        self.dim = n + d * pairs
+        self.unit = self.from_matrix(np.eye(n))
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -100,8 +103,7 @@ class EuclideanJordanAlgebra:
 
     def mult(self, x, y):
         """Jordan product x o y = (XY + YX) / 2."""
-        xm = np.tensordot(x, self.matrix_basis, axes=1)
-        ym = np.tensordot(y, self.matrix_basis, axes=1)
+        xm, ym = self.to_matrix(x), self.to_matrix(y)
         return self.from_matrix(xm @ ym + ym @ xm) / 2.0
 
     def left_mult(self, x):
@@ -111,24 +113,23 @@ class EuclideanJordanAlgebra:
         Coordinates only see the Hermitian part of a matrix, and that of
         X B_j is X o B_j, so the products X B_j suffice.
         """
-        return self.from_matrix(self.to_matrix(x) @ self.matrix_basis).T
+        return self._sandwich(self.to_matrix(x), np.eye(self.rank))
 
     def quad_rep(self, x):
         """Quadratic representation P(x), with columns the coordinates of X B_j X."""
         xm = self.to_matrix(x)
-        return self.from_matrix(xm @ self.matrix_basis @ xm).T
+        return self._sandwich(xm, xm)
 
-    def box_operator(self, u, up):
-        """u box u' = T_{u o u'} + [T_u, T_{u'}]."""
-        tu = self.left_mult(u)
-        tup = self.left_mult(up)
-        return self.left_mult(self.mult(u, up)) + tu @ tup - tup @ tu
+    def _sandwich(self, xm, ym):
+        """The N x N matrix with columns the coordinates of X B_j Y, X and Y Hermitian.
 
-    def norm(self, x):
-        return float(np.linalg.norm(x))
-
-    def inner_product(self, x, y):
-        return float(np.dot(x, y))
+        X B_j Y = w_j X_a Y_b^H + conj(w_j) X_b Y_a^H for the columns X_a, Y_b
+        of X and Y, so every column is two rank-one coordinate reads.
+        """
+        a, b, w = self._a, self._b, self._w[:, None]
+        xt, yt = xm.T, ym.T
+        cols = w * self.outer_coords(xt[a], yt[b]) + w.conj() * self.outer_coords(xt[b], yt[a])
+        return np.real(cols).T
 
     def trace(self, x):
         """Jordan trace <e, x> = tr X (sum of spectral eigenvalues with multiplicity)."""
@@ -148,6 +149,13 @@ class EuclideanJordanAlgebra:
 
     # -- spectral calculus --------------------------------------------------
 
+    def _eigh(self, x):
+        """Eigenvalues (ascending) and eigenvectors of X for a checked element x."""
+        try:
+            return np.linalg.eigh(self.to_matrix(x))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise EigSolverFailure(str(exc)) from exc
+
     def spectral_decompose(self, x):
         """Spectral decomposition from the Hermitian eigenproblem of X.
 
@@ -156,10 +164,7 @@ class EuclideanJordanAlgebra:
         the group size.
         """
         x = self.check_element(x)
-        try:
-            vals, vecs = np.linalg.eigh(self.to_matrix(x))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise EigSolverFailure(str(exc)) from exc
+        vals, vecs = self._eigh(x)
         vals, vecs = vals[::-1], vecs[:, ::-1]
         gap = TOL_EIG * max(1.0, float(np.linalg.norm(x)))
         groups = np.split(np.arange(self.rank), np.flatnonzero(vals[:-1] - vals[1:] > gap) + 1)
@@ -174,38 +179,35 @@ class EuclideanJordanAlgebra:
         return float(np.prod(dec.eigenvalues ** dec.multiplicities))
 
     def spectral_map(self, x, f, proof_convention=False):
-        """Apply f eigenvalue-wise; f is a name or a callable.
+        """f applied to the eigenvalues of X: from_matrix(V f(Lambda) V^H).
 
-        Names: exp, log, pseudo_inverse, abs, step.  Zero eigenvalues are
-        detected at TOL_EIG * max(1, |x|); pseudo_inverse maps them to 0, or
-        to 1 under ``proof_convention`` (the choice needed to solve
-        P(x) y = x for singular x).
+        f is a name or a callable of one eigenvalue.  Names: exp, log,
+        pseudo_inverse, abs, step.  Zero eigenvalues are detected at
+        TOL_EIG * max(1, |x|); pseudo_inverse maps them to 0, or to 1 under
+        ``proof_convention`` (the choice needed to solve P(x) y = x for
+        singular x).
         """
-        dec = self.spectral_decompose(x)
-        zero_tol = TOL_EIG * max(1.0, float(np.linalg.norm(x)))
-
+        x = self.check_element(x)
+        vals, vecs = self._eigh(x)
+        zero = np.abs(vals) <= TOL_EIG * max(1.0, float(np.linalg.norm(x)))
         if callable(f):
-            func: Callable[[float], float] = f
+            fvals = np.array([float(f(lam)) for lam in vals])
         elif f == "exp":
-            func = np.exp
+            fvals = np.exp(vals)
         elif f == "log":
-            if np.min(dec.eigenvalues) <= 0.0:
+            if vals[0] <= 0.0:
                 raise DomainError("log requires all spectral eigenvalues > 0")
-            func = np.log
+            fvals = np.log(vals)
         elif f == "abs":
-            func = abs
+            fvals = np.abs(vals)
         elif f == "step":
-            func = lambda l: 0.0 if abs(l) <= zero_tol else (1.0 if l > 0 else 0.0)
+            fvals = ((vals > 0.0) & ~zero).astype(float)
         elif f == "pseudo_inverse":
-            fill = 1.0 if proof_convention else 0.0
-            func = lambda l: fill if abs(l) <= zero_tol else 1.0 / l
+            fill = np.full(self.rank, 1.0 if proof_convention else 0.0)
+            fvals = np.divide(1.0, vals, out=fill, where=~zero)
         else:
             raise ValueError(f"unknown spectral function {f!r}")
-
-        out = np.zeros(self.dim)
-        for lam, c in zip(dec.eigenvalues, dec.idempotents):
-            out += float(func(lam)) * c
-        return out
+        return self.from_matrix((vecs * fvals) @ vecs.conj().T)
 
     def exp(self, x):
         return self.spectral_map(x, "exp")
@@ -215,8 +217,7 @@ class EuclideanJordanAlgebra:
 
     def cone_contains(self, x, mode="open"):
         """Membership of x in the symmetric cone (open) or its closure."""
-        dec = self.spectral_decompose(x)
-        mn = float(np.min(dec.eigenvalues))
+        mn = float(np.linalg.eigvalsh(self.to_matrix(self.check_element(x)))[0])
         if mode == "open":
             return mn > TOL_CONE
         if mode == "closed":
@@ -253,44 +254,44 @@ class EuclideanJordanAlgebra:
         return [self.from_matrix(np.diag(row)) for row in np.eye(self.rank)]
 
     def to_matrix(self, x):
-        x = self.check_element(x)
-        return np.tensordot(x, self.matrix_basis, axes=1)
+        """X = sum_k x_k B_k for real or complex x; leading axes of x are a stack."""
+        x = np.asarray(x)
+        if x.shape[-1:] != (self.dim,):
+            raise DimensionMismatch(f"expected vector of length {self.dim}, got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("element has non-finite entries")
+        n, (i, j) = self.rank, self._upper
+        off = x[..., n:].reshape(*x.shape[:-1], len(i), self.d)
+        m = np.zeros(x.shape[:-1] + (n, n), dtype=np.result_type(x, self._w))
+        m[..., np.arange(n), np.arange(n)] = x[..., :n]
+        m[..., i, j] = off @ self._units
+        m[..., j, i] = off @ self._units.conj()
+        return m
 
     def from_matrix(self, m):
-        """Coordinates <B_k, M> of an n x n matrix, or of each one in a stack."""
+        """Coordinates <B_k, M> = Re tr(B_k M) of an n x n matrix, or of each one in a stack."""
         m = np.asarray(m)
-        return np.real(m.reshape(*m.shape[:-2], -1) @ self._dual.T)
+        a, b, w = self._a, self._b, self._w
+        return np.real(w.conj() * m[..., a, b] + w * m[..., b, a])
 
-
-def _matrix_algebra(kind, n, d):
-    """Hermitian n x n matrices with entries in R (d = 1) or C (d = 2).
-
-    d = 0 keeps only the diagonal matrices.  The basis is E_ii, then for each
-    i < j the symmetric (E_ij + E_ji)/sqrt 2 and, for d = 2, the
-    antisymmetric i (E_ij - E_ji)/sqrt 2.
-    """
-    units = np.eye(n)
-    basis = [np.outer(units[i], units[i]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            off = np.outer(units[i], units[j]) / np.sqrt(2.0)
-            if d >= 1:
-                basis.append(off + off.T)
-            if d == 2:
-                basis.append(1j * (off - off.T))
-    return EuclideanJordanAlgebra(kind, np.array(basis, dtype=complex if d == 2 else float))
+    def outer_coords(self, v, vp):
+        """v'^H B_k v = tr(B_k v v'^H): ``from_matrix`` extended C-linearly to v v'^H,
+        read off the entries it touches without forming v v'^H.  Leading axes broadcast."""
+        v, vpc = np.asarray(v), np.conj(vp)
+        a, b, w = self._a, self._b, self._w
+        return w.conj() * v[..., a] * vpc[..., b] + w * v[..., b] * vpc[..., a]
 
 
 def diagonal_algebra(r):
-    return _matrix_algebra("diagonal", r, 0)
+    return EuclideanJordanAlgebra("diagonal", r, 0)
 
 
 def sym_real_algebra(n):
-    return _matrix_algebra("sym_real", n, 1)
+    return EuclideanJordanAlgebra("sym_real", n, 1)
 
 
 def herm_complex_algebra(n):
-    return _matrix_algebra("herm_complex", n, 2)
+    return EuclideanJordanAlgebra("herm_complex", n, 2)
 
 
 _PEIRCE_D = {"rank1": 0, "diagonal": 0, "sym_real": 1, "herm_complex": 2}
@@ -308,4 +309,4 @@ def make_algebra(kind, param=None):
         raise ValueError(f"unknown algebra kind {kind!r}")
     if kind == "rank1":
         return diagonal_algebra(1)
-    return _matrix_algebra(kind, int(param), _PEIRCE_D[kind])
+    return EuclideanJordanAlgebra(kind, int(param), _PEIRCE_D[kind])

@@ -1,75 +1,41 @@
-"""Jordan algebra representations on (V, h) and the Siegel-domain geometry.
+"""The standard representation of a Jordan algebra on (V, h) and the Siegel-domain geometry.
 
 The representation supplies the family x -> R_x of self-adjoint operators;
 everything downstream (the Hermitian map Q, the forms g_x and omega_x, the
 domain, the generalized Heisenberg group and its orbits) is derived from it.
+For the built-in algebras of n x n matrices, V = C^n, R_x = X / 2 and
+Q(v, v')_k = v'^H B_k v: both are the algebra's own ``to_matrix`` and
+``from_matrix``, extended C-linearly, so nothing here stores a matrix per
+basis element.
 
 Real coordinates on V follow creal's convention (Re v, Im v); tangent
 vectors to the domain live in R^{2N + 2n} ordered as (Re z, Im z, Re v, Im v).
 
-Everything here is immutable after validation and all operations are pure,
-so instances can be used concurrently without locks.
+Everything here is immutable and all operations are pure, so instances can
+be used concurrently without locks.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import creal
-from .errors import DimensionMismatch, NotInDomain
+from .errors import NotInDomain
 from .subspaces import RealSubspace
 
 
 class JordanRepresentation:
-    """Family x -> R_x of self-adjoint operators with 2 R_e = Id.
+    """The standard representation R_x v = (1/2) X v on V = C^rank.
 
-    ``r_basis[k]`` is the matrix of R on the k-th algebra basis vector.
-    User-supplied families are validated at load time: each matrix must be
-    Hermitian, R_e must equal Id/2, and x -> 2 R_x must be a unital Jordan
-    algebra homomorphism; violations are hard failures.
+    x -> 2 R_x = X is a unital Jordan algebra homomorphism into the
+    Hermitian operators on V, and R_e = Id/2.
     """
 
-    def __init__(self, algebra, r_basis, validate=True, tol=1e-8):
-        r_basis = np.asarray(r_basis, dtype=complex)
-        if r_basis.ndim != 3 or r_basis.shape[0] != algebra.dim or r_basis.shape[1] != r_basis.shape[2]:
-            raise DimensionMismatch("r_basis must have shape (N, n, n)")
+    def __init__(self, algebra):
         self.algebra = algebra
-        self.r_basis = r_basis
-        self.n = r_basis.shape[1]
-        if validate:
-            self._validate(tol)
-
-    def _validate(self, tol):
-        alg = self.algebra
-        for k in range(alg.dim):
-            if np.linalg.norm(self.r_basis[k] - self.r_basis[k].conj().T) > tol:
-                raise ValueError(f"R on basis vector {k} is not self-adjoint")
-        r_e = self.r_op(alg.unit)
-        if np.linalg.norm(r_e - 0.5 * np.eye(self.n)) > tol:
-            raise ValueError("representation is not unital (R_e != Id/2)")
-        eye = np.eye(alg.dim)
-        for k in range(alg.dim):
-            for l in range(k, alg.dim):
-                lhs = self.r_op(alg.mult(eye[k], eye[l]))
-                rhs = self.r_basis[k] @ self.r_basis[l] + self.r_basis[l] @ self.r_basis[k]
-                if np.linalg.norm(lhs - rhs) > tol:
-                    raise ValueError("x -> 2 R_x is not a Jordan algebra homomorphism")
-
-    @classmethod
-    def standard(cls, algebra):
-        """Built-in representation R_x v = (1/2) x . v on V = C^rank."""
-        n = algebra.rank
-        r_basis = np.empty((algebra.dim, n, n), dtype=complex)
-        for k, e in enumerate(np.eye(algebra.dim)):
-            r_basis[k] = 0.5 * np.asarray(algebra.to_matrix(e), dtype=complex)
-        return cls(algebra, r_basis, validate=False)
+        self.n = algebra.rank
 
     def r_op(self, x):
-        return np.einsum("k,kab->ab", np.asarray(x, dtype=float), self.r_basis)
-
-    def beta_box(self, u, up):
-        """beta(u box u') = R_{u o u'} + [R_u, R_{u'}]."""
-        ru, rup = self.r_op(u), self.r_op(up)
-        return self.r_op(self.algebra.mult(u, up)) + ru @ rup - rup @ ru
+        return self.algebra.to_matrix(x) / 2.0
 
 
 class HermitianMapQ:
@@ -80,13 +46,13 @@ class HermitianMapQ:
         self.algebra = rep.algebra
         self.n = rep.n
         self.dim_u = rep.algebra.dim
-        # q_tensor[k] = 2 R_k, so Q(v, v')_k = v'^H (2 R_k) v
-        self.q_tensor = 2.0 * rep.r_basis
 
     def q_eval(self, v, vp):
-        v = np.asarray(v, dtype=complex)
-        vp = np.asarray(vp, dtype=complex)
-        return np.einsum("kab,a,b->k", self.q_tensor, vp.conj(), v)
+        """Q(v, v')_k = v'^H B_k v, the coordinates of v v'^H extended C-linearly.
+
+        Leading axes of v and v' broadcast, so one call covers a stack of pairs.
+        """
+        return self.algebra.outer_coords(np.asarray(v, dtype=complex), vp)
 
     def g_matrix(self, x):
         """Real symmetric 2n x 2n matrix of g_x(v, v') = <x, Re Q(v, v')>."""
@@ -99,8 +65,7 @@ class HermitianMapQ:
     # -- Siegel domain -------------------------------------------------------
 
     def domain_contains(self, point):
-        y = np.imag(point.z) - np.real(self.q_eval(point.v, point.v))
-        return self.algebra.cone_contains(y, mode="open")
+        return self.algebra.cone_contains(self.cone_part(point), mode="open")
 
     def cone_part(self, point):
         """Im z - Q(v, v), the cone-valued invariant of the group action."""
@@ -134,23 +99,19 @@ class HermitianMapQ:
         of the subspace; returned in (Re z, Im z, Re v, Im v) coordinates.
         """
         nn, nu = self.n, self.dim_u
-        cols = []
-        for x0 in np.eye(nu):
-            cols.append(np.concatenate([x0, np.zeros(nu + 2 * nn)]))
-        for wcol in w.basis.T:
-            wc = creal.re_to_cx(wcol)
-            zeta = 2j * self.q_eval(point.v, wc)
-            cols.append(np.concatenate([zeta.real, zeta.imag, wcol]))
-        return RealSubspace.from_spanning(np.column_stack(cols) if cols else np.zeros((2 * (nu + nn), 0)))
+        zeta = 2j * self.q_eval(point.v, creal.re_to_cx(w.basis.T))
+        span = np.zeros((2 * (nu + nn), nu + w.dim))
+        span[:nu, :nu] = np.eye(nu)
+        span[: 2 * nu, nu:] = creal.cx_to_re(zeta).T
+        span[2 * nu :, nu:] = w.basis
+        return RealSubspace.from_spanning(span)
 
     def affine_derivative(self, v0):
         """Derivative of n(x0, v0): (zeta, gamma) -> (zeta + 2i Q(gamma, v0), gamma)."""
         nn, nu = self.n, self.dim_u
         d = np.eye(2 * (nu + nn))
-        for idx, gcol in enumerate(np.eye(2 * nn)):
-            gc = creal.re_to_cx(gcol)
-            zeta = 2j * self.q_eval(gc, v0)
-            d[: 2 * nu, 2 * nu + idx] = np.concatenate([zeta.real, zeta.imag])
+        zeta = 2j * self.q_eval(creal.re_to_cx(np.eye(2 * nn)), v0)
+        d[: 2 * nu, 2 * nu :] = creal.cx_to_re(zeta).T
         return d
 
     def scaling_derivative(self, u, t=1.0):
@@ -230,5 +191,5 @@ def standard_model(kind, param=None):
     from .jordan import make_algebra
 
     alg = make_algebra(kind, param)
-    rep = JordanRepresentation.standard(alg)
+    rep = JordanRepresentation(alg)
     return alg, rep, HermitianMapQ(rep)

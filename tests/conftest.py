@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from qsiegel import creal, standard_model
+from qsiegel import RealSubspace, creal, standard_model
 from qsiegel.tolerances import TOL_EIG, TOL_RANK
 
 
 MODEL_KINDS = [("rank1", None), ("diagonal", 2), ("sym_real", 2), ("herm_complex", 2)]
+
+# the sizes at which the library is pinned to the dense-stack oracles
+ORACLE_SIZES = (
+    [("rank1", None), ("diagonal", 3)]
+    + [("sym_real", n) for n in range(2, 7)]
+    + [("herm_complex", n) for n in range(2, 5)]
+)
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +60,102 @@ def oracle_expected_mf(q_map, w, tol=1e-10):
     return worst <= tol
 
 
+def dense_basis(alg):
+    """The N x n x n stack of basis matrices B_k, built from (r, d) alone.
+
+    E_ii, then for each i < j the symmetric (E_ij + E_ji)/sqrt 2 and, for
+    d = 2, the antisymmetric i (E_ij - E_ji)/sqrt 2: the stack the algebra
+    once stored, and the reference for its index form.
+    """
+    n, d = alg.rank, alg.d
+    units = np.eye(n)
+    basis = [np.outer(units[i], units[i]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            off = np.outer(units[i], units[j]) / np.sqrt(2.0)
+            if d >= 1:
+                basis.append(off + off.T)
+            if d == 2:
+                basis.append(1j * (off - off.T))
+    return np.array(basis, dtype=complex if d == 2 else float)
+
+
+def box_operator(alg, u, up):
+    """u box u' = T_{u o u'} + [T_u, T_{u'}]."""
+    tu = alg.left_mult(u)
+    tup = alg.left_mult(up)
+    return alg.left_mult(alg.mult(u, up)) + tu @ tup - tup @ tu
+
+
+def beta_box(rep, u, up):
+    """beta(u box u') = R_{u o u'} + [R_u, R_{u'}]."""
+    ru, rup = rep.r_op(u), rep.r_op(up)
+    return rep.r_op(rep.algebra.mult(u, up)) + ru @ rup - rup @ ru
+
+
+def r_stack(rep):
+    """The family x -> R_x of a representation as the stack of R on each basis vector."""
+    return np.array([rep.r_op(e) for e in np.eye(rep.algebra.dim)], dtype=complex)
+
+
+def validate_representation(alg, r_basis, tol=1e-8):
+    """Raise ValueError unless the stack r_basis defines a representation:
+    each R_k Hermitian, R_e = Id/2 and x -> 2 R_x a Jordan homomorphism."""
+    r_basis = np.asarray(r_basis, dtype=complex)
+    n = r_basis.shape[1]
+    for k in range(alg.dim):
+        if np.linalg.norm(r_basis[k] - r_basis[k].conj().T) > tol:
+            raise ValueError(f"R on basis vector {k} is not self-adjoint")
+    if np.linalg.norm(np.tensordot(alg.unit, r_basis, axes=1) - 0.5 * np.eye(n)) > tol:
+        raise ValueError("representation is not unital (R_e != Id/2)")
+    eye = np.eye(alg.dim)
+    for k in range(alg.dim):
+        for l in range(k, alg.dim):
+            lhs = np.tensordot(alg.mult(eye[k], eye[l]), r_basis, axes=1)
+            rhs = r_basis[k] @ r_basis[l] + r_basis[l] @ r_basis[k]
+            if np.linalg.norm(lhs - rhs) > tol:
+                raise ValueError("x -> 2 R_x is not a Jordan algebra homomorphism")
+
+
+class DenseRepresentationOracle:
+    """The stored-tensor standard representation that the index form replaced.
+
+    It keeps r_basis[k] = B_k / 2 as a dense N x n x n stack and evaluates
+    Q(v, v')_k = v'^H (2 R_k) v by one contraction per pair of vectors, and
+    the orbit tangents and affine derivatives one vector at a time.
+    """
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.n = alg.rank
+        self.r_basis = 0.5 * dense_basis(alg).astype(complex)
+
+    def r_op(self, x):
+        return np.einsum("k,kab->ab", np.asarray(x, dtype=float), self.r_basis)
+
+    def q_eval(self, v, vp):
+        return np.einsum("kab,a,b->k", 2.0 * self.r_basis, np.conj(vp), np.asarray(v, dtype=complex))
+
+    def g_matrix(self, x):
+        return 2.0 * creal.realify(self.r_op(x))
+
+    def orbit_tangent(self, w, point):
+        nn, nu = self.n, self.alg.dim
+        cols = [np.concatenate([x0, np.zeros(nu + 2 * nn)]) for x0 in np.eye(nu)]
+        for wcol in w.basis.T:
+            zeta = 2j * self.q_eval(point.v, creal.re_to_cx(wcol))
+            cols.append(np.concatenate([zeta.real, zeta.imag, wcol]))
+        return RealSubspace.from_spanning(np.column_stack(cols))
+
+    def affine_derivative(self, v0):
+        nn, nu = self.n, self.alg.dim
+        d = np.eye(2 * (nu + nn))
+        for idx, gcol in enumerate(np.eye(2 * nn)):
+            zeta = 2j * self.q_eval(creal.re_to_cx(gcol), v0)
+            d[: 2 * nu, 2 * nu + idx] = np.concatenate([zeta.real, zeta.imag])
+        return d
+
+
 class StructureTensorOracle:
     """The structure-tensor calculus that the matrix-native algebra replaced.
 
@@ -64,7 +167,7 @@ class StructureTensorOracle:
     """
 
     def __init__(self, alg):
-        b = alg.matrix_basis
+        b = dense_basis(alg)
         self.alg = alg
         # <B_i o B_j, B_k> = Re tr(B_i B_j B_k) for Hermitian B_k
         self.structure = np.real(np.einsum("iab,jbc,kca->ijk", b, b, b))

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from qsiegel import JordanRepresentation, classify_lambda
+from qsiegel import classify_lambda
 from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.errors import UnknownEntry
 
-from conftest import oracle_expected_mf
+from conftest import oracle_expected_mf, r_stack, validate_representation
 
 
 def test_listing_is_deterministic():
@@ -27,7 +27,7 @@ def test_entries_load_and_validate():
     for name in catalog_list():
         entry = catalog_get(name)
         alg, rep, q_map = entry.model()
-        JordanRepresentation(alg, rep.r_basis, validate=True)
+        validate_representation(alg, r_stack(rep))
         for var in entry.variants:
             w = var.subspace(q_map.n)
             assert w.ambient == 2 * q_map.n

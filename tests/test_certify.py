@@ -3,6 +3,7 @@ import pytest
 
 from qsiegel import (
     RealSubspace,
+    creal,
     base_metric,
     bergman_metric_scale,
     certify_all,
@@ -16,7 +17,7 @@ from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.certify import BaseMetric
 from qsiegel.errors import HypothesisViolated, NotPSD
 
-from conftest import base_metric_u_block_oracle, oracle_expected_mf
+from conftest import ORACLE_SIZES, DenseRepresentationOracle, base_metric_u_block_oracle, oracle_expected_mf
 
 
 def w_real(rank1):
@@ -46,6 +47,35 @@ def test_imq_witness_is_violating_pair(herm2):
     s1 = np.array([complex(a, b) for a, b in cert.witness["s1"]])
     s2 = np.array([complex(a, b) for a, b in cert.witness["s2"]])
     assert np.linalg.norm(np.imag(q_map.q_eval(s1, s2))) == pytest.approx(cert.residual, rel=1e-9)
+
+
+def test_imq_witness_is_first_largest_pair_in_row_major_order():
+    # the one-call scan reports the pair that the loop over i <= j, keeping
+    # the first strictly larger |Im Q| from the dense-stack Q, reports
+    cases = [
+        (entry.model(), var.subspace(entry.model()[2].n))
+        for entry in map(catalog_get, catalog_list())
+        for var in entry.variants
+        if not var.expected_mf
+    ]
+    rng = np.random.default_rng(17)
+    for kind, param in [("diagonal", 4), ("sym_real", 3), ("herm_complex", 3)]:
+        model = standard_model(kind, param)
+        for dim_w in (0, 1, 2, model[2].n):
+            cases.append((model, RealSubspace.from_spanning(rng.standard_normal((2 * model[2].n, dim_w)))))
+    for (alg, _, q_map), w in cases:
+        oracle = DenseRepresentationOracle(alg)
+        basis = creal.re_to_cx(w.j_image(q_map.n).perp().basis.T)
+        worst, pair = 0.0, None
+        for i in range(len(basis)):
+            for j in range(i, len(basis)):
+                r = float(np.linalg.norm(np.imag(oracle.q_eval(basis[i], basis[j]))))
+                if r > worst:
+                    worst, pair = r, (basis[i], basis[j])
+        cert = check_imq_vanishes(q_map, w)
+        assert cert.residual == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        if not cert.verdict:
+            assert cert.witness == {"s1": [[z.real, z.imag] for z in pair[0]], "s2": [[z.real, z.imag] for z in pair[1]]}
 
 
 # -- base metric ----------------------------------------------------------------
@@ -80,6 +110,16 @@ def test_base_metric_u_block_matches_entrywise_definition(kind, param):
     alg, _, q_map = standard_model(kind, param)
     want = base_metric_u_block_oracle(alg, q_map)
     got = base_metric(alg, q_map).u_block
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
+def test_base_metric_e_prime_matches_trace_formula(kind, param):
+    # e' = 2 (N/r e + (tr R_{B_k})_k), the traces read off the dense stack of R_k
+    alg, _, q_map = standard_model(kind, param)
+    r_basis = DenseRepresentationOracle(alg).r_basis
+    want = 2.0 * (alg.dim / alg.rank * alg.unit + np.einsum("kaa->k", r_basis).real)
+    got = base_metric(alg, q_map).e_prime
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -8,7 +8,7 @@ from qsiegel import diagonal_algebra, herm_complex_algebra, make_algebra, sym_re
 from qsiegel.jordan import algebra_dim
 from qsiegel.errors import DimensionMismatch, DomainError, NotIdempotent, Singular
 
-from conftest import StructureTensorOracle, random_elements
+from conftest import ORACLE_SIZES, StructureTensorOracle, box_operator, dense_basis, random_elements
 
 ALGEBRAS = [
     diagonal_algebra(1),
@@ -237,9 +237,9 @@ def test_cone_examples():
 
 def test_box_operator_unit_and_scalar():
     alg = sym2()
-    assert np.allclose(alg.box_operator(alg.unit, alg.unit), np.eye(alg.dim), atol=1e-12)
+    assert np.allclose(box_operator(alg, alg.unit, alg.unit), np.eye(alg.dim), atol=1e-12)
     one = diagonal_algebra(1)
-    assert np.allclose(one.box_operator(np.array([2.0]), np.array([3.0])), [[6.0]])
+    assert np.allclose(box_operator(one, np.array([2.0]), np.array([3.0])), [[6.0]])
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{a.kind}{a.rank}")
@@ -247,7 +247,7 @@ def test_box_operator_transpose(alg):
     rng = np.random.default_rng(8)
     for _ in range(10):
         u, up = rng.standard_normal(alg.dim), rng.standard_normal(alg.dim)
-        assert np.allclose(alg.box_operator(u, up).T, alg.box_operator(up, u), atol=1e-10)
+        assert np.allclose(box_operator(alg, u, up).T, box_operator(alg, up, u), atol=1e-10)
 
 
 def test_box_exponential_acts_triangularly_on_peirce_components():
@@ -261,7 +261,7 @@ def test_box_exponential_acts_triangularly_on_peirce_components():
         y = peirce.p_half @ rng.standard_normal(alg.dim)
         x1 = peirce.p1 @ rng.standard_normal(alg.dim)
         x0 = peirce.p0 @ rng.standard_normal(alg.dim)
-        op = scipy.linalg.expm(alg.box_operator(2.0 * y, e1).T)
+        op = scipy.linalg.expm(box_operator(alg, 2.0 * y, e1).T)
         ty = alg.left_mult(y)
         expected = (
             x1
@@ -377,12 +377,6 @@ def test_make_algebra_kinds():
 
 # -- the matrix-native calculus against the structure-tensor oracle ---------------------
 
-ORACLE_SIZES = (
-    [("rank1", None), ("diagonal", 3)]
-    + [("sym_real", n) for n in range(2, 7)]
-    + [("herm_complex", n) for n in range(2, 5)]
-)
-
 
 def _rel(got, want):
     return np.linalg.norm(np.asarray(got) - np.asarray(want)) / max(1.0, np.linalg.norm(want))
@@ -434,3 +428,29 @@ def test_make_algebra_holds_no_cubic_tensor():
         tracemalloc.stop()
     assert alg.dim == 465 and not hasattr(alg, "structure")
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
+def test_index_form_matches_dense_basis(kind, param):
+    # to_matrix is sum_k x_k B_k and from_matrix the coordinates Re tr(B_k M),
+    # for single elements and for stacks, with real and complex coordinates
+    alg = make_algebra(kind, param)
+    basis = dense_basis(alg)
+    n, dim = alg.rank, alg.dim
+    rng = np.random.default_rng(15)
+    for x in _oracle_elements(alg):
+        assert _rel(alg.to_matrix(x), np.tensordot(x, basis, axes=1)) <= 1e-12
+    xs = rng.standard_normal((3, 4, dim)) + 1j * rng.standard_normal((3, 4, dim))
+    assert _rel(alg.to_matrix(xs), np.einsum("...k,kab->...ab", xs, basis)) <= 1e-12
+    assert _rel(alg.to_matrix(xs.real), np.einsum("...k,kab->...ab", xs.real, basis)) <= 1e-12
+    ms = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    want = np.real(np.einsum("sab,kab->sk", ms, basis.conj()))
+    assert _rel(alg.from_matrix(ms), want) <= 1e-12
+    for m, row in zip(ms, want):
+        assert _rel(alg.from_matrix(m), row) <= 1e-12
+    for x in _oracle_elements(alg):
+        assert _rel(alg.from_matrix(alg.to_matrix(x)), x) <= 1e-12
+    with pytest.raises(DimensionMismatch):
+        alg.to_matrix(np.ones(dim + 1))
+    with pytest.raises(ValueError):
+        alg.to_matrix(np.full(dim, np.nan))

@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qsiegel import (
     GroupElement,
-    JordanRepresentation,
     RealSubspace,
     SiegelPoint,
     standard_model,
@@ -12,25 +13,35 @@ from qsiegel import (
 from qsiegel import creal
 from qsiegel.errors import NotInDomain
 
+from conftest import (
+    ORACLE_SIZES,
+    DenseRepresentationOracle,
+    beta_box,
+    box_operator,
+    dense_basis,
+    r_stack,
+    validate_representation,
+)
+
 
 def test_representation_validation_accepts_builtins(models):
     for kind, (alg, rep, _) in models.items():
-        JordanRepresentation(alg, rep.r_basis, validate=True)
+        validate_representation(alg, r_stack(rep))
 
 
 def test_representation_validation_rejects_bad_families():
     alg, rep, _ = standard_model("diagonal", 2)
-    bad = rep.r_basis.copy()
+    bad = r_stack(rep)
     bad[0] = bad[0] + 0.1j * np.eye(2)  # not self-adjoint
     with pytest.raises(ValueError):
-        JordanRepresentation(alg, bad)
-    bad = rep.r_basis.copy()
+        validate_representation(alg, bad)
+    bad = r_stack(rep)
     bad[1] = 2.0 * bad[1]  # breaks unitality
     with pytest.raises(ValueError):
-        JordanRepresentation(alg, bad)
+        validate_representation(alg, bad)
     bad = 0.5 * np.stack([np.eye(2, dtype=complex)] * 2)  # not a homomorphism
     with pytest.raises(ValueError):
-        JordanRepresentation(alg, bad)
+        validate_representation(alg, bad)
 
 
 # -- the Hermitian map ---------------------------------------------------------
@@ -52,7 +63,7 @@ def test_q_eval_sym2_outer_product_oracle(sym2):
         got = q_map.q_eval(v, vp)
         expected_mat = 0.5 * (np.outer(v, vp.conj()) + np.outer(vp.conj(), v))
         expected = np.array(
-            [np.trace(expected_mat @ b.conj().T) for b in alg.matrix_basis]
+            [np.trace(expected_mat @ b.conj().T) for b in dense_basis(alg)]
         )
         assert np.allclose(got, expected, atol=1e-12)
     e1 = np.array([1.0 + 0j, 0j])
@@ -281,7 +292,7 @@ def test_scaling_equivariance(models, kind):
 
         cases = [
             (alg.mult_exp(u, 1.0), rep.r_op(u)),
-            (scipy.linalg.expm(alg.box_operator(u, up)), rep.beta_box(u, up)),
+            (scipy.linalg.expm(box_operator(alg, u, up)), beta_box(rep, u, up)),
         ]
         for e_a, beta in cases:
             lhs = scipy.linalg.expm(beta) @ rep.r_op(x) @ v
@@ -296,8 +307,8 @@ def test_beta_transpose_is_adjoint(models, kind):
     for _ in range(25):
         u, up = rng.standard_normal(alg.dim), rng.standard_normal(alg.dim)
         # transpose of u box u' is u' box u, whose image must be the adjoint
-        assert np.allclose(rep.beta_box(up, u), rep.beta_box(u, up).conj().T, atol=1e-10)
-        assert np.allclose(alg.box_operator(u, up).T, alg.box_operator(up, u), atol=1e-10)
+        assert np.allclose(beta_box(rep, up, u), beta_box(rep, u, up).conj().T, atol=1e-10)
+        assert np.allclose(box_operator(alg, u, up).T, box_operator(alg, up, u), atol=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "sym_real", "herm_complex"])
@@ -306,7 +317,63 @@ def test_trace_identity(models, kind):
     rng = np.random.default_rng(12)
     for _ in range(25):
         u, up, x, y = (rng.standard_normal(alg.dim) for _ in range(4))
-        for a in (alg.left_mult(u), alg.box_operator(u, up)):
+        for a in (alg.left_mult(u), box_operator(alg, u, up)):
             lhs = np.trace(rep.r_op(alg.mult(a @ x, y)))
             rhs = np.trace(rep.r_op(alg.mult(x, a.T @ y)))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
+
+
+# -- the index-form model against the stored-tensor oracle ------------------------------
+
+
+def _rel(got, want):
+    return np.linalg.norm(np.asarray(got) - np.asarray(want)) / max(1.0, np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
+def test_model_matches_dense_tensor_oracle(kind, param):
+    alg, rep, q_map = standard_model(kind, param)
+    oracle = DenseRepresentationOracle(alg)
+    n = q_map.n
+    rng = np.random.default_rng(16)
+
+    def vectors(*shape):
+        return rng.standard_normal((*shape, n)) + 1j * rng.standard_normal((*shape, n))
+
+    vs, vps = vectors(6), vectors(6)
+    for v, vp in zip(vs, vps):
+        want = oracle.q_eval(v, vp)
+        assert _rel(q_map.q_eval(v, vp), want) <= 1e-12
+        # Q(v, v') = from_matrix(M) + i from_matrix(-iM) with M = v v'^H
+        m = np.outer(v, vp.conj())
+        assert _rel(alg.from_matrix(m) + 1j * alg.from_matrix(-1j * m), want) <= 1e-12
+    stacked = q_map.q_eval(vs[:, None, :], vps[None, :, :])
+    want = np.array([[oracle.q_eval(v, vp) for vp in vps] for v in vs])
+    assert stacked.shape == (6, 6, alg.dim) and _rel(stacked, want) <= 1e-12
+    for _ in range(5):
+        x = rng.standard_normal(alg.dim)
+        assert _rel(rep.r_op(x), oracle.r_op(x)) <= 1e-12
+        assert _rel(q_map.g_matrix(x), oracle.g_matrix(x)) <= 1e-12
+    for v0 in vectors(3):
+        assert _rel(q_map.affine_derivative(v0), oracle.affine_derivative(v0)) <= 1e-12
+    for dim_w in (0, 1, n, 2 * n):
+        w = RealSubspace.from_spanning(rng.standard_normal((2 * n, dim_w)))
+        p = q_map.sample_domain_point(rng)
+        got, want = q_map.orbit_tangent(w, p), oracle.orbit_tangent(w, p)
+        assert got.dim == want.dim == alg.dim + dim_w
+        assert _rel(got.projector(), want.projector()) <= 1e-12
+
+
+def test_standard_model_stores_no_cubic_stack():
+    # one dense complex N x n x n stack at diagonal 256 takes 268 MB
+    tracemalloc.start()
+    try:
+        alg, rep, q_map = standard_model("diagonal", 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    for obj in (alg, rep, q_map):
+        assert not any(isinstance(a, np.ndarray) and a.ndim >= 3 for a in vars(obj).values())
+    assert not any(hasattr(obj, name) for obj in (alg, rep, q_map)
+                   for name in ("matrix_basis", "r_basis", "q_tensor", "_dual"))

@@ -174,9 +174,10 @@ def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, metric_scale=None, me
         _, deriv = q_map.transport_to_base(p)
         timg = tangent.apply(deriv)
         orth = complement_wrt(metric.matrix, timg)
-        jt = timg.apply(jmat)
         if orth.dim == 0:
             continue
+        # J is orthogonal, so it keeps the basis of timg orthonormal
+        jt = RealSubspace(jmat @ timg.basis)
         resid_mat = orth.basis - jt.projector() @ orth.basis
         r = float(np.linalg.norm(resid_mat, ord=2))
         if r > worst:

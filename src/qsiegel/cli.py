@@ -353,7 +353,7 @@ def build_parser():
     sp.add_argument("spec")
     sp.add_argument("--p1", required=True, help="z,v entries, complex like 2+5i")
     sp.add_argument("--p2", required=True)
-    sp.add_argument("--method", default="auto", choices=["auto", "closed", "mc"])
+    sp.add_argument("--method", default="closed", choices=["closed", "mc"])
     common(sp)
     sp.set_defaults(func=cmd_bergman)
 

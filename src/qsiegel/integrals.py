@@ -291,12 +291,12 @@ class BergmanEstimate:
     seed: Optional[int] = None
 
 
-def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="auto"):
+def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed"):
     """Reproducing kernel of the square-integrable holomorphic functions.
 
     With w = z1 - conj(z2) - 2i Q(v1, v2) the kernel is
     (2 pi)^-N int e^{i<u, w>} / (I(u) I_Q(u)) du over the cone.  'closed'
-    (the default, 'auto') evaluates it by the Gindikin integral,
+    (the default) evaluates it by the Gindikin integral,
     pi^-N (2/pi)^r Gamma_Omega(2N/r + 1) / Gamma_Omega(N/r) Delta(-i w)^-(2N/r + 1),
     where the exponent is an integer.  'mc' importance-samples it with the
     exact exponential-weight proposal at the cone midpoint Im w / 2.
@@ -307,13 +307,13 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="auto"):
     w = p1.z - np.conj(p2.z) - 2j * q_map.q_eval(p1.v, p2.v)
     n, r, s = alg.dim, alg.rank, alg.dim / alg.rank
 
-    if method in ("auto", "closed"):
+    if method == "closed":
         power = 2 * n // r + 1
         const = math.pi ** -n * (2.0 / math.pi) ** r * gindikin_gamma(alg, power) / gindikin_gamma(alg, s)
         det = complex(np.linalg.det(alg.to_matrix(-1j * w)))
         return BergmanEstimate(const * det ** -power, 0.0, "closed")
     if method != "mc":
-        raise ValueError("method must be 'auto', 'closed' or 'mc'")
+        raise ValueError("method must be 'closed' or 'mc'")
 
     y0 = np.imag(w) / 2.0
     if not alg.cone_contains(y0, mode="open"):

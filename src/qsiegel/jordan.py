@@ -225,18 +225,13 @@ class EuclideanJordanAlgebra:
         raise ValueError("mode must be 'open' or 'closed'")
 
     def peirce_system(self, c, tol=1e-8):
-        """Eigenprojectors of T_c onto eigenvalues 1, 1/2, 0."""
+        """Projectors of T_c onto its eigenvalues 1, 1/2, 0 for an idempotent c:
+        P(c), I - P(c) - P(e - c) and P(e - c)."""
         c = self.check_element(c)
         if np.linalg.norm(self.mult(c, c) - c) > tol * max(1.0, np.dot(c, c)):
             raise NotIdempotent("c o c differs from c beyond tolerance")
-        vals, vecs = np.linalg.eigh(self.left_mult(c))
-        projs = {1.0: np.zeros((self.dim, self.dim)), 0.5: np.zeros((self.dim, self.dim)), 0.0: np.zeros((self.dim, self.dim))}
-        for lam, v in zip(vals, vecs.T):
-            targets = [t for t in (0.0, 0.5, 1.0) if abs(lam - t) <= 1e-7]
-            if not targets:
-                raise NotIdempotent(f"T_c eigenvalue {lam} is not near 0, 1/2 or 1")
-            projs[targets[0]] += np.outer(v, v)
-        return PeirceSystem(c, projs[1.0], projs[0.5], projs[0.0])
+        p1, p0 = self.quad_rep(c), self.quad_rep(self.unit - c)
+        return PeirceSystem(c, p1, np.eye(self.dim) - p1 - p0, p0)
 
     def mult_exp(self, u, t=1.0):
         """e^{t T_u} = P(exp(t u / 2)).

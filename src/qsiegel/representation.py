@@ -6,7 +6,9 @@ domain, the generalized Heisenberg group and its orbits) is derived from it.
 For the built-in algebras of n x n matrices, V = C^n, R_x = X / 2 and
 Q(v, v')_k = v'^H B_k v: both are the algebra's own ``to_matrix`` and
 ``from_matrix``, extended C-linearly, so nothing here stores a matrix per
-basis element.
+basis element.  The transport of a point to the base point (ie, 0) is in
+closed form: one eigh of Y = ``to_matrix(Im z - Q(v, v))`` gives the scaling
+P(y^(-1/2)) on U_C and Y^(-1/2) on V.
 
 Real coordinates on V follow creal's convention (Re v, Im v); tangent
 vectors to the domain live in R^{2N + 2n} ordered as (Re z, Im z, Re v, Im v).
@@ -21,6 +23,7 @@ import numpy as np
 from . import creal
 from .errors import NotInDomain
 from .subspaces import RealSubspace
+from .tolerances import TOL_CONE
 
 
 class JordanRepresentation:
@@ -114,33 +117,25 @@ class HermitianMapQ:
         d[: 2 * nu, 2 * nu :] = creal.cx_to_re(zeta).T
         return d
 
-    def scaling_derivative(self, u, t=1.0):
-        """Derivative of t(A) = (e^{tT_u}, e^{t R_u}), block-diagonal and invertible."""
-        eu = self.algebra.mult_exp(u, t)
-        vals, vecs = np.linalg.eigh(self.rep.r_op(u))
-        ev = (vecs * np.exp(t * vals)) @ vecs.conj().T
-        top = np.kron(np.eye(2), eu)  # e^{tT_u} acting C-linearly on U_C
-        return _block_diag(top, creal.realify(ev))
-
     def transport_to_base(self, point):
-        """Composite group motion sending ``point`` to (ie, 0).
+        """Group motion sending ``point`` to the base point (ie, 0), in closed form.
 
-        Returns (image point, derivative matrix).  The image is exact by
-        construction; the derivative composes the two affine moves with the
-        spectral scaling by u = log(Im z - Q(v, v)).
+        Returns (image point, derivative matrix).  The translation n(0, -v)
+        moves the point to (x + iy, 0) with y = Im z - Q(v, v), and the
+        scaling by y^(-1/2) then takes iy to ie: it acts as
+        P(y^(-1/2)) = e^{-T_u} on U_C and as Y^(-1/2) = e^{-R_u} on V, for
+        u = log y.  One eigh of Y gives both.
         """
         alg = self.algebra
         y = self.cone_part(point)
-        if not alg.cone_contains(y, mode="open"):
+        vals, vecs = np.linalg.eigh(alg.to_matrix(y))
+        if vals[0] <= TOL_CONE:
             raise NotInDomain("point is not in the Siegel domain")
-        u = alg.log(y)
-
-        d1 = self.affine_derivative(-point.v)
-        p1 = self.group_act(GroupElement(np.zeros(alg.dim), -point.v), point)
-        p2 = SiegelPoint(p1.z - np.real(p1.z), p1.v)
-        d3 = self.scaling_derivative(u, t=-1.0)
-        image = SiegelPoint(1j * (alg.mult_exp(u, -1.0) @ np.imag(p2.z)).astype(complex), p2.v)
-        return image, d3 @ d1
+        m = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        p = alg.quad_rep(alg.from_matrix(m))
+        scaling = _block_diag(np.kron(np.eye(2), p), creal.realify(m))
+        image = SiegelPoint(1j * (p @ y), np.zeros(self.n))
+        return image, scaling @ self.affine_derivative(-point.v)
 
     def sample_domain_point(self, rng, spread=0.7):
         """In-domain point by construction: z = x0 + i(Q(v,v) + exp(spread*g))."""

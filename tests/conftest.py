@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qsiegel import RealSubspace, creal, standard_model
+from qsiegel import GroupElement, RealSubspace, SiegelPoint, creal, standard_model
+from qsiegel.errors import NotInDomain
 from qsiegel.tolerances import TOL_EIG, TOL_RANK
 
 
@@ -154,6 +155,31 @@ class DenseRepresentationOracle:
             zeta = 2j * self.q_eval(creal.re_to_cx(gcol), v0)
             d[: 2 * nu, 2 * nu + idx] = np.concatenate([zeta.real, zeta.imag])
         return d
+
+
+def composite_transport(q_map, point):
+    """The transport to (ie, 0) as the composite group motion the closed form replaced.
+
+    n(0, -v), then dropping Re z, then the scaling t(-u) by u = log(Im z - Q(v, v)):
+    e^{-T_u} = P(exp(-u/2)) on U_C and e^{-R_u} from the eigenvectors of R_u on V.
+    Returns (image point, derivative matrix).
+    """
+    alg = q_map.algebra
+    y = q_map.cone_part(point)
+    if not alg.cone_contains(y, mode="open"):
+        raise NotInDomain("point is not in the Siegel domain")
+    u = alg.log(y)
+    d1 = q_map.affine_derivative(-point.v)
+    p1 = q_map.group_act(GroupElement(np.zeros(alg.dim), -point.v), point)
+    p2 = SiegelPoint(p1.z - np.real(p1.z), p1.v)
+    eu = alg.mult_exp(u, -1.0)
+    vals, vecs = np.linalg.eigh(q_map.rep.r_op(u))
+    ev = (vecs * np.exp(-vals)) @ vecs.conj().T
+    d3 = np.zeros_like(d1)
+    d3[: 2 * alg.dim, : 2 * alg.dim] = np.kron(np.eye(2), eu)
+    d3[2 * alg.dim :, 2 * alg.dim :] = creal.realify(ev)
+    image = SiegelPoint(1j * (eu @ np.imag(p2.z)).astype(complex), p2.v)
+    return image, d3 @ d1
 
 
 class StructureTensorOracle:

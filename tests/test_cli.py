@@ -279,6 +279,7 @@ def test_integral_floats_count_as_integers(tmp_path, capsys):
         (["bergman", "--p1", "i,i,0,0,0", "--p2", "nan,i,0,0,0"], "--p2"),
         (["bergman", "--p1", "i,i,0,0", "--p2", "i,i,0,0,0"], "--p1"),
         (["bergman", "--p1", "i,i,0,0,0", "--p2", "i,i,0,0,0", "--method", "quadrature"], "closed"),
+        (["bergman", "--p1", "i,i,0,0,0", "--p2", "i,i,0,0,0", "--method", "auto"], "--method"),
     ],
 )
 def test_bad_flags_rejected_in_one_line(tmp_path, capsys, argv, flag):

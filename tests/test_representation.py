@@ -18,6 +18,7 @@ from conftest import (
     DenseRepresentationOracle,
     beta_box,
     box_operator,
+    composite_transport,
     dense_basis,
     r_stack,
     validate_representation,
@@ -362,6 +363,11 @@ def test_model_matches_dense_tensor_oracle(kind, param):
         got, want = q_map.orbit_tangent(w, p), oracle.orbit_tangent(w, p)
         assert got.dim == want.dim == alg.dim + dim_w
         assert _rel(got.projector(), want.projector()) <= 1e-12
+    for _ in range(3):
+        p = q_map.sample_domain_point(rng)
+        (image, deriv), (want_image, want_deriv) = q_map.transport_to_base(p), composite_transport(q_map, p)
+        assert _rel(image.coords(), want_image.coords()) <= 1e-12
+        assert _rel(deriv, want_deriv) <= 1e-12
 
 
 def test_standard_model_stores_no_cubic_stack():

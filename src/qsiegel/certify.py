@@ -11,8 +11,16 @@ Three independent decision procedures are implemented and cross-validated:
 
 The theory says the three verdicts agree; disagreement is an alarm and maps
 to a dedicated exit code in the CLI.
+
+The two sampled certifiers work on stacks: every sample in a block is drawn,
+transported, spanned and complemented by stacked LAPACK calls, and the rank
+decisions of ``subspaces.span_bases`` and ``subspaces.complement_bases`` run
+on the whole stack, with masked zero columns where a sample's rank is lower
+than the stack's width.  Blocks keep one M x M float64 stack, M = 2(N + n),
+within STACK_BYTES.  The witness is the first sample above the tolerance
+whose residual is within TOL_ZERO of the worst.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -21,8 +29,15 @@ from . import creal
 from .errors import HypothesisViolated, NotPSD, NotPositiveDefinite
 from .integrals import base_measure_moments
 from .representation import SiegelPoint
-from .subspaces import RealSubspace, complement_wrt, kernel_of_form
+from .subspaces import RealSubspace, complement_bases, complement_wrt, span_bases
 from .tolerances import TOL_PSD, TOL_SUB, TOL_ZERO
+
+# byte budget of one stack of M x M float64 matrices, M = 2(N + n), in the
+# sampled certifiers.  It bounds their memory whatever the number of samples:
+# a block holds about three such stacks at its peak, so 256 KB keeps the
+# certifiers within about 1 MB above the per-sample loop, and a block still
+# holds 11 samples at sym_real 6 (M = 54)
+STACK_BYTES = 2**18
 
 
 @dataclass
@@ -36,6 +51,8 @@ class Certificate:
     samples: Optional[int] = None
     metric_scale: Optional[float] = None
     extra: dict = field(default_factory=dict)
+    # per-sample residuals of the sampled certifiers; not part of the report
+    sample_residuals: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         out = {
@@ -159,50 +176,73 @@ def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, metric_scale=None, me
     """Transport orbit tangents to the base point and test
     (tangent)-orthocomplement inside J(tangent) there.
 
+    All samples are drawn, transported, spanned and complemented as stacks,
+    in blocks of ``block_size`` samples; the residual is the worst over the
+    samples and ``sample_residuals`` keeps each one.
+
     Verdicts are invariant under rescaling ``metric`` by any positive factor
     (orthocomplements are scale-free); the optional argument exists so that
     this can be exercised directly."""
     if metric is None:
         metric = base_metric(alg, q_map)
     jmat = phase_space_j(alg.dim, q_map.n)
-    rng = np.random.default_rng([seed, 0xC015])
-    worst = 0.0
-    witness = None
-    for _ in range(max(1, n_samples)):
-        p = q_map.sample_domain_point(rng)
-        tangent = q_map.orbit_tangent(w, p)
-        _, deriv = q_map.transport_to_base(p)
-        timg = tangent.apply(deriv)
-        orth = complement_wrt(metric.matrix, timg)
-        if orth.dim == 0:
-            continue
-        # J is orthogonal, so it keeps the basis of timg orthonormal
-        jt = RealSubspace(jmat @ timg.basis)
-        resid_mat = orth.basis - jt.projector() @ orth.basis
-        r = float(np.linalg.norm(resid_mat, ord=2))
-        if r > worst:
-            worst = r
-            if r > tol:
-                col = int(np.argmax(np.linalg.norm(resid_mat, axis=0)))
-                back = np.linalg.solve(deriv, orth.basis[:, col])
-                witness = {
-                    "tangent_vector": [float(t) for t in back],
-                    "point": {
-                        "z": _pairs(p.z),
-                        "v": _pairs(p.v),
-                    },
-                }
+    metric_norm = np.linalg.norm(metric.matrix, ord=2)
+    count = max(1, n_samples)
+    resid = np.concatenate(
+        [
+            _coisotropic_residuals(q_map, w, p, metric.matrix, metric_norm, jmat)[0]
+            for _, p in _coisotropic_points(q_map, seed, count)
+        ]
+    )
+    worst = float(np.max(resid))
     verdict = worst <= tol
+    witness = None
+    if not verdict:
+        # the points are drawn again up to the witness's block, so that no
+        # more than one block of them is ever held
+        k = _witness_index(resid, tol)
+        start, p = next((s, p) for s, p in _coisotropic_points(q_map, seed, count) if k < s + len(p.v))
+        z, v = p.z[k - start], p.v[k - start]
+        point = SiegelPoint(z[None], v[None])
+        _, resid_mat, orth = _coisotropic_residuals(q_map, w, point, metric.matrix, metric_norm, jmat)
+        col = int(np.argmax(np.linalg.norm(resid_mat[0], axis=0)))
+        back = np.linalg.solve(q_map.transport_to_base(point)[1][0], orth[0][:, col])
+        witness = {"tangent_vector": [float(t) for t in back], "point": {"z": _pairs(z), "v": _pairs(v)}}
     return Certificate(
         "coisotropic",
         verdict,
         worst,
         tol,
-        witness if not verdict else None,
+        witness,
         seed=seed,
         samples=n_samples,
         metric_scale=metric_scale,
+        sample_residuals=resid,
     )
+
+
+def _coisotropic_points(q_map, seed, count):
+    """The certifier's ``count`` sample points, as (index of the first, stack) per block."""
+    rng = np.random.default_rng([seed, 0xC015])
+    block = block_size(q_map)
+    for start in range(0, count, block):
+        yield start, q_map.sample_domain_point(rng, size=min(block, count - start))
+
+
+def _coisotropic_residuals(q_map, w, points, metric, metric_norm, jmat):
+    """Per-point residuals |O - P_{J T} O|_2 for a stack of points, where T is
+    the transported orbit tangent and O its metric complement.
+
+    Returns (residuals, residual matrices, complements).  A point whose
+    complement is zero has residual 0.
+    """
+    # the derivatives are dropped as soon as they have moved the tangents
+    timg = span_bases(q_map.transport_to_base(points)[1] @ q_map.orbit_tangent(w, points))
+    orth = complement_bases(metric, timg, metric_norm)
+    # J is orthogonal, so it keeps the bases of timg orthonormal
+    jt = jmat @ timg
+    resid_mat = orth - (jt @ np.swapaxes(jt, -1, -2)) @ orth
+    return np.linalg.norm(resid_mat, ord=2, axis=(-2, -1)), resid_mat, orth
 
 
 # -- orthocomplement identity over the distinguished submanifold ----------------
@@ -256,27 +296,79 @@ def check_orthocomplement_identity(alg, q_map, w, n_samples=20, seed=0):
 
 
 def check_orbit_multiplicity(q_map, w, x, tol=TOL_SUB):
-    """j(W-complement for g_x) inside ker(g_x) + W, for PSD g_x."""
+    """j(W-complement for g_x) inside ker(g_x) + W, for PSD g_x.
+
+    ``x`` is one cone parameter (N,) or a stack (S, N), certified in blocks
+    of ``block_size`` samples.  For a stack the verdict is the conjunction,
+    the residual the worst and ``sample_residuals`` keeps each one.
+    """
     x = np.asarray(x, dtype=float)
-    gx = q_map.g_matrix(x)
-    gx = 0.5 * (gx + gx.T)
-    vals = np.linalg.eigvalsh(gx)
-    if vals[0] < -TOL_PSD * max(1.0, float(np.max(np.abs(vals)))):
-        raise NotPSD("g_x must be positive semi-definite on V")
-    jwp = complement_wrt(gx, w).j_image(q_map.n)
-    target = kernel_of_form(gx).add(w)
-    if jwp.dim == 0:
-        return Certificate("orbit_multiplicity_one", True, 0.0, tol, extra={"x": [float(t) for t in x]})
-    resid_mat = jwp.basis - target.projector() @ jwp.basis
-    worst = float(np.linalg.norm(resid_mat, ord=2))
+    xs = np.atleast_2d(x)
+    block = block_size(q_map)
+    resid = np.concatenate(
+        [_orbit_residuals(q_map, w, xs[start : start + block])[0] for start in range(0, len(xs), block)]
+    )
+    worst = float(np.max(resid))
     verdict = worst <= tol
     witness = None
     if not verdict:
-        col = int(np.argmax(np.linalg.norm(resid_mat, axis=0)))
-        witness = {"v": _pairs(creal.re_to_cx(jwp.basis[:, col])), "x": [float(t) for t in x]}
+        k = _witness_index(resid, tol)
+        _, resid_mat, jwp = _orbit_residuals(q_map, w, xs[k : k + 1])
+        col = int(np.argmax(np.linalg.norm(resid_mat[0], axis=0)))
+        witness = {"v": _pairs(creal.re_to_cx(jwp[0][:, col])), "x": [float(t) for t in xs[k]]}
+    if x.ndim == 1:
+        extra = {"x": [float(t) for t in x]}
+    else:
+        extra = {"sample_agreement": bool(np.all((resid <= tol) == (resid[0] <= tol)))}
     return Certificate(
-        "orbit_multiplicity_one", verdict, worst, tol, witness, extra={"x": [float(t) for t in x]}
+        "orbit_multiplicity_one",
+        verdict,
+        worst,
+        tol,
+        witness,
+        samples=None if x.ndim == 1 else len(xs),
+        extra=extra,
+        sample_residuals=resid,
     )
+
+
+def _orbit_residuals(q_map, w, xs):
+    """Per-sample residuals |jW' - P_K jW'|_2 for a stack of cone parameters,
+    where W' is the g_x-complement of W and K = ker g_x + W.
+
+    Returns (residuals, residual matrices, bases of jW').  Raises NotPSD when
+    some g_x is not positive semi-definite; a sample with jW' = 0 has
+    residual 0.
+    """
+    gx = q_map.g_matrix(xs)
+    gx = 0.5 * (gx + np.swapaxes(gx, -1, -2))
+    vals = np.linalg.eigvalsh(gx)
+    gx_norm = np.max(np.abs(vals), axis=-1)
+    if np.any(vals[..., 0] < -TOL_PSD * np.maximum(1.0, gx_norm)):
+        raise NotPSD("g_x must be positive semi-definite on V")
+    m = gx.shape[-1]
+    jwp = span_bases(creal.j_matrix(q_map.n) @ complement_bases(gx, w.basis, gx_norm))
+    kernel = complement_bases(gx, np.eye(m), gx_norm)
+    target = span_bases(np.concatenate([kernel, np.broadcast_to(w.basis, gx.shape[:-1] + (w.dim,))], axis=-1))
+    resid_mat = jwp - (target @ np.swapaxes(target, -1, -2)) @ jwp
+    return np.linalg.norm(resid_mat, ord=2, axis=(-2, -1)), resid_mat, jwp
+
+
+# -- shared by the sampled certifiers -------------------------------------------
+
+
+def block_size(q_map):
+    """Samples per block, so that one stack of M x M float64 matrices, M = 2(N + n),
+    fits in STACK_BYTES."""
+    m = 2 * (q_map.dim_u + q_map.n)
+    return max(1, STACK_BYTES // (8 * m * m))
+
+
+def _witness_index(resid, tol):
+    """First sample above ``tol`` whose residual is within TOL_ZERO of the worst,
+    so that rounding noise among tied samples does not pick the witness."""
+    worst = np.max(resid)
+    return int(np.flatnonzero((resid > tol) & (resid >= worst - TOL_ZERO))[0])
 
 
 # -- combined harness ------------------------------------------------------------
@@ -313,27 +405,12 @@ def certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=0, metric_scale=None
     )
 
     rng = np.random.default_rng([seed, 0x0B17])
-    verdicts = []
-    worst = 0.0
-    witness = None
-    for _ in range(max(1, n_orbit)):
-        x = alg.exp(0.7 * rng.standard_normal(alg.dim))
-        cert = check_orbit_multiplicity(q_map, w, x, tol=tol)
-        verdicts.append(cert.verdict)
-        if cert.residual > worst:
-            worst = cert.residual
-            witness = cert.witness
-    all_true = all(verdicts)
-    c_orbit = Certificate(
-        "orbit_multiplicity_one",
-        all_true,
-        worst,
-        tol,
-        witness if not all_true else None,
-        seed=seed,
-        samples=n_orbit,
-        extra={"sample_agreement": bool(all(v == verdicts[0] for v in verdicts))},
+    count, block = max(1, n_orbit), block_size(q_map)
+    xs = np.concatenate(
+        [alg.exp(0.7 * rng.standard_normal((min(block, count - s), alg.dim))) for s in range(0, count, block)]
     )
+    c_orbit = replace(check_orbit_multiplicity(q_map, w, xs, tol=tol), seed=seed, samples=n_orbit)
+    verdicts = [bool(r <= tol) for r in c_orbit.sample_residuals]
     consistent = c_imq.verdict == c_coiso.verdict == c_orbit.verdict
     mf = c_imq.verdict if consistent else None
     return CombinedReport([c_imq, c_coiso, c_orbit], consistent, mf, verdicts)

@@ -19,7 +19,7 @@ def re_to_cx(w):
 
 
 def realify(a):
-    """Real 2n x 2n matrix of the C-linear operator a."""
+    """Real 2n x 2n matrix of the C-linear operator a, or of each one in a stack."""
     a = np.asarray(a, dtype=complex)
     return np.block([[a.real, -a.imag], [a.imag, a.real]])
 

@@ -116,7 +116,10 @@ class EuclideanJordanAlgebra:
         return self._sandwich(self.to_matrix(x), np.eye(self.rank))
 
     def quad_rep(self, x):
-        """Quadratic representation P(x), with columns the coordinates of X B_j X."""
+        """Quadratic representation P(x), with columns the coordinates of X B_j X.
+
+        Leading axes of x are a stack, giving a stack of N x N matrices.
+        """
         xm = self.to_matrix(x)
         return self._sandwich(xm, xm)
 
@@ -124,12 +127,14 @@ class EuclideanJordanAlgebra:
         """The N x N matrix with columns the coordinates of X B_j Y, X and Y Hermitian.
 
         X B_j Y = w_j X_a Y_b^H + conj(w_j) X_b Y_a^H for the columns X_a, Y_b
-        of X and Y, so every column is two rank-one coordinate reads.
+        of X and Y, so every column is two rank-one coordinate reads.  Leading
+        axes of X and Y are a stack.
         """
         a, b, w = self._a, self._b, self._w[:, None]
-        xt, yt = xm.T, ym.T
-        cols = w * self.outer_coords(xt[a], yt[b]) + w.conj() * self.outer_coords(xt[b], yt[a])
-        return np.real(cols).T
+        xt, yt = np.swapaxes(xm, -1, -2), np.swapaxes(ym, -1, -2)
+        cols = w * self.outer_coords(xt[..., a, :], yt[..., b, :])
+        cols = cols + w.conj() * self.outer_coords(xt[..., b, :], yt[..., a, :])
+        return np.swapaxes(np.real(cols), -1, -2)
 
     def trace(self, x):
         """Jordan trace <e, x> = tr X (sum of spectral eigenvalues with multiplicity)."""
@@ -150,7 +155,7 @@ class EuclideanJordanAlgebra:
     # -- spectral calculus --------------------------------------------------
 
     def _eigh(self, x):
-        """Eigenvalues (ascending) and eigenvectors of X for a checked element x."""
+        """Eigenvalues (ascending) and eigenvectors of X, or of each X in a stack."""
         try:
             return np.linalg.eigh(self.to_matrix(x))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -185,17 +190,17 @@ class EuclideanJordanAlgebra:
         pseudo_inverse, abs, step.  Zero eigenvalues are detected at
         TOL_EIG * max(1, |x|); pseudo_inverse maps them to 0, or to 1 under
         ``proof_convention`` (the choice needed to solve P(x) y = x for
-        singular x).
+        singular x).  Leading axes of x are a stack, mapped by one stacked eigh.
         """
-        x = self.check_element(x)
+        x = np.asarray(x, dtype=float)
         vals, vecs = self._eigh(x)
-        zero = np.abs(vals) <= TOL_EIG * max(1.0, float(np.linalg.norm(x)))
+        zero = np.abs(vals) <= TOL_EIG * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
         if callable(f):
-            fvals = np.array([float(f(lam)) for lam in vals])
+            fvals = np.array([float(f(lam)) for lam in vals.ravel()]).reshape(vals.shape)
         elif f == "exp":
             fvals = np.exp(vals)
         elif f == "log":
-            if vals[0] <= 0.0:
+            if np.any(vals[..., 0] <= 0.0):
                 raise DomainError("log requires all spectral eigenvalues > 0")
             fvals = np.log(vals)
         elif f == "abs":
@@ -203,11 +208,11 @@ class EuclideanJordanAlgebra:
         elif f == "step":
             fvals = ((vals > 0.0) & ~zero).astype(float)
         elif f == "pseudo_inverse":
-            fill = np.full(self.rank, 1.0 if proof_convention else 0.0)
+            fill = np.full(vals.shape, 1.0 if proof_convention else 0.0)
             fvals = np.divide(1.0, vals, out=fill, where=~zero)
         else:
             raise ValueError(f"unknown spectral function {f!r}")
-        return self.from_matrix((vecs * fvals) @ vecs.conj().T)
+        return self.from_matrix((vecs * fvals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2))
 
     def exp(self, x):
         return self.spectral_map(x, "exp")

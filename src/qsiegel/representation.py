@@ -22,7 +22,7 @@ import numpy as np
 
 from . import creal
 from .errors import NotInDomain
-from .subspaces import RealSubspace
+from .subspaces import RealSubspace, span_bases
 from .tolerances import TOL_CONE
 
 
@@ -94,27 +94,38 @@ class HermitianMapQ:
         return SiegelPoint(1j * self.algebra.unit.astype(complex), np.zeros(self.n, dtype=complex))
 
     # -- orbits and transport ------------------------------------------------
+    #
+    # A point whose z and v carry leading axes is a stack of points; the
+    # functions below then return stacks, one member per point.
 
     def orbit_tangent(self, w, point):
         """Tangent space at ``point`` of its orbit under the group over w.
 
         Spanned by (x0, 0) for x0 in U and (2i Q(v, w), w) for w in a basis
         of the subspace; returned in (Re z, Im z, Re v, Im v) coordinates.
+        For a stack of points it returns the stack of bases from ``span_bases``.
         """
         nn, nu = self.n, self.dim_u
-        zeta = 2j * self.q_eval(point.v, creal.re_to_cx(w.basis.T))
-        span = np.zeros((2 * (nu + nn), nu + w.dim))
-        span[:nu, :nu] = np.eye(nu)
-        span[: 2 * nu, nu:] = creal.cx_to_re(zeta).T
-        span[2 * nu :, nu:] = w.basis
-        return RealSubspace.from_spanning(span)
+        v = np.asarray(point.v)
+        zeta = 2j * self.q_eval(v[..., None, :], creal.re_to_cx(w.basis.T))
+        span = np.zeros(v.shape[:-1] + (2 * (nu + nn), nu + w.dim))
+        span[..., :nu, :nu] = np.eye(nu)
+        span[..., : 2 * nu, nu:] = np.swapaxes(creal.cx_to_re(zeta), -1, -2)
+        span[..., 2 * nu :, nu:] = w.basis
+        if span.ndim == 2:
+            return RealSubspace.from_spanning(span)
+        return span_bases(span)
 
     def affine_derivative(self, v0):
-        """Derivative of n(x0, v0): (zeta, gamma) -> (zeta + 2i Q(gamma, v0), gamma)."""
+        """Derivative of n(x0, v0): (zeta, gamma) -> (zeta + 2i Q(gamma, v0), gamma).
+
+        Leading axes of v0 give a stack of derivatives.
+        """
         nn, nu = self.n, self.dim_u
-        d = np.eye(2 * (nu + nn))
-        zeta = 2j * self.q_eval(creal.re_to_cx(np.eye(2 * nn)), v0)
-        d[: 2 * nu, 2 * nu :] = creal.cx_to_re(zeta).T
+        v0 = np.asarray(v0)
+        d = np.broadcast_to(np.eye(2 * (nu + nn)), v0.shape[:-1] + (2 * (nu + nn),) * 2).copy()
+        zeta = 2j * self.q_eval(creal.re_to_cx(np.eye(2 * nn)), v0[..., None, :])
+        d[..., : 2 * nu, 2 * nu :] = np.swapaxes(creal.cx_to_re(zeta), -1, -2)
         return d
 
     def transport_to_base(self, point):
@@ -124,26 +135,38 @@ class HermitianMapQ:
         moves the point to (x + iy, 0) with y = Im z - Q(v, v), and the
         scaling by y^(-1/2) then takes iy to ie: it acts as
         P(y^(-1/2)) = e^{-T_u} on U_C and as Y^(-1/2) = e^{-R_u} on V, for
-        u = log y.  One eigh of Y gives both.
+        u = log y.  One eigh of Y gives both; for a stack of points it is one
+        stacked eigh, and every point must lie in the domain.
         """
         alg = self.algebra
+        nu = self.dim_u
         y = self.cone_part(point)
         vals, vecs = np.linalg.eigh(alg.to_matrix(y))
-        if vals[0] <= TOL_CONE:
+        if np.any(vals[..., 0] <= TOL_CONE):
             raise NotInDomain("point is not in the Siegel domain")
-        m = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        m = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
         p = alg.quad_rep(alg.from_matrix(m))
-        scaling = _block_diag(np.kron(np.eye(2), p), creal.realify(m))
-        image = SiegelPoint(1j * (p @ y), np.zeros(self.n))
+        scaling = np.zeros(y.shape[:-1] + (2 * (nu + self.n),) * 2)
+        scaling[..., :nu, :nu] = p
+        scaling[..., nu : 2 * nu, nu : 2 * nu] = p
+        scaling[..., 2 * nu :, 2 * nu :] = creal.realify(m)
+        image = SiegelPoint(1j * (p @ y[..., None])[..., 0], np.zeros(y.shape[:-1] + (self.n,)))
         return image, scaling @ self.affine_derivative(-point.v)
 
-    def sample_domain_point(self, rng, spread=0.7):
-        """In-domain point by construction: z = x0 + i(Q(v,v) + exp(spread*g))."""
-        alg = self.algebra
-        v = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
-        x0 = rng.standard_normal(alg.dim)
-        cone = alg.exp(spread * rng.standard_normal(alg.dim))
+    def sample_domain_point(self, rng, spread=0.7, size=None):
+        """In-domain point by construction: z = x0 + i(Q(v,v) + exp(spread*g)).
+
+        With ``size`` S it returns a stack of S points from one (S, 2n + 2N)
+        normal draw, the same points as S draws of one point each.
+        """
+        alg, nn, nu = self.algebra, self.n, self.dim_u
+        g = rng.standard_normal((1 if size is None else size, 2 * (nn + nu)))
+        v = g[:, :nn] + 1j * g[:, nn : 2 * nn]
+        x0 = g[:, 2 * nn : 2 * nn + nu]
+        cone = alg.exp(spread * g[:, 2 * nn + nu :])
         y = np.real(self.q_eval(v, v)) + cone
+        if size is None:
+            return SiegelPoint(x0[0] + 1j * y[0], v[0])
         return SiegelPoint(x0 + 1j * y, v)
 
 
@@ -172,13 +195,6 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "v0", np.asarray(self.v0, dtype=complex))
-
-
-def _block_diag(a, b):
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
 
 
 def standard_model(kind, param=None):

@@ -4,6 +4,14 @@ Subspaces are kept in canonical form as orthonormal basis matrices; every
 rank decision funnels through one SVD cutoff (TOL_RANK relative to the
 largest singular value) so downstream certifiers inherit a single, central
 numerical policy.
+
+The rank decisions run on stacks: ``span_bases`` and ``complement_bases``
+take a leading stack axis and decide every rank in one stacked SVD.  Their
+bases have a fixed width across the stack, and a column that a member's own
+rank drops is zero (masked), so projectors B B^T and residual 2-norms are
+exact even when ranks differ inside the stack.  A stack of equal ranks
+carries no masked column.  ``RealSubspace.from_spanning`` and
+``complement_wrt`` are the one-matrix case of these two functions.
 """
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,14 +46,7 @@ class RealSubspace:
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim == 1:
             vectors = vectors[:, None]
-        m = vectors.shape[0]
-        if vectors.shape[1] == 0:
-            return cls(np.zeros((m, 0)))
-        u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return cls(np.zeros((m, 0)))
-        r = int(np.sum(s > tol * s[0]))
-        return cls(u[:, :r])
+        return cls(span_bases(vectors, tol))
 
     @classmethod
     def zero(cls, m):
@@ -113,21 +114,53 @@ class RealSubspace:
         return f"RealSubspace(dim={self.dim}, ambient={self.ambient})"
 
 
+def span_bases(vectors, tol=TOL_RANK):
+    """Orthonormal bases of the column spans of a stack of m x k matrices.
+
+    One stacked SVD; a singular value counts when it exceeds ``tol`` times
+    the largest one of its own matrix.  The width is the largest rank in the
+    stack, each basis is the leading left singular vectors of its matrix, and
+    the columns beyond its own rank are zero.
+    """
+    u, s, _ = np.linalg.svd(np.asarray(vectors, dtype=float), full_matrices=False)
+    keep = s > tol * s[..., :1]
+    width = int(np.max(np.sum(keep, axis=-1), initial=0))
+    return u[..., :width] * keep[..., None, :width]
+
+
+def complement_bases(b, bases, b_norm=None):
+    """{v : b(v, w) = 0 for all w in span(bases)} for each member of a stack.
+
+    ``b`` is a symmetric m x m form or a stack of them, ``bases`` a stack of
+    m x d bases (masked zero columns allowed) and ``b_norm`` the 2-norm of
+    each form, computed here when not given.  A singular value of B^T b
+    counts when it exceeds TOL_RANK * max(s[0], |b|_2).  The width is m minus
+    the smallest rank in the stack, each basis is the trailing right singular
+    vectors of its B^T b, and the columns within its own rank are zero.
+    """
+    b = np.asarray(b, dtype=float)
+    m = b.shape[-1]
+    bases = np.asarray(bases, dtype=float)
+    if bases.shape[-1] == 0:
+        stack = np.broadcast_shapes(b.shape[:-2], bases.shape[:-2])
+        return np.broadcast_to(np.eye(m), stack + (m, m)).copy()
+    if b_norm is None:
+        b_norm = np.linalg.norm(b, ord=2, axis=(-2, -1))
+    _, s, vt = np.linalg.svd(np.swapaxes(bases, -1, -2) @ b, full_matrices=True)
+    scale = np.maximum(np.maximum(s[..., 0], b_norm), 1e-300)
+    rank = np.sum(s > TOL_RANK * scale[..., None], axis=-1)
+    low = int(np.min(rank))
+    mask = np.arange(low, m) >= rank[..., None]
+    return np.swapaxes(vt, -1, -2)[..., low:] * mask[..., None, :]
+
+
 def complement_wrt(b, w):
     """{v : b(v, w) = 0 for all w in W} for a symmetric bilinear form b.
 
     Degenerate forms are allowed; for nondegenerate b the dimensions of W and
     its complement add up to the ambient dimension.
     """
-    b = np.asarray(b, dtype=float)
-    m = b.shape[0]
-    if w.dim == 0:
-        return RealSubspace.full(m)
-    rows = w.basis.T @ b
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    scale = max(float(s[0]) if s.size else 0.0, np.linalg.norm(b, ord=2), 1e-300)
-    keep = np.concatenate([s > TOL_RANK * scale, np.zeros(m - s.size, dtype=bool)])
-    return RealSubspace(vt[~keep].T)
+    return RealSubspace(complement_bases(b, w.basis))
 
 
 def kernel_of_form(b):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qsiegel import GroupElement, RealSubspace, SiegelPoint, creal, standard_model
-from qsiegel.errors import NotInDomain
-from qsiegel.tolerances import TOL_EIG, TOL_RANK
+from qsiegel.certify import base_metric, phase_space_j
+from qsiegel.errors import NotInDomain, NotPSD
+from qsiegel.subspaces import complement_wrt, kernel_of_form
+from qsiegel.tolerances import TOL_EIG, TOL_PSD, TOL_RANK
 
 
 MODEL_KINDS = [("rank1", None), ("diagonal", 2), ("sym_real", 2), ("herm_complex", 2)]
@@ -267,3 +269,55 @@ def base_metric_u_block_oracle(alg, q_map):
             val = 0.5 * (np.trace(oracle.left_mult(prod)) + np.trace(q_map.rep.r_op(prod)).real)
             h[k, l] = h[l, k] = val
     return h
+
+
+def coisotropic_loop_oracle(alg, q_map, w, n_samples, seed, metric=None):
+    """Per-sample residuals of the coisotropic certifier, one sample at a time.
+
+    The loop that the stacked ``check_coisotropic`` replaced: each point is
+    drawn on its own (v, x0, then the cone part), transported, spanned and
+    complemented through the one-matrix ``RealSubspace`` calls.  A sample
+    whose complement is zero reads 0.
+    """
+    if metric is None:
+        metric = base_metric(alg, q_map)
+    jmat = phase_space_j(alg.dim, q_map.n)
+    rng = np.random.default_rng([seed, 0xC015])
+    resid = []
+    for _ in range(max(1, n_samples)):
+        v = rng.standard_normal(q_map.n) + 1j * rng.standard_normal(q_map.n)
+        x0 = rng.standard_normal(alg.dim)
+        cone = alg.exp(0.7 * rng.standard_normal(alg.dim))
+        p = SiegelPoint(x0 + 1j * (np.real(q_map.q_eval(v, v)) + cone), v)
+        tangent = q_map.orbit_tangent(w, p)
+        _, deriv = q_map.transport_to_base(p)
+        timg = tangent.apply(deriv)
+        orth = complement_wrt(metric.matrix, timg)
+        if orth.dim == 0:
+            resid.append(0.0)
+            continue
+        jt = RealSubspace(jmat @ timg.basis)
+        resid.append(float(np.linalg.norm(orth.basis - jt.projector() @ orth.basis, ord=2)))
+    return resid
+
+
+def orbit_loop_oracle(q_map, w, xs):
+    """Per-sample residuals of the orbit certifier, one cone parameter at a time.
+
+    The loop that the stacked ``check_orbit_multiplicity`` replaced, with
+    |g_x|_2 from an SVD of each g_x.  A sample with j(W-complement) = 0 reads 0.
+    """
+    resid = []
+    for x in xs:
+        gx = q_map.g_matrix(x)
+        gx = 0.5 * (gx + gx.T)
+        vals = np.linalg.eigvalsh(gx)
+        if vals[0] < -TOL_PSD * max(1.0, float(np.max(np.abs(vals)))):
+            raise NotPSD("g_x must be positive semi-definite on V")
+        jwp = complement_wrt(gx, w).j_image(q_map.n)
+        target = kernel_of_form(gx).add(w)
+        if jwp.dim == 0:
+            resid.append(0.0)
+            continue
+        resid.append(float(np.linalg.norm(jwp.basis - target.projector() @ jwp.basis, ord=2)))
+    return resid

@@ -289,18 +289,28 @@ def test_criterion_10_determinism(tmp_path):
     import os
 
     # sym2 frame, and herm4 frame with the metric scale: its verdict path runs
-    # through eigh of complex Hermitian matrices
+    # through eigh of complex Hermitian matrices.  The geometry path: a random,
+    # not multiplicity-free W at sym4 without the scale, whose 60 samples per
+    # certifier run through the stacked transports, spans and complements
     alg, _, q_map = standard_model("herm_complex", 4)
     w_herm4, _, _ = frame_w_subspace(alg, q_map, alg.standard_frame()[0])
+    w_sym4 = np.random.default_rng(1010).standard_normal((5, 8))
     specs = {
-        "sym2": catalog_get("sym2").spec_dict("frame", samples=8, seed=3),
-        "herm4": {
-            "algebra": {"kind": "herm_complex", "param": 4},
-            "W": {"basis": w_herm4.basis.T.tolist()},
-            "sampling": {"samples": 8, "seed": 3},
-        },
+        "sym2": (catalog_get("sym2").spec_dict("frame", samples=8, seed=3), []),
+        "herm4": (
+            {
+                "algebra": {"kind": "herm_complex", "param": 4},
+                "W": {"basis": w_herm4.basis.T.tolist()},
+                "sampling": {"samples": 8, "seed": 3},
+            },
+            [],
+        ),
+        "sym4": (
+            {"algebra": {"kind": "sym_real", "param": 4}, "W": {"basis": w_sym4.tolist()}},
+            ["--no-scale", "--samples", "60"],
+        ),
     }
-    for name, spec in specs.items():
+    for name, (spec, flags) in specs.items():
         spec_path = tmp_path / f"{name}.json"
         spec_path.write_text(json.dumps(spec))
         outs = []
@@ -313,12 +323,16 @@ def test_criterion_10_determinism(tmp_path):
             )
             for _ in range(2):
                 proc = subprocess.run(
-                    [sys.executable, "-m", "qsiegel.cli", "check", str(spec_path), "--seed", "3"],
+                    [sys.executable, "-m", "qsiegel.cli", "check", str(spec_path), "--seed", "3", *flags],
                     capture_output=True,
                     env=env,
                     check=True,
                 )
                 outs.append(proc.stdout)
         assert all(o == outs[0] for o in outs[1:]), name
-        assert json.loads(outs[0])["certificates"][1]["metric_scale"] is not None
-    _report(10, "byte-identical certificates across repeated runs and thread counts (sym2, herm4)")
+        report = json.loads(outs[0])
+        if flags:
+            assert report["mf"] is False and report["certificates"][1]["samples"] == 60
+        else:
+            assert report["certificates"][1]["metric_scale"] is not None
+    _report(10, "byte-identical certificates across repeated runs and thread counts (sym2, herm4, sym4)")

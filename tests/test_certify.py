@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,21 @@ from qsiegel import (
     check_orthocomplement_identity,
     standard_model,
 )
+from qsiegel import certify
 from qsiegel.catalog import catalog_get, catalog_list
-from qsiegel.certify import BaseMetric
+from qsiegel.certify import BaseMetric, block_size
 from qsiegel.errors import HypothesisViolated, NotPSD
+from qsiegel.kernels import frame_w_subspace
+from qsiegel.tolerances import TOL_SUB, TOL_ZERO
 
-from conftest import ORACLE_SIZES, DenseRepresentationOracle, base_metric_u_block_oracle, oracle_expected_mf
+from conftest import (
+    ORACLE_SIZES,
+    DenseRepresentationOracle,
+    base_metric_u_block_oracle,
+    coisotropic_loop_oracle,
+    oracle_expected_mf,
+    orbit_loop_oracle,
+)
 
 
 def w_real(rank1):
@@ -220,6 +232,97 @@ def test_orbit_multiplicity_rejects_indefinite(diag2):
     _, _, q_map = diag2
     with pytest.raises(NotPSD):
         check_orbit_multiplicity(q_map, RealSubspace.full(4), np.array([1.0, -1.0]))
+    with pytest.raises(NotPSD):
+        check_orbit_multiplicity(q_map, RealSubspace.full(4), np.array([[1.0, 2.0], [1.0, -1.0]]))
+
+
+# -- the stacked certifiers against the per-sample loops ------------------------------
+
+
+def _oracle_subspaces(alg, q_map):
+    """W = 0, the full space, the real form, the frame W and a random W."""
+    n = q_map.n
+    rng = np.random.default_rng(31)
+    return {
+        "zero": RealSubspace.zero(2 * n),
+        "full": RealSubspace.full(2 * n),
+        "realform": RealSubspace(np.vstack([np.eye(n), np.zeros((n, n))])),
+        "frame": frame_w_subspace(alg, q_map, alg.standard_frame()[0])[0],
+        "random": RealSubspace.from_spanning(rng.standard_normal((2 * n, n))),
+    }
+
+
+@pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
+def test_stacked_certifiers_match_per_sample_loops(kind, param, monkeypatch):
+    # residuals lie in [0, 1], so 1e-12 is absolute; per-sample verdicts must
+    # be identical.  The orbit stack puts a boundary x, a frame idempotent,
+    # among interior ones, so ranks differ inside one stack.
+    alg, _, q_map = standard_model(kind, param)
+    xs = alg.exp(0.7 * np.random.default_rng(32).standard_normal((7, alg.dim)))
+    xs = np.insert(xs, 3, alg.standard_frame()[0], axis=0)
+
+    def certify_both(w):
+        return check_coisotropic(alg, q_map, w, n_samples=7, seed=4), check_orbit_multiplicity(q_map, w, xs)
+
+    subspaces = _oracle_subspaces(alg, q_map)
+    for name, w in subspaces.items():
+        oracles = coisotropic_loop_oracle(alg, q_map, w, 7, 4), orbit_loop_oracle(q_map, w, xs)
+        for cert, want in zip(certify_both(w), oracles):
+            got = cert.sample_residuals
+            assert got.shape == (len(want),), name
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+            assert list(got <= TOL_SUB) == [r <= TOL_SUB for r in want], name
+    # in blocks of 3 samples, blocks end inside both stacks; the witness is
+    # drawn again from its own block
+    whole = certify_both(subspaces["random"])
+    m = 2 * (alg.dim + q_map.n)
+    monkeypatch.setattr(certify, "STACK_BYTES", 3 * 8 * m * m)
+    assert block_size(q_map) == 3
+    for a, b in zip(whole, certify_both(subspaces["random"])):
+        assert np.max(np.abs(a.sample_residuals - b.sample_residuals)) <= 1e-12
+        assert (a.verdict, a.witness) == (b.verdict, b.witness)
+
+
+def test_witness_is_first_of_the_tied_worst_samples():
+    # on sym3/complexline every sample reads 1 + O(1e-16): the witness is the
+    # first sample drawn, not the one that rounding noise makes the largest
+    entry = catalog_get("sym3")
+    alg, _, q_map = entry.model()
+    w = entry.variant("complexline").subspace(q_map.n)
+    _, coiso, orbit = certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=3).certificates
+    for cert in (coiso, orbit):
+        assert not cert.verdict
+        assert np.max(cert.sample_residuals) - np.min(cert.sample_residuals) <= TOL_ZERO
+        assert cert.residual == np.max(cert.sample_residuals)
+        assert np.argmax(cert.sample_residuals) != 0
+    first = q_map.sample_domain_point(np.random.default_rng([3, 0xC015]))
+    assert coiso.witness["point"] == {
+        "z": [[z.real, z.imag] for z in first.z],
+        "v": [[v.real, v.imag] for v in first.v],
+    }
+    x = alg.exp(0.7 * np.random.default_rng([3, 0x0B17]).standard_normal(alg.dim))
+    assert orbit.witness["x"] == [float(t) for t in x]
+
+
+def test_certify_all_memory_is_bounded_by_one_block():
+    # samples are certified in blocks: 4 blocks at diagonal 32 (M = 128) peak
+    # within 1.5 times one block; unblocked, every sample's M x M stacks
+    # would be held at once.  The real form keeps Im Q's scan over S, which does not
+    # depend on the samples, small beside a block.
+    alg, _, q_map = standard_model("diagonal", 32)
+    n = q_map.n
+    w = RealSubspace(np.vstack([np.eye(n), np.zeros((n, n))]))
+    block = block_size(q_map)
+    certify_all(alg, q_map, w, n_coiso=block, n_orbit=block, seed=0)
+    peaks = []
+    for count in (block, 4 * block):
+        tracemalloc.start()
+        try:
+            certify_all(alg, q_map, w, n_coiso=count, n_orbit=count, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 # -- combined harness ---------------------------------------------------------------------

@@ -219,6 +219,22 @@ def test_exp_log_inverse_pair(alg):
         assert np.linalg.norm(alg.log(alg.exp(u)) - u) <= 1e-8 * (1 + np.linalg.norm(u))
 
 
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{a.kind}{a.rank}")
+def test_spectral_calculus_on_stacks(alg):
+    # a (2, 3) stack of elements maps as its members do, by one stacked eigh
+    xs = np.array(random_elements(alg, 6, seed=8)).reshape(2, 3, alg.dim)
+    for f in ("exp", "abs", "step", "pseudo_inverse", lambda lam: lam**3):
+        got = alg.spectral_map(xs, f)
+        want = np.array([[alg.spectral_map(x, f) for x in row] for row in xs])
+        assert got.shape == xs.shape and np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    cone = alg.exp(xs)
+    assert np.max(np.abs(alg.log(cone) - xs)) <= 1e-8 * (1 + np.max(np.abs(xs)))
+    want = np.array([[alg.quad_rep(x) for x in row] for row in xs])
+    assert np.max(np.abs(alg.quad_rep(xs) - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(DomainError):
+        alg.log(np.array([alg.unit, -alg.unit]))
+
+
 # -- cone membership ---------------------------------------------------------------
 
 

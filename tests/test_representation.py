@@ -275,6 +275,9 @@ def test_transport_rejects_outside_domain(rank1):
     _, _, q_map = rank1
     with pytest.raises(NotInDomain):
         q_map.transport_to_base(SiegelPoint([1.0 + 0j], [0j]))
+    # in a stack, one point outside the domain is enough
+    with pytest.raises(NotInDomain):
+        q_map.transport_to_base(SiegelPoint([[5j], [1.0 + 0j]], [[0j], [0j]]))
 
 
 # -- equivariance and trace identities --------------------------------------------------
@@ -368,6 +371,22 @@ def test_model_matches_dense_tensor_oracle(kind, param):
         (image, deriv), (want_image, want_deriv) = q_map.transport_to_base(p), composite_transport(q_map, p)
         assert _rel(image.coords(), want_image.coords()) <= 1e-12
         assert _rel(deriv, want_deriv) <= 1e-12
+    # a stack of points: one stacked draw gives the single draws bit for bit,
+    # and each member of the stacked maps matches the oracles
+    state = rng.bit_generator.state
+    stack = q_map.sample_domain_point(rng, size=3)
+    rng.bit_generator.state = state
+    singles = [q_map.sample_domain_point(rng) for _ in range(3)]
+    assert np.array_equal(stack.z, [p.z for p in singles]) and np.array_equal(stack.v, [p.v for p in singles])
+    w = RealSubspace.from_spanning(rng.standard_normal((2 * n, n)))
+    tangents = q_map.orbit_tangent(w, stack)
+    images, derivs = q_map.transport_to_base(stack)
+    affine = q_map.affine_derivative(stack.v)
+    for k, p in enumerate(singles):
+        want_image, want_deriv = composite_transport(q_map, p)
+        assert _rel(images.z[k], want_image.z) <= 1e-12 and _rel(derivs[k], want_deriv) <= 1e-12
+        assert _rel(affine[k], oracle.affine_derivative(p.v)) <= 1e-12
+        assert _rel(tangents[k] @ tangents[k].T, oracle.orbit_tangent(w, p).projector()) <= 1e-12
 
 
 def test_standard_model_stores_no_cubic_stack():

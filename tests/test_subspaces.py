@@ -6,7 +6,7 @@ from qsiegel import creal
 from qsiegel.catalog import catalog_get
 from qsiegel.errors import NotALinearSpace, NotInLambda
 from qsiegel.kernels import classify_lambda
-from qsiegel.subspaces import basic_spaces, conj_matrix, radical_on
+from qsiegel.subspaces import basic_spaces, complement_bases, conj_matrix, radical_on, span_bases
 
 MF_ENTRIES = [
     ("heisenberg-rank1", "full"),
@@ -51,6 +51,28 @@ def test_complement_wrt_examples():
     assert c.equals(RealSubspace(np.array([[0.0], [1.0]])))
     everything = complement_wrt(np.zeros((2, 2)), w)
     assert everything.dim == 2
+
+
+def test_stacked_rank_decisions_match_one_matrix_case():
+    # ranks differ inside both stacks; the masked columns are zero, so each
+    # member spans and projects as the one-matrix call does
+    rng = np.random.default_rng(33)
+    m = 6
+    scales = [[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0], [1, 1e-12, 1, 0]]
+    vecs = np.stack([rng.standard_normal((m, 4)) * d for d in np.array(scales, dtype=float)])
+    bases = span_bases(vecs)
+    subs = [RealSubspace.from_spanning(v) for v in vecs]
+    assert bases.shape == (4, m, 4) and [one.dim for one in subs] == [4, 2, 0, 2]
+    for basis, one in zip(bases, subs):
+        assert np.array_equal(basis[:, : one.dim], one.basis) and not np.any(basis[:, one.dim :])
+    halves = [rng.standard_normal((m, k)) for k in (6, 3, 6, 1)]
+    forms = np.stack([h @ h.T for h in halves])
+    comps = complement_bases(forms, bases)
+    for form, comp, one in zip(forms, comps, subs):
+        want = complement_wrt(form, one)
+        assert np.linalg.norm(comp @ comp.T - want.projector()) <= 1e-12
+        assert np.sum(np.any(comp, axis=0)) == want.dim
+        assert np.max(np.abs(comp.T @ form @ one.basis), initial=0.0) <= 1e-12
 
 
 def test_complement_wrt_g1_rank1(rank1):

@@ -144,6 +144,39 @@ def bergman_metric_scale(alg, q_map, metric=None, seed=0, samples=100_000, n_dir
     """Ratio of the closed-form base metric to MC moments of the invariant
     measure, averaged over random tangent directions.  The theory predicts 1;
     the value is reported in certificates and never affects verdicts."""
+
+    def sampled(zetas, gammas):
+        _, m1, m2, qv = base_measure_moments(alg, q_map, zetas, gammas, samples, seed)
+        return m2 - np.abs(m1) ** 2, 2.0 * qv
+
+    return _metric_scale(alg, q_map, metric, seed, sampled, n_dirs)
+
+
+def exact_metric_scale(alg, q_map, metric=None, seed=0):
+    """``bergman_metric_scale`` from the exact moments of the invariant measure,
+    the value its MC estimate converges to: 1 up to rounding."""
+    mean, cov = exact_measure_moments(alg)
+
+    def exact(zetas, gammas):
+        var = [z.real @ cov @ z.real + z.imag @ cov @ z.imag for z in zetas]
+        return var, 2.0 * np.real(q_map.q_eval(gammas, gammas)) @ mean
+
+    return _metric_scale(alg, q_map, metric, seed, exact)
+
+
+def exact_measure_moments(alg):
+    """Mean s Y and covariance s P(Y) of the invariant measure at the base
+    point, Y = (2e)^-1 and s = 2N/r + 1: the cone's Gamma family of shape s
+    and scale Y has Var <u, a> = s tr((A Y)^2) (Faraut-Koranyi, ch. VII)."""
+    s = 2.0 * alg.dim / alg.rank + 1.0
+    y_inv = alg.invert(2.0 * alg.unit)
+    return s * y_inv, s * alg.quad_rep(y_inv)
+
+
+def _metric_scale(alg, q_map, metric, seed, moments, n_dirs=4):
+    """Mean and list of the ratios of the closed-form metric to the measure
+    side over seeded unit directions zeta in U_C and gamma in V, where
+    ``moments(zetas, gammas)`` gives Var <u, zeta> and 2 E<u, Q(gamma, gamma)>."""
     if metric is None:
         metric = base_metric(alg, q_map)
     rng = np.random.default_rng(seed + 12345)
@@ -154,18 +187,14 @@ def bergman_metric_scale(alg, q_map, metric=None, seed=0, samples=100_000, n_dir
         dirs_u.append(z / np.linalg.norm(z))
         g = rng.standard_normal(q_map.n) + 1j * rng.standard_normal(q_map.n)
         dirs_v.append(g / np.linalg.norm(g))
-    _, m1, m2, qv = base_measure_moments(alg, q_map, dirs_u, dirs_v, samples, seed)
+    var_u, mean_v = moments(np.array(dirs_u), np.array(dirs_v))
     ratios = []
-    for d, zeta in enumerate(dirs_u):
-        oracle = float(m2[d] - np.abs(m1[d]) ** 2)
+    for zeta, oracle in zip(dirs_u, var_u):
         a, b = np.real(zeta), np.imag(zeta)
-        closed = float(a @ metric.u_block @ a + b @ metric.u_block @ b)
-        ratios.append(closed / oracle)
-    for d, gamma in enumerate(dirs_v):
-        oracle = float(2.0 * qv[d])
+        ratios.append(float(a @ metric.u_block @ a + b @ metric.u_block @ b) / float(oracle))
+    for gamma, oracle in zip(dirs_v, mean_v):
         gre = creal.cx_to_re(gamma)
-        closed = float(gre @ metric.v_block @ gre)
-        ratios.append(closed / oracle)
+        ratios.append(float(gre @ metric.v_block @ gre) / float(oracle))
     return float(np.mean(ratios)), [float(r) for r in ratios]
 
 
@@ -398,7 +427,7 @@ def certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=0, metric_scale=None
     """
     metric = base_metric(alg, q_map)
     if compute_scale and metric_scale is None:
-        metric_scale, _ = bergman_metric_scale(alg, q_map, metric=metric, seed=seed)
+        metric_scale, _ = exact_metric_scale(alg, q_map, metric=metric, seed=seed)
     c_imq = check_imq_vanishes(q_map, w)
     c_coiso = check_coisotropic(
         alg, q_map, w, n_samples=n_coiso, seed=seed, metric_scale=metric_scale, metric=metric, tol=tol

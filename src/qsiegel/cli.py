@@ -52,6 +52,14 @@ _KINDS = ("rank1", "diagonal", "sym_real", "herm_complex")
 # largest algebra dimension N a spec may ask for; see the README for its cost
 MAX_ALGEBRA_DIM = 64
 _POSITIVE_FINITE = (lambda value: _finite(value) and value > 0, "a positive finite number")
+# largest subspace tolerance (--tol of check and orbit, tolerances.subspace), a
+# rounding allowance: one that reaches the residuals of a W that is not
+# multiplicity-free raises the exit-2 alarm without a disagreement (see the README)
+MAX_SUBSPACE_TOL = 1e-3
+_SUBSPACE_TOL = (
+    lambda value: _finite(value) and 0 < value <= MAX_SUBSPACE_TOL,
+    f"a number in (0, {MAX_SUBSPACE_TOL:g}]",
+)
 
 # section -> ({key: (test, what the value must be)}, required keys); these
 # sections are the only top-level keys of a spec, and "algebra" and "W" are required
@@ -67,7 +75,7 @@ _SPEC_FIELDS = {
     ),
     "representation": ({"kind": (lambda value: value == "standard", "'standard'")}, ()),
     "W": ({"basis": (_is_basis, "a list of lists of finite numbers")}, ("basis",)),
-    "tolerances": ({"subspace": _POSITIVE_FINITE, "gram_psd": _POSITIVE_FINITE}, ()),
+    "tolerances": ({"subspace": _SUBSPACE_TOL, "gram_psd": _POSITIVE_FINITE}, ()),
     "sampling": ({"samples": _integer_at_least(1), "seed": _integer_at_least(0)}, ()),
 }
 
@@ -183,15 +191,20 @@ def _integer_flag(flag, minimum):
     return parse
 
 
-def _tolerance_flag(text):
-    """argparse type of --tol: a positive finite float; raises UsageError."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"--tol must be a positive finite number, got {text!r}")
-    return value
+def _tolerance_flag(rule):
+    """argparse type of --tol under the (test, what) rule of the tolerance it overrides; raises UsageError."""
+    test, what = rule
+
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not test(value):
+            raise UsageError(f"--tol must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _pairs(values):
@@ -329,16 +342,18 @@ def build_parser():
     p = _Parser(prog="qsiegel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, tol_rule=_POSITIVE_FINITE):
         sp.add_argument("--seed", type=_integer_flag("--seed", 0), default=None)
         sp.add_argument("--samples", type=_integer_flag("--samples", 1), default=None)
-        sp.add_argument("--tol", type=_tolerance_flag, default=None, help="override the decision tolerance")
+        sp.add_argument(
+            "--tol", type=_tolerance_flag(tol_rule), default=None, help=f"override the decision tolerance, {tol_rule[1]}"
+        )
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("check", help="run and cross-validate all certifiers")
     sp.add_argument("spec")
-    sp.add_argument("--no-scale", action="store_true", help="skip the metric-scale estimate")
-    common(sp)
+    sp.add_argument("--no-scale", action="store_true", help="omit the metric-scale identity check")
+    common(sp, _SUBSPACE_TOL)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("kernels", help="Gram PSD report for a kernel parameter")
@@ -360,7 +375,7 @@ def build_parser():
     sp = sub.add_parser("orbit", help="orbit multiplicity certificate at x")
     sp.add_argument("spec")
     sp.add_argument("--x", required=True)
-    common(sp)
+    common(sp, _SUBSPACE_TOL)
     sp.set_defaults(func=cmd_orbit)
 
     sp = sub.add_parser("catalog", help="list or export built-in examples")

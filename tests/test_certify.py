@@ -17,8 +17,9 @@ from qsiegel import (
 )
 from qsiegel import certify
 from qsiegel.catalog import catalog_get, catalog_list
-from qsiegel.certify import BaseMetric, block_size
+from qsiegel.certify import BaseMetric, block_size, exact_measure_moments, exact_metric_scale
 from qsiegel.errors import HypothesisViolated, NotPSD
+from qsiegel.integrals import base_measure_moments, sample_invariant_measure
 from qsiegel.kernels import frame_w_subspace
 from qsiegel.tolerances import TOL_SUB, TOL_ZERO
 
@@ -142,6 +143,52 @@ def test_metric_scale_close_to_one(models, kind):
     assert scale == pytest.approx(1.0, abs=0.02)
     for r in ratios:
         assert r == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("kind,param", [("sym_real", 3), ("herm_complex", 3)])
+def test_exact_measure_moments_match_the_sampler(kind, param):
+    # the mean and covariance behind the exact metric scale, against the MC
+    # moments of base_measure_moments, within 4 se; the variance's se from the
+    # fourth central moment of the same samples (seed 6, stream 4)
+    alg, _, q_map = standard_model(kind, param)
+    mean, cov = exact_measure_moments(alg)
+    rng = np.random.default_rng(21)
+    zetas = rng.standard_normal((3, alg.dim)) + 1j * rng.standard_normal((3, alg.dim))
+    gammas = rng.standard_normal((3, q_map.n)) + 1j * rng.standard_normal((3, q_map.n))
+    samples = 100_000
+    _, m1, m2, qv = base_measure_moments(alg, q_map, zetas, gammas, samples, seed=6)
+    us = sample_invariant_measure(alg, alg.unit, samples, seed=6, stream=4)
+    for zeta, first, second in zip(zetas, m1, m2):
+        var = zeta.real @ cov @ zeta.real + zeta.imag @ cov @ zeta.imag
+        assert abs(first - zeta @ mean) <= 4.0 * np.sqrt(var / samples)
+        dev = np.abs(us @ zeta - first) ** 2
+        assert abs(second - abs(first) ** 2 - var) <= 4.0 * np.sqrt(np.var(dev) / samples)
+    for a, got in zip(np.real(q_map.q_eval(gammas, gammas)), qv):
+        assert abs(got - a @ mean) <= 4.0 * np.sqrt(a @ cov @ a / samples)
+
+
+SCALE_SIZES = [
+    ("rank1", None), ("diagonal", 3), ("sym_real", 2), ("sym_real", 3), ("sym_real", 4), ("sym_real", 5),
+    ("sym_real", 6), ("herm_complex", 2), ("herm_complex", 3), ("herm_complex", 4), ("sym_real", 10),
+    ("herm_complex", 8), ("diagonal", 64),
+]
+
+
+@pytest.mark.parametrize("kind,param", SCALE_SIZES, ids=lambda v: str(v))
+def test_exact_metric_scale_is_one(kind, param):
+    alg, _, q_map = standard_model(kind, param)
+    scale, ratios = exact_metric_scale(alg, q_map, seed=4)
+    assert len(ratios) == 8
+    assert max(abs(r - 1.0) for r in [scale, *ratios]) <= 1e-12
+
+
+def test_certify_all_metric_scale_is_one_on_the_catalog():
+    for name in catalog_list():
+        entry = catalog_get(name)
+        alg, _, q_map = entry.model()
+        for variant in entry.variants:
+            report = certify_all(alg, q_map, variant.subspace(q_map.n), 1, 1, seed=2, compute_scale=True)
+            assert abs(report.certificates[1].metric_scale - 1.0) <= 1e-12, (name, variant.name)
 
 
 # -- coisotropy -------------------------------------------------------------------

@@ -199,6 +199,8 @@ def _set(spec, path, value):
         ("sampling", 5, "sampling"),
         ("extra", {}, "extra"),
         ("algebra.size", 2, "size"),
+        ("tolerances.subspace", 1.0, "tolerances.subspace must be a number in (0, 0.001]"),
+        ("tolerances.subspace", 0.5, "tolerances.subspace must be a number in (0, 0.001]"),
     ],
 )
 def test_invalid_spec_rejected_in_one_line(tmp_path, capsys, path, value, named):
@@ -280,6 +282,10 @@ def test_integral_floats_count_as_integers(tmp_path, capsys):
         (["bergman", "--p1", "i,i,0,0", "--p2", "i,i,0,0,0"], "--p1"),
         (["bergman", "--p1", "i,i,0,0,0", "--p2", "i,i,0,0,0", "--method", "quadrature"], "closed"),
         (["bergman", "--p1", "i,i,0,0,0", "--p2", "i,i,0,0,0", "--method", "auto"], "--method"),
+        # a subspace tolerance is a rounding allowance, at most MAX_SUBSPACE_TOL
+        (["check", "--no-scale", "--tol", "1"], "(0, 0.001]"),
+        (["check", "--no-scale", "--tol", "0.5"], "(0, 0.001]"),
+        (["orbit", "--x", "1,0,1", "--tol", "2"], "(0, 0.001]"),
     ],
 )
 def test_bad_flags_rejected_in_one_line(tmp_path, capsys, argv, flag):
@@ -292,24 +298,28 @@ def test_bad_flags_rejected_in_one_line(tmp_path, capsys, argv, flag):
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     spec = write_spec(tmp_path, "diag2", "phase")
-    _, out1 = run_cli(["check", spec, "--seed", "3", "--no-scale"], capsys)
-    _, out2 = run_cli(["check", spec, "--seed", "3", "--no-scale"], capsys)
-    assert out1 == out2
+    for flags in (["--no-scale"], []):  # without and with the metric scale
+        _, out1 = run_cli(["check", spec, "--seed", "3", *flags], capsys)
+        _, out2 = run_cli(["check", spec, "--seed", "3", *flags], capsys)
+        assert out1 == out2
+    assert json.loads(out1)["certificates"][1]["metric_scale"] is not None
 
 
 def test_reports_identical_across_thread_counts(tmp_path):
     spec = write_spec(tmp_path, "sym2", "frame")
-    outs = []
-    for threads in ("1", "4"):
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "qsiegel.cli", "check", spec, "--seed", "5", "--no-scale"],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    for flags in (["--no-scale"], []):  # without and with the metric scale
+        outs = []
+        for threads in ("1", "4"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qsiegel.cli", "check", spec, "--seed", "5", *flags],
+                capture_output=True,
+                env=env,
+                check=True,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+    assert json.loads(outs[0])["certificates"][1]["metric_scale"] is not None
 
 
 def test_kernels_reports_identical_across_thread_counts(tmp_path):
@@ -360,18 +370,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_tol_flag_and_file_override(tmp_path, capsys):
-    # a huge tolerance turns the failing subspace test into a (reported) pass,
-    # demonstrating the knob reaches the verdict; defaults stay strict
-    spec = write_spec(tmp_path, "heisenberg-rank1", "zero")
-    code, out = run_cli(["orbit", spec, "--x", "1"], capsys)
-    assert json.loads(out)["multiplicity_one"] is False
-    code, out = run_cli(["orbit", spec, "--x", "1", "--tol", "10"], capsys)
+    # at x = (1, 1, 1e-4) the orbit residual of sym2/skew is 1e-4 / sqrt 2, so
+    # a tolerance of 1e-4 turns the failing subspace test into a (reported)
+    # pass, demonstrating the knob reaches the verdict; defaults stay strict
+    spec = write_spec(tmp_path, "sym2", "skew")
+    code, out = run_cli(["orbit", spec, "--x", "1,1,1e-4"], capsys)
     rep = json.loads(out)
-    assert rep["multiplicity_one"] is True and rep["tol"] == 10
+    assert rep["multiplicity_one"] is False and rep["residual"] == pytest.approx(1e-4 / 2**0.5)
+    code, out = run_cli(["orbit", spec, "--x", "1,1,1e-4", "--tol", "1e-4"], capsys)
+    rep = json.loads(out)
+    assert rep["multiplicity_one"] is True and rep["tol"] == 1e-4
 
-    spec_obj = catalog_get("heisenberg-rank1").spec_dict("zero")
-    spec_obj["tolerances"] = {"subspace": 10.0}
+    spec_obj = catalog_get("sym2").spec_dict("skew")
+    spec_obj["tolerances"] = {"subspace": 1e-4}
     path = tmp_path / "loose.json"
     path.write_text(json.dumps(spec_obj))
-    code, out = run_cli(["orbit", str(path), "--x", "1"], capsys)
+    code, out = run_cli(["orbit", str(path), "--x", "1,1,1e-4"], capsys)
     assert json.loads(out)["multiplicity_one"] is True
+
+    # kernels --tol is the Gram positivity tolerance and keeps its range
+    spec = write_spec(tmp_path, "sym2", "frame")
+    assert run_cli(["kernels", spec, "--x", "1,1,0", "--points", "3", "--tol", "2"], capsys)[0] == 0

@@ -1,24 +1,29 @@
 """Certificates for the equivalent multiplicity-freeness conditions.
 
-Three independent decision procedures are implemented and cross-validated:
+Three certifiers are implemented and cross-validated:
 
 * ``check_imq_vanishes`` -- the algebraic condition Im Q(S, S) = {0},
 * ``check_coisotropic``  -- coisotropy of group orbits for the symplectic
-  form of the invariant metric, tested by transporting orbit tangents to the
-  base point,
+  form of the invariant metric.  At the base point that metric is scalar on
+  Re U, Im U and V, and the orbit tangent through a point with
+  y = Im z - Q(v, v) moves to Re U + W_y, W_y = Y^(-1/2) W; so the test is
+  W_y-perp inside j W_y, in V,
 * ``check_orbit_multiplicity`` -- the coadjoint-orbit condition
   j(W-complement for g_x) inside ker(g_x) + W at cone parameters x.
 
-The theory says the three verdicts agree; disagreement is an alarm and maps
-to a dedicated exit code in the CLI.
+Only Im Q is algebraically separate.  The coisotropic condition at y is the
+orbit condition at x = y^-1 (both say j Y W-perp lies in W), so those two
+test conjugate conditions by different numerical routes, and their agreement
+checks the numerics.  The theory says the three verdicts agree;
+disagreement is an alarm and maps to a dedicated exit code in the CLI.
 
 The two sampled certifiers work on stacks: every sample in a block is drawn,
-transported, spanned and complemented by stacked LAPACK calls, and the rank
-decisions of ``subspaces.span_bases`` and ``subspaces.complement_bases`` run
-on the whole stack, with masked zero columns where a sample's rank is lower
-than the stack's width.  Blocks keep one M x M float64 stack, M = 2(N + n),
-within STACK_BYTES.  The witness is the first sample above the tolerance
-whose residual is within TOL_ZERO of the worst.
+spanned and complemented by stacked LAPACK calls, and the rank decisions of
+``subspaces.span_bases`` and ``subspaces.complement_bases`` run on the whole
+stack, with masked zero columns where a sample's rank is lower than the
+stack's width.  Blocks keep one 2n x 2n float64 stack within STACK_BYTES.
+The witness is the first sample above the tolerance whose residual is within
+TOL_ZERO of the worst.
 """
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
@@ -32,11 +37,10 @@ from .representation import SiegelPoint
 from .subspaces import RealSubspace, complement_bases, complement_wrt, span_bases
 from .tolerances import TOL_PSD, TOL_SUB, TOL_ZERO
 
-# byte budget of one stack of M x M float64 matrices, M = 2(N + n), in the
-# sampled certifiers.  It bounds their memory whatever the number of samples:
-# a block holds about three such stacks at its peak, so 256 KB keeps the
-# certifiers within about 1 MB above the per-sample loop, and a block still
-# holds 11 samples at sym_real 6 (M = 54)
+# byte budget of one stack of 2n x 2n float64 matrices in the sampled
+# certifiers.  It bounds their memory whatever the number of samples: a block
+# holds three to five such stacks at its peak, and 256 KB holds 227 samples a
+# block at sym_real 6 and 2 at diagonal 64
 STACK_BYTES = 2**18
 
 
@@ -201,27 +205,16 @@ def _metric_scale(alg, q_map, metric, seed, moments, n_dirs=4):
 # -- condition: coisotropic orbits ---------------------------------------------
 
 
-def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, metric_scale=None, metric=None, tol=TOL_SUB):
-    """Transport orbit tangents to the base point and test
-    (tangent)-orthocomplement inside J(tangent) there.
+def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, metric_scale=None, tol=TOL_SUB):
+    """W_y-perp inside j W_y, W_y = Y^(-1/2) W, at sampled points y.
 
-    All samples are drawn, transported, spanned and complemented as stacks,
-    in blocks of ``block_size`` samples; the residual is the worst over the
-    samples and ``sample_residuals`` keeps each one.
-
-    Verdicts are invariant under rescaling ``metric`` by any positive factor
-    (orthocomplements are scale-free); the optional argument exists so that
-    this can be exercised directly."""
-    if metric is None:
-        metric = base_metric(alg, q_map)
-    jmat = phase_space_j(alg.dim, q_map.n)
-    metric_norm = np.linalg.norm(metric.matrix, ord=2)
+    Samples are certified as stacks, in blocks of ``block_size``; the residual
+    is the worst over the samples and ``sample_residuals`` keeps each one.  The
+    witness tangent vector is the worst complement direction (0, 0, w) at the
+    base point, moved back by the derivative of ``transport_to_base``."""
     count = max(1, n_samples)
     resid = np.concatenate(
-        [
-            _coisotropic_residuals(q_map, w, p, metric.matrix, metric_norm, jmat)[0]
-            for _, p in _coisotropic_points(q_map, seed, count)
-        ]
+        [_coisotropic_residuals(q_map, w, p)[0] for _, p in _coisotropic_points(q_map, seed, count)]
     )
     worst = float(np.max(resid))
     verdict = worst <= tol
@@ -233,9 +226,10 @@ def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, metric_scale=None, me
         start, p = next((s, p) for s, p in _coisotropic_points(q_map, seed, count) if k < s + len(p.v))
         z, v = p.z[k - start], p.v[k - start]
         point = SiegelPoint(z[None], v[None])
-        _, resid_mat, orth = _coisotropic_residuals(q_map, w, point, metric.matrix, metric_norm, jmat)
+        _, resid_mat, orth = _coisotropic_residuals(q_map, w, point)
         col = int(np.argmax(np.linalg.norm(resid_mat[0], axis=0)))
-        back = np.linalg.solve(q_map.transport_to_base(point)[1][0], orth[0][:, col])
+        tangent = np.concatenate([np.zeros(2 * alg.dim), orth[0][:, col]])
+        back = np.linalg.solve(q_map.transport_to_base(point)[1][0], tangent)
         witness = {"tangent_vector": [float(t) for t in back], "point": {"z": _pairs(z), "v": _pairs(v)}}
     return Certificate(
         "coisotropic",
@@ -258,19 +252,18 @@ def _coisotropic_points(q_map, seed, count):
         yield start, q_map.sample_domain_point(rng, size=min(block, count - start))
 
 
-def _coisotropic_residuals(q_map, w, points, metric, metric_norm, jmat):
-    """Per-point residuals |O - P_{J T} O|_2 for a stack of points, where T is
-    the transported orbit tangent and O its metric complement.
+def _coisotropic_residuals(q_map, w, points):
+    """Per-point residuals |O - P_{jW_y} O|_2 for a stack of points, where O
+    is the orthocomplement of W_y = Y^(-1/2) W in V.
 
     Returns (residuals, residual matrices, complements).  A point whose
     complement is zero has residual 0.
     """
-    # the derivatives are dropped as soon as they have moved the tangents
-    timg = span_bases(q_map.transport_to_base(points)[1] @ q_map.orbit_tangent(w, points))
-    orth = complement_bases(metric, timg, metric_norm)
-    # J is orthogonal, so it keeps the bases of timg orthonormal
-    jt = jmat @ timg
-    resid_mat = orth - (jt @ np.swapaxes(jt, -1, -2)) @ orth
+    wy = span_bases(creal.realify(q_map.inverse_root(points)[1]) @ w.basis)
+    orth = complement_bases(np.eye(2 * q_map.n), wy, 1.0)
+    # j is orthogonal, so it keeps the bases of W_y orthonormal
+    jw = creal.j_matrix(q_map.n) @ wy
+    resid_mat = orth - (jw @ np.swapaxes(jw, -1, -2)) @ orth
     return np.linalg.norm(resid_mat, ord=2, axis=(-2, -1)), resid_mat, orth
 
 
@@ -387,9 +380,8 @@ def _orbit_residuals(q_map, w, xs):
 
 
 def block_size(q_map):
-    """Samples per block, so that one stack of M x M float64 matrices, M = 2(N + n),
-    fits in STACK_BYTES."""
-    m = 2 * (q_map.dim_u + q_map.n)
+    """Samples per block, so that one stack of 2n x 2n float64 matrices fits in STACK_BYTES."""
+    m = 2 * q_map.n
     return max(1, STACK_BYTES // (8 * m * m))
 
 
@@ -425,13 +417,10 @@ def certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=0, metric_scale=None
     certificate verdict is the conjunction, with per-sample verdicts kept for
     diagnosis.  ``consistent`` is True when all three conditions agree.
     """
-    metric = base_metric(alg, q_map)
     if compute_scale and metric_scale is None:
-        metric_scale, _ = exact_metric_scale(alg, q_map, metric=metric, seed=seed)
+        metric_scale, _ = exact_metric_scale(alg, q_map, seed=seed)
     c_imq = check_imq_vanishes(q_map, w)
-    c_coiso = check_coisotropic(
-        alg, q_map, w, n_samples=n_coiso, seed=seed, metric_scale=metric_scale, metric=metric, tol=tol
-    )
+    c_coiso = check_coisotropic(alg, q_map, w, n_samples=n_coiso, seed=seed, metric_scale=metric_scale, tol=tol)
 
     rng = np.random.default_rng([seed, 0x0B17])
     count, block = max(1, n_orbit), block_size(q_map)

@@ -5,6 +5,7 @@ Exit codes: 0 success (and consistent verdicts), 1 input error,
 2 internal inconsistency between certifiers (certifier-disagreement alarm).
 """
 import argparse
+import functools
 import json
 import math
 import reprlib
@@ -338,6 +339,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once per process: parse_args keeps no state in it
 def build_parser():
     p = _Parser(prog="qsiegel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -272,12 +272,15 @@ def base_metric_u_block_oracle(alg, q_map):
 
 
 def coisotropic_loop_oracle(alg, q_map, w, n_samples, seed, metric=None):
-    """Per-sample residuals of the coisotropic certifier, one sample at a time.
+    """Per-sample residuals of the coisotropic certifier, one sample at a time,
+    in the phase space R^(2N + 2n).
 
-    The loop that the stacked ``check_coisotropic`` replaced: each point is
-    drawn on its own (v, x0, then the cone part), transported, spanned and
-    complemented through the one-matrix ``RealSubspace`` calls.  A sample
-    whose complement is zero reads 0.
+    Each point is drawn on its own (v, x0, then the cone part), its orbit
+    tangent is transported to the base point, and the tangent's complement
+    for ``metric`` (the base metric by default) is tested against J of the
+    tangent through the one-matrix ``RealSubspace`` calls: the definition that
+    the stacked certifier in V reduces.  A sample whose complement is zero
+    reads 0.
     """
     if metric is None:
         metric = base_metric(alg, q_map)

@@ -5,6 +5,7 @@ import pytest
 
 from qsiegel import (
     RealSubspace,
+    SiegelPoint,
     creal,
     base_metric,
     bergman_metric_scale,
@@ -21,6 +22,7 @@ from qsiegel.certify import BaseMetric, block_size, exact_measure_moments, exact
 from qsiegel.errors import HypothesisViolated, NotPSD
 from qsiegel.integrals import base_measure_moments, sample_invariant_measure
 from qsiegel.kernels import frame_w_subspace
+from qsiegel.subspaces import complement_wrt
 from qsiegel.tolerances import TOL_SUB, TOL_ZERO
 
 from conftest import (
@@ -204,18 +206,18 @@ def test_coisotropic_rank1_cases(rank1):
 
 
 def test_coisotropic_scale_invariance(sym2):
+    # orthocomplements are scale-free: the phase-space oracle gives the
+    # certifier's verdict under any positive multiple of the base metric
     alg, _, q_map = sym2
     entry = catalog_get("sym2")
     bm = base_metric(alg, q_map)
     for var in ("frame", "skew"):
         w = entry.variant(var).subspace(2)
-        verdicts = []
+        verdicts = {check_coisotropic(alg, q_map, w, n_samples=6, seed=1).verdict}
         for t in (0.5, 1.0, 2.0):
             scaled = BaseMetric(t * bm.matrix, bm.e_prime, bm.u_block, bm.v_block)
-            verdicts.append(
-                check_coisotropic(alg, q_map, w, n_samples=6, seed=1, metric=scaled).verdict
-            )
-        assert len(set(verdicts)) == 1
+            verdicts.add(max(coisotropic_loop_oracle(alg, q_map, w, 6, 1, metric=scaled)) <= TOL_SUB)
+        assert len(verdicts) == 1
 
 
 # -- orthocomplement identity -------------------------------------------------------
@@ -322,12 +324,55 @@ def test_stacked_certifiers_match_per_sample_loops(kind, param, monkeypatch):
     # in blocks of 3 samples, blocks end inside both stacks; the witness is
     # drawn again from its own block
     whole = certify_both(subspaces["random"])
-    m = 2 * (alg.dim + q_map.n)
+    m = 2 * q_map.n
     monkeypatch.setattr(certify, "STACK_BYTES", 3 * 8 * m * m)
     assert block_size(q_map) == 3
     for a, b in zip(whole, certify_both(subspaces["random"])):
         assert np.max(np.abs(a.sample_residuals - b.sample_residuals)) <= 1e-12
         assert (a.verdict, a.witness) == (b.verdict, b.witness)
+
+
+@pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
+def test_coisotropic_at_y_is_orbit_condition_at_y_inverse(kind, param):
+    # W_y^perp in j W_y, W_y = Y^(-1/2) W, is j Y W^perp in W: the orbit
+    # certifier's inclusion at x = y^-1.  Every dimension of W is drawn, so
+    # both verdicts occur (a hypersurface is always coisotropic).
+    alg, _, q_map = standard_model(kind, param)
+    n = q_map.n
+    rng = np.random.default_rng(33)
+    points = q_map.sample_domain_point(np.random.default_rng([5, 0xC015]), size=7)
+    xs = np.array([alg.invert(y) for y in q_map.cone_part(points)])
+    for d in range(2 * n + 1):
+        w = RealSubspace.from_spanning(rng.standard_normal((2 * n, d))) if d else RealSubspace.zero(2 * n)
+        coiso = check_coisotropic(alg, q_map, w, n_samples=7, seed=5).sample_residuals
+        orbit = check_orbit_multiplicity(q_map, w, xs).sample_residuals
+        assert list(coiso <= TOL_SUB) == list(orbit <= TOL_SUB), d
+
+
+NOT_MF_VARIANTS = [
+    (name, var.name) for name in catalog_list() for var in catalog_get(name).variants if not var.expected_mf
+]
+
+
+@pytest.mark.parametrize("name,variant", NOT_MF_VARIANTS)
+def test_coisotropic_witness_is_a_violating_complement_vector(name, variant):
+    # the complement basis is not unique, so the witness is checked by what it
+    # must satisfy: moved to the base point it lies in the base-metric
+    # complement of the moved orbit tangent T, and away from J T by more than tol
+    entry = catalog_get(name)
+    alg, _, q_map = entry.model()
+    w = entry.variant(variant).subspace(q_map.n)
+    cert = check_coisotropic(alg, q_map, w, n_samples=20, seed=3)
+    assert not cert.verdict
+    point = SiegelPoint(*(np.array([complex(*t) for t in cert.witness["point"][key]]) for key in ("z", "v")))
+    _, deriv = q_map.transport_to_base(point)
+    moved = deriv @ np.array(cert.witness["tangent_vector"])
+    tangent = q_map.orbit_tangent(w, point).apply(deriv)
+    orth = complement_wrt(base_metric(alg, q_map).matrix, tangent)
+    jt = tangent.apply(certify.phase_space_j(alg.dim, q_map.n))
+    assert abs(np.linalg.norm(moved) - 1.0) <= 1e-12
+    assert np.linalg.norm(moved - orth.projector() @ moved) <= 1e-12
+    assert np.linalg.norm(moved - jt.projector() @ moved) > cert.tol
 
 
 def test_witness_is_first_of_the_tied_worst_samples():
@@ -352,8 +397,8 @@ def test_witness_is_first_of_the_tied_worst_samples():
 
 
 def test_certify_all_memory_is_bounded_by_one_block():
-    # samples are certified in blocks: 4 blocks at diagonal 32 (M = 128) peak
-    # within 1.5 times one block; unblocked, every sample's M x M stacks
+    # samples are certified in blocks: 4 blocks at diagonal 32 (2n = 64) peak
+    # within 1.5 times one block; unblocked, every sample's 2n x 2n stacks
     # would be held at once.  The real form keeps Im Q's scan over S, which does not
     # depend on the samples, small beside a block.
     alg, _, q_map = standard_model("diagonal", 32)

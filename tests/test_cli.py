@@ -361,6 +361,24 @@ def test_bergman_mc_reports_identical_across_thread_counts(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_parser_built_once_keeps_nothing_between_requests(tmp_path, capsys):
+    # one process serves a check, a usage error that sets flags before it
+    # fails, and a check with none of those flags: each must read as a fresh
+    # process's run of the same command
+    spec = write_spec(tmp_path, "sym2", "skew")
+    requests = [
+        ["check", spec, "--no-scale"],
+        ["check", spec, "--no-scale", "--seed", "9", "--samples", "0"],
+        ["check", spec],
+    ]
+    for argv in requests:
+        code, out = run_cli(argv, capsys)
+        proc = subprocess.run([sys.executable, "-m", "qsiegel.cli", *argv], capture_output=True, text=True)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+    assert code == 0 and json.loads(out)["certificates"][1]["metric_scale"] is not None
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     spec = write_spec(tmp_path, "heisenberg-rank1", "real")
     target = tmp_path / "report.json"

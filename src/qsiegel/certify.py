@@ -38,9 +38,10 @@ from .subspaces import RealSubspace, complement_bases, complement_wrt, span_base
 from .tolerances import TOL_PSD, TOL_SUB, TOL_ZERO
 
 # byte budget of one stack of 2n x 2n float64 matrices in the sampled
-# certifiers.  It bounds their memory whatever the number of samples: a block
-# holds three to five such stacks at its peak, and 256 KB holds 227 samples a
-# block at sym_real 6 and 2 at diagonal 64
+# certifiers, and of one stack of Q values in the Im Q pair scan.  It bounds
+# their memory whatever the number of samples or pairs: a block holds three
+# to five such stacks at its peak, and 256 KB holds 227 samples a block at
+# sym_real 6 and 2 at diagonal 64, and 256 pairs at diagonal 64
 STACK_BYTES = 2**18
 
 
@@ -92,21 +93,27 @@ def phase_space_j(dim_u, n):
 def check_imq_vanishes(q_map, w):
     """Scan Im Q on a basis of S = (jW)-orthocomplement for re h.
 
-    One call evaluates Q on every pair i <= j of basis vectors, in row-major
-    order, so the witness is the first pair with the largest |Im Q|.
+    The pairs i <= j of basis vectors are evaluated in row-major order, in
+    blocks whose stack of Q values fits in STACK_BYTES, so the witness is the
+    first pair with the largest |Im Q| and the memory does not grow with the
+    number of pairs.
     """
     s = w.j_image(q_map.n).perp()
     basis = creal.re_to_cx(s.basis.T)
     first, second = np.triu_indices(s.dim)
-    q = q_map.q_eval(basis[first], basis[second])
-    resid = np.linalg.norm(np.imag(q), axis=1)
-    scale = max(1.0, float(np.max(np.linalg.norm(q, axis=1), initial=0.0)))
-    worst = float(np.max(resid, initial=0.0))
-    tol = TOL_ZERO * scale
+    step = max(1, STACK_BYTES // (16 * q_map.algebra.dim))
+    worst, q_max, k = 0.0, 0.0, None
+    for lo in range(0, len(first), step):
+        q = q_map.q_eval(basis[first[lo : lo + step]], basis[second[lo : lo + step]])
+        resid = np.linalg.norm(np.imag(q), axis=1)
+        q_max = max(q_max, float(np.max(np.linalg.norm(q, axis=1))))
+        top = int(np.argmax(resid))
+        if resid[top] > worst:
+            worst, k = float(resid[top]), lo + top
+    tol = TOL_ZERO * max(1.0, q_max)
     verdict = worst <= tol
     witness = None
     if not verdict:
-        k = int(np.argmax(resid))
         witness = {"s1": _pairs(basis[first[k]]), "s2": _pairs(basis[second[k]])}
     return Certificate("imq_vanishes", verdict, worst, tol, witness, extra={"dim_s": s.dim})
 

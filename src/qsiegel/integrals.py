@@ -17,7 +17,10 @@ Delta(u)^(s - N/r) exp(-2<u, y>): u = A T T^H A^H with A A^H = (2y)^-1 and T
 lower triangular, T_jj^2 ~ Gamma(s - j d/2) and d independent N(0, 1/2) real
 parts in each entry below the diagonal.  So a sample costs r Gamma draws and
 N - r normals, every coordinate of u is a quadratic form in them, and
-Delta(u) = prod_j T_jj^2 / Delta(2y).  Box-rejection Monte Carlo provides the
+Delta(u) = prod_j T_jj^2 / Delta(2y).  A consumer that needs only <u, a> for
+a few directions a contracts the form with them first, so u itself is never
+formed: the Bergman MC needs one phase a sample, the metric moments a dozen
+projections.  Box-rejection Monte Carlo provides the
 independent cross-check of the closed forms.  All sampling is counter-based,
 keyed by (seed, stream, block index), so results do not depend on scheduling.
 """
@@ -228,16 +231,22 @@ def _bartlett_form(alg, y):
     return i, j, np.real(factor[:, None] * c.conj()), float(np.real(np.linalg.det(two_y)))
 
 
-def _sample_cone_gamma(alg, y, s, count, seed, stream):
+def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None):
     """Exact samples u of the density ~ Delta(u)^(s - N/r) exp(-2<u, y>), and Delta(u).
 
     This is the cone's Gamma family of shape s and scale (2y)^-1, with mean
     s (2y)^-1, drawn by its Bartlett decomposition (see the module
     docstring).  Block b draws BLOCK values of each Gamma(s - j d/2) in turn,
     then an (N - r) x BLOCK array of normals.
+
+    With ``directions`` an (N, k) array, the Bartlett weights are contracted
+    with it once, and the first return value is the (count, k) array of
+    <u, a> for the columns a: the same draws, and u itself is never formed.
     """
     r, n = alg.rank, alg.dim
     i, j, weights, det_2y = _bartlett_form(alg, y)
+    if directions is not None:
+        weights = weights @ directions
     shapes = s - 0.5 * alg.d * np.arange(r)
     # rows of one shape (all r when d = 0) draw in one call, in the same order
     cuts = [0, *(np.flatnonzero(np.diff(shapes)) + 1).tolist(), r]
@@ -245,7 +254,7 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream):
     # T_jj meets another variable only when normals lie below it (j < r - 1)
     roots = r - 1 if n > r else 0
     step = max(1, _CHUNK_VALUES // (len(i) * BLOCK)) * BLOCK
-    out = np.empty((count, n))
+    out = np.empty((count, weights.shape[1]))
     dets = np.empty(count)
     for lo in range(0, count, step):
         hi = min(lo + step, count)
@@ -268,15 +277,17 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream):
     return out, dets
 
 
-def sample_invariant_measure(alg, y, count, seed, stream=4):
-    """Exact samples from the normalized measure exp(-2<u,y>)/(I I_Q) mu_U (shape 2N/r + 1)."""
-    return _sample_cone_gamma(alg, y, 2.0 * alg.dim / alg.rank + 1.0, count, seed, stream)[0]
+def sample_invariant_measure(alg, y, count, seed, stream=4, directions=None):
+    """Exact samples from the normalized measure exp(-2<u,y>)/(I I_Q) mu_U (shape 2N/r + 1),
+    or their projections <u, a> on the columns of ``directions``."""
+    return _sample_cone_gamma(alg, y, 2.0 * alg.dim / alg.rank + 1.0, count, seed, stream, directions)[0]
 
 
-def sample_cone_exponential(alg, y0, count, seed, stream=3):
+def sample_cone_exponential(alg, y0, count, seed, stream=3, directions=None):
     """Samples u from the density exp(-2<u, y0>) / I(y0) on the cone (shape N/r),
-    with their determinants Delta(u)."""
-    return _sample_cone_gamma(alg, y0, alg.dim / alg.rank, count, seed, stream)
+    or their projections on the columns of ``directions``, with their
+    determinants Delta(u)."""
+    return _sample_cone_gamma(alg, y0, alg.dim / alg.rank, count, seed, stream, directions)
 
 
 # -- Bergman kernel ----------------------------------------------------------
@@ -299,7 +310,9 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
     (the default) evaluates it by the Gindikin integral,
     pi^-N (2/pi)^r Gamma_Omega(2N/r + 1) / Gamma_Omega(N/r) Delta(-i w)^-(2N/r + 1),
     where the exponent is an integer.  'mc' importance-samples it with the
-    exact exponential-weight proposal at the cone midpoint Im w / 2.
+    exact exponential-weight proposal at the cone midpoint Im w / 2.  The
+    sampler yields only the phases <u, Re w> and Delta(u), and the weight
+    e^{i<u, Re w>} / (I I_Q) is summed as its cosine and sine parts.
     """
     for p in (p1, p2):
         if not q_map.domain_contains(p):
@@ -318,12 +331,23 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
     y0 = np.imag(w) / 2.0
     if not alg.cone_contains(y0, mode="open"):
         raise NotInDomain("midpoint cone part left the open cone")
-    us, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3)
-    f = np.exp(1j * (us @ np.real(w))) * _inv_i_iq(alg, dets)
-    mean = np.mean(f)
-    se = math.sqrt(np.mean(np.abs(f - mean) ** 2) / samples)
+    phase, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, directions=np.real(w)[:, None])
+    phase = phase[:, 0]
+    weight = _inv_i_iq(alg, dets)
+    # the real and imaginary parts of f, then of f - mean, then |f - mean|^2, in place
+    re = np.cos(phase)
+    re *= weight
+    im = np.sin(phase, out=phase)
+    im *= weight
+    mean = complex(np.mean(re), np.mean(im))
+    re -= mean.real
+    im -= mean.imag
+    re *= re
+    im *= im
+    re += im
+    se = math.sqrt(np.mean(re) / samples)
     scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** n
-    return BergmanEstimate(complex(scale * mean), float(scale * se), "mc", samples, seed)
+    return BergmanEstimate(scale * mean, float(scale * se), "mc", samples, seed)
 
 
 # -- moments of the base measure for the metric oracle -----------------------
@@ -336,14 +360,17 @@ def base_measure_moments(alg, q_map, directions_u, directions_v, samples=200_000
     so no importance weights enter.  Returns (delta, m1, m2, qv): the
     closed-form mass, the first and second sample moments of <u, zeta> for
     each U_C direction zeta, and the first moment of <u, Q(gamma, gamma)>
-    for each V direction gamma, all normalized by the mass.
+    for each V direction gamma, all normalized by the mass.  The sampler
+    yields only the projections of u on the columns [Re zeta | Im zeta | Q(gamma, gamma)].
     """
     e = alg.unit
     delta = measure_mass(alg, e)
-    us = sample_invariant_measure(alg, e, samples, seed, stream=4)
-    # real products, so the samples are never copied to complex
     zetas = np.array(directions_u, dtype=complex).reshape(-1, alg.dim)
-    vals = us @ zetas.real.T + 1j * (us @ zetas.imag.T)
     gammas = np.array(directions_v, dtype=complex).reshape(-1, q_map.n)
     qgs = np.real(q_map.q_eval(gammas, gammas))
-    return delta, np.mean(vals, axis=0), np.mean(np.abs(vals) ** 2, axis=0), np.mean(us @ qgs.T, axis=0)
+    k = len(zetas)
+    proj = sample_invariant_measure(
+        alg, e, samples, seed, stream=4, directions=np.concatenate([zetas.real, zetas.imag, qgs]).T
+    )
+    vals = proj[:, :k] + 1j * proj[:, k : 2 * k]
+    return delta, np.mean(vals, axis=0), np.mean(np.abs(vals) ** 2, axis=0), np.mean(proj[:, 2 * k :], axis=0)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from qsiegel import GroupElement, RealSubspace, SiegelPoint, creal, standard_model
 from qsiegel.certify import base_metric, phase_space_j
 from qsiegel.errors import NotInDomain, NotPSD
+from qsiegel.integrals import _inv_i_iq, cone_laplace, sample_cone_exponential, sample_invariant_measure
 from qsiegel.subspaces import complement_wrt, kernel_of_form
 from qsiegel.tolerances import TOL_EIG, TOL_PSD, TOL_RANK
 
@@ -324,3 +327,31 @@ def orbit_loop_oracle(q_map, w, xs):
             continue
         resid.append(float(np.linalg.norm(jwp.basis - target.projector() @ jwp.basis, ord=2)))
     return resid
+
+
+def bergman_mc_oracle(alg, q_map, p1, p2, samples, seed):
+    """(value, se) of the MC Bergman kernel from the materialized samples u.
+
+    The estimator as it read before the sampler yielded only the phases:
+    the whole (samples, N) array u, its product with Re w, and the complex
+    weight e^{i<u, Re w>} / (I I_Q) with its mean and the se of that mean.
+    """
+    w = p1.z - np.conj(p2.z) - 2j * q_map.q_eval(p1.v, p2.v)
+    y0 = np.imag(w) / 2.0
+    us, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3)
+    f = np.exp(1j * (us @ np.real(w))) * _inv_i_iq(alg, dets)
+    mean = np.mean(f)
+    se = math.sqrt(np.mean(np.abs(f - mean) ** 2) / samples)
+    scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** alg.dim
+    return complex(scale * mean), float(scale * se)
+
+
+def base_moments_oracle(alg, q_map, directions_u, directions_v, samples, seed):
+    """(m1, m2, qv) of ``base_measure_moments`` from the materialized samples u
+    of the invariant measure, each direction applied to u on its own."""
+    us = sample_invariant_measure(alg, alg.unit, samples, seed, stream=4)
+    zetas = np.array(directions_u, dtype=complex).reshape(-1, alg.dim)
+    vals = us @ zetas.real.T + 1j * (us @ zetas.imag.T)
+    gammas = np.array(directions_v, dtype=complex).reshape(-1, q_map.n)
+    qgs = np.real(q_map.q_eval(gammas, gammas))
+    return np.mean(vals, axis=0), np.mean(np.abs(vals) ** 2, axis=0), np.mean(us @ qgs.T, axis=0)

@@ -2,10 +2,13 @@
 
 The tracer (``perfbench/tracing.py``) rebinds the functions named in its
 ``WRAPPED`` table and refuses to install when one is missing, so renaming
-one of them would otherwise only show when the benchmark runs.
+one of them would otherwise only show when the benchmark runs.  It also
+counts the samples drawn by each of its ``SAMPLERS`` from their ``count``
+argument, so that argument must stay where the tracer reads it.
 """
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -13,14 +16,14 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _wrapped():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
 
 
-@pytest.mark.parametrize("layer,modname,owner,name", _wrapped(), ids=lambda v: str(v))
+@pytest.mark.parametrize("layer,modname,owner,name", _tracing().WRAPPED, ids=lambda v: str(v))
 def test_wrapped_name_resolves(layer, modname, owner, name):
     module = importlib.import_module(modname)
     if owner is None:
@@ -31,3 +34,11 @@ def test_wrapped_name_resolves(layer, modname, owner, name):
         if isinstance(raw, classmethod):
             raw = raw.__func__
         assert callable(raw), f"{modname}.{owner}.{name} is missing"
+
+
+@pytest.mark.parametrize("name", _tracing().SAMPLERS)
+def test_sampler_count_is_the_third_positional_parameter(name):
+    # the tracer counts samples from args[2], or from kwargs["count"]
+    params = list(inspect.signature(getattr(importlib.import_module("qsiegel.integrals"), name)).parameters.values())
+    assert params[2].name == "count"
+    assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD

@@ -64,9 +64,10 @@ def test_imq_witness_is_violating_pair(herm2):
     assert np.linalg.norm(np.imag(q_map.q_eval(s1, s2))) == pytest.approx(cert.residual, rel=1e-9)
 
 
-def test_imq_witness_is_first_largest_pair_in_row_major_order():
-    # the one-call scan reports the pair that the loop over i <= j, keeping
-    # the first strictly larger |Im Q| from the dense-stack Q, reports
+def test_imq_witness_is_first_largest_pair_in_row_major_order(monkeypatch):
+    # the blocked scan reports the pair that the loop over i <= j, keeping
+    # the first strictly larger |Im Q| from the dense-stack Q, reports: with
+    # the default blocks (one block at these sizes), and with one pair a block
     cases = [
         (entry.model(), var.subspace(entry.model()[2].n))
         for entry in map(catalog_get, catalog_list())
@@ -87,10 +88,31 @@ def test_imq_witness_is_first_largest_pair_in_row_major_order():
                 r = float(np.linalg.norm(np.imag(oracle.q_eval(basis[i], basis[j]))))
                 if r > worst:
                     worst, pair = r, (basis[i], basis[j])
+        default = check_imq_vanishes(q_map, w)
+        with monkeypatch.context() as m:
+            m.setattr(certify, "STACK_BYTES", 1)
+            one_pair = check_imq_vanishes(q_map, w)
+        assert one_pair == default
+        assert default.residual == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        if not default.verdict:
+            assert default.witness == {"s1": [[z.real, z.imag] for z in pair[0]], "s2": [[z.real, z.imag] for z in pair[1]]}
+
+
+def test_imq_scan_memory_is_bounded_by_one_block():
+    # the real-form W at diagonal 64 has dim S = 64, so 2080 pairs; held at
+    # once, their vectors and Q peaked at 13 MB.  Scanned in blocks of
+    # STACK_BYTES of Q values, the peak stays within 4 MB
+    alg, _, q_map = standard_model("diagonal", 64)
+    n = q_map.n
+    w = RealSubspace(np.vstack([np.eye(n), np.zeros((n, n))]))
+    tracemalloc.start()
+    try:
         cert = check_imq_vanishes(q_map, w)
-        assert cert.residual == pytest.approx(worst, rel=1e-12, abs=1e-15)
-        if not cert.verdict:
-            assert cert.witness == {"s1": [[z.real, z.imag] for z in pair[0]], "s2": [[z.real, z.imag] for z in pair[1]]}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.extra["dim_s"] == n and cert.verdict
+    assert peak <= 4e6
 
 
 # -- base metric ----------------------------------------------------------------

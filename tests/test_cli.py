@@ -343,22 +343,33 @@ def test_kernels_reports_identical_across_thread_counts(tmp_path):
 
 
 def test_bergman_mc_reports_identical_across_thread_counts(tmp_path):
-    # the sampler contracts each chunk of samples with one matrix product
-    spec = write_spec(tmp_path, "herm2", "frame")
-    point = ["--p1=0.3+1.2i,1.1i,0.2i,-0.1i,0.2+0.1i,-0.3i", "--p2=-0.2+i,1.3i,0.1i,0.3i,0.1,0.2-0.2i"]
-    outs = []
-    for threads in ("1", "4"):
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "qsiegel.cli", "bergman", spec, *point, "--method", "mc",
-             "--samples", "100000", "--seed", "5"],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
-        outs.append(proc.stdout)
-    assert json.loads(outs[0])["method"] == "mc"
-    assert outs[0] == outs[1]
+    # the sampler contracts the Bartlett weights with Re w, a one-column
+    # product BLAS may route to gemv, and each chunk of samples with the
+    # contracted weights; herm2 off the diagonal, herm3 on and off it
+    herm2 = write_spec(tmp_path, "herm2", "frame")
+    herm3 = tmp_path / "herm3.json"
+    herm3.write_text(json.dumps({"algebra": {"kind": "herm_complex", "param": 3}, "W": {"basis": []}}))
+    p1 = "0.3+1.2i,1.1i,-0.1+1.3i,0.2i,-0.1i,0.1+0.1i,0.05i,0.2,-0.1i,0.2+0.1i,-0.3i,0.1"
+    p2 = "-0.2+i,0.4+1.4i,1.1i,-0.1i,0.3i,0.2,0.1i,-0.1+0.05i,0.1i,0.1,0.2-0.2i,-0.1i"
+    cases = [
+        (herm2, "0.3+1.2i,1.1i,0.2i,-0.1i,0.2+0.1i,-0.3i", "-0.2+i,1.3i,0.1i,0.3i,0.1,0.2-0.2i"),
+        (str(herm3), p1, p1),
+        (str(herm3), p1, p2),
+    ]
+    for spec, q1, q2 in cases:
+        outs = []
+        for threads in ("1", "4"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qsiegel.cli", "bergman", spec, f"--p1={q1}", f"--p2={q2}", "--method", "mc",
+                 "--samples", "100000", "--seed", "5"],
+                capture_output=True,
+                env=env,
+                check=True,
+            )
+            outs.append(proc.stdout)
+        assert json.loads(outs[0])["method"] == "mc"
+        assert outs[0] == outs[1]
 
 
 def test_parser_built_once_keeps_nothing_between_requests(tmp_path, capsys):

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+from conftest import base_moments_oracle, bergman_mc_oracle
 from qsiegel import SiegelPoint, bergman_kernel, cone_integrals, standard_model
 from qsiegel.errors import MCVarianceTooHigh, NotInCone, NotInDomain
 from qsiegel.integrals import (
     _inv_i_iq,
     _sample_cone_gamma,
+    base_measure_moments,
     cone_laplace,
     gaussian_iq,
     gindikin_gamma,
@@ -204,6 +207,21 @@ def test_sampler_prefix_is_stable(models, kind):
     assert np.array_equal(sample_invariant_measure(alg, y, 1500, seed=2, stream=4)[:700], short)
 
 
+@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
+def test_projected_samples_are_the_samples_times_directions(models, kind):
+    # the (count, k) projections on k directions are u @ directions of the
+    # same draws, to rounding, with the same determinants
+    alg = models[kind][0]
+    y = _sampler_y(alg)
+    s = SHAPES["invariant"](alg)
+    directions = np.random.default_rng(10).standard_normal((alg.dim, 3))
+    us, dets = _sample_cone_gamma(alg, y, s, 5000, seed=2, stream=4)
+    proj, proj_dets = _sample_cone_gamma(alg, y, s, 5000, seed=2, stream=4, directions=directions)
+    expected = us @ directions
+    assert proj.shape == (5000, 3) and np.array_equal(proj_dets, dets)
+    assert np.allclose(proj, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+
 MODEL_SIZES = [
     ("rank1", None),
     ("diagonal", 3),
@@ -372,6 +390,58 @@ def test_bergman_mc_calibrated_against_closed_form(kind, param, diagonal):
         se_closed = k_mid * math.sqrt(ratio / samples)
     mc = bergman_kernel(alg, q_map, p1, p2, samples=samples, seed=25, method="mc")
     assert abs(mc.value - closed) <= 4.0 * max(mc.se, se_closed)
+
+
+PROJECTED_SIZES = [("diagonal", 4), ("sym_real", 3), ("herm_complex", 3), ("herm_complex", 4)]
+
+
+@pytest.mark.parametrize("diagonal", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("kind,param", PROJECTED_SIZES, ids=lambda v: str(v))
+def test_bergman_mc_matches_materialized_samples(kind, param, diagonal):
+    # the sampler's phases and the real-arithmetic weight give the value and
+    # se of the complex weight over the whole sample matrix u, to rounding;
+    # 60 000 samples span several chunks and end inside a block
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(26)
+    p1 = _domain_point(alg, q_map, rng)
+    p2 = p1 if diagonal else _domain_point(alg, q_map, rng)
+    value, se = bergman_mc_oracle(alg, q_map, p1, p2, 60_000, seed=27)
+    mc = bergman_kernel(alg, q_map, p1, p2, samples=60_000, seed=27, method="mc")
+    assert abs(mc.value - value) <= 1e-12 * abs(value)
+    assert abs(mc.se - se) <= 1e-12 * se
+
+
+@pytest.mark.parametrize("kind,param", [("sym_real", 3), ("herm_complex", 3), ("herm_complex", 4)], ids=lambda v: str(v))
+def test_bergman_mc_memory_is_bounded_by_the_sample_count(kind, param):
+    # the sampler yields one phase and one determinant per sample, never the
+    # (samples, N) array u: 200 000 samples peak within 8 MB at every size,
+    # where the materialized u and five complex temporaries held 18 MB at
+    # sym_real 3 and 23 MB at herm_complex 3
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(28)
+    p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
+    bergman_kernel(alg, q_map, p1, p2, samples=2_000, seed=1, method="mc")
+    tracemalloc.start()
+    try:
+        bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=1, method="mc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+@pytest.mark.parametrize("kind,param", [("sym_real", 3), ("herm_complex", 3)], ids=lambda v: str(v))
+def test_base_measure_moments_match_materialized_samples(kind, param):
+    # one projection on the stacked [Re zeta | Im zeta | Q(gamma, gamma)]
+    # gives the moments of each direction applied to the whole u, to rounding
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(29)
+    zetas = rng.standard_normal((4, alg.dim)) + 1j * rng.standard_normal((4, alg.dim))
+    gammas = rng.standard_normal((4, q_map.n)) + 1j * rng.standard_normal((4, q_map.n))
+    _, m1, m2, qv = base_measure_moments(alg, q_map, zetas, gammas, 60_000, seed=30)
+    for got, expected in zip((m1, m2, qv), base_moments_oracle(alg, q_map, zetas, gammas, 60_000, seed=30)):
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
 def test_bergman_translation_invariance(rank1):

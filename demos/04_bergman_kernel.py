@@ -1,9 +1,9 @@
 """Cone integrals and the Bergman kernel, closed forms vs Monte Carlo.
 
-Covers: I(u) and I_Q(u) with their closed forms and box-MC cross-checks,
-the Bergman kernel in closed form (the Gindikin integral) and by
-importance-sampled MC,
-and the closed-form invariant metric against its MC moment oracle.
+Covers: I(u) and I_Q(u) in closed form against exact values, the Bergman
+kernel in closed form (the Gindikin integral) against its importance-sampled
+MC estimate, at the base point and at diagonal and off-diagonal pairs, and
+the closed-form invariant metric against its MC moment oracle.
 """
 import math
 
@@ -29,9 +29,13 @@ print()
 print("=== symmetric 2x2 matrices ===")
 alg, rep, q_map = standard_model("sym_real", 2)
 ci = cone_integrals(alg, q_map, alg.unit)
-mc_ci = cone_integrals(alg, q_map, alg.unit, method="mc", samples=300_000, seed=2, se_limit=0.1)
-print(f"I(e):   closed {ci.i_value:.6f}   box-MC {mc_ci.i_value:.6f} +- {mc_ci.i_se:.1e}")
-print(f"I_Q(e): closed {ci.iq_value:.6f}   box-MC {mc_ci.iq_value:.6f} +- {mc_ci.iq_se:.1e}")
+print(f"I(e) = {ci.i_value:.6f}  (exact sqrt(2) pi/16 = {math.sqrt(2) * math.pi / 16:.6f})")
+print(f"I_Q(e) = {ci.iq_value:.6f}  (exact (pi/2)^2 = {(math.pi / 2) ** 2:.6f})")
+
+base = SiegelPoint(1j * alg.unit, np.zeros(2, dtype=complex))
+closed = bergman_kernel(alg, q_map, base, base)
+est = bergman_kernel(alg, q_map, base, base, samples=200_000, seed=2, method="mc")
+print(f"Bergman kernel at the base point: closed {closed.value.real:.6e}   MC {est.value.real:.6e} +- {est.se:.1e}")
 
 v = np.array([0.2 + 0.1j, -0.3 + 0.4j])
 y = np.real(q_map.q_eval(v, v)) + alg.unit

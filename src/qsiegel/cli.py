@@ -34,13 +34,13 @@ def _finite(value):
         return False
 
 
-def _integer_at_least(minimum):
+def _integer_in(low, high=math.inf):
     # JSON-Schema's "integer": an integral float such as 2.0 counts, a boolean does not
     def test(value):
         integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-        return integral and not isinstance(value, bool) and value >= minimum
+        return integral and not isinstance(value, bool) and low <= value <= high
 
-    return test, f"an integer >= {minimum}"
+    return test, f"an integer >= {low}" if high == math.inf else f"an integer in [{low}, {high}]"
 
 
 def _is_basis(value):
@@ -52,6 +52,13 @@ def _is_basis(value):
 _KINDS = ("rank1", "diagonal", "sym_real", "herm_complex")
 # largest algebra dimension N a spec may ask for; see the README for its cost
 MAX_ALGEBRA_DIM = 64
+# largest sample count (--samples, sampling.samples) and number of Gram points
+# (--points); the README gives what each costs at N = MAX_ALGEBRA_DIM
+MAX_SAMPLES = 250_000
+MAX_POINTS = 1000
+_SAMPLES = _integer_in(1, MAX_SAMPLES)
+_POINTS = _integer_in(1, MAX_POINTS)
+_SEED = _integer_in(0)
 _POSITIVE_FINITE = (lambda value: _finite(value) and value > 0, "a positive finite number")
 # largest subspace tolerance (--tol of check and orbit, tolerances.subspace), a
 # rounding allowance: one that reaches the residuals of a W that is not
@@ -68,16 +75,16 @@ _SPEC_FIELDS = {
     "algebra": (
         {
             "kind": (lambda value: value in _KINDS, "one of " + ", ".join(_KINDS)),
-            "param": _integer_at_least(1),
-            "r": _integer_at_least(1),
-            "n": _integer_at_least(1),
+            "param": _integer_in(1),
+            "r": _integer_in(1),
+            "n": _integer_in(1),
         },
         ("kind",),
     ),
     "representation": ({"kind": (lambda value: value == "standard", "'standard'")}, ()),
     "W": ({"basis": (_is_basis, "a list of lists of finite numbers")}, ("basis",)),
     "tolerances": ({"subspace": _SUBSPACE_TOL, "gram_psd": _POSITIVE_FINITE}, ()),
-    "sampling": ({"samples": _integer_at_least(1), "seed": _integer_at_least(0)}, ()),
+    "sampling": ({"samples": _SAMPLES, "seed": _SEED}, ()),
 }
 
 
@@ -177,16 +184,18 @@ def _parse_point(text, dim_u, n, flag):
     return SiegelPoint(vals[:dim_u], vals[dim_u:])
 
 
-def _integer_flag(flag, minimum):
-    """argparse type of an integer flag; raises UsageError, so main exits 1 with one line."""
+def _integer_flag(flag, rule):
+    """argparse type of an integer flag under a (test, what) rule; raises
+    UsageError, so main exits 1 with one line."""
+    test, what = rule
 
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < minimum:
-            raise UsageError(f"{flag} must be an integer >= {minimum}, got {text!r}")
+        if value is None or not test(value):
+            raise UsageError(f"{flag} must be {what}, got {text!r}")
         return value
 
     return parse
@@ -344,26 +353,30 @@ def build_parser():
     p = _Parser(prog="qsiegel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol_rule=_POSITIVE_FINITE):
-        sp.add_argument("--seed", type=_integer_flag("--seed", 0), default=None)
-        sp.add_argument("--samples", type=_integer_flag("--samples", 1), default=None)
-        sp.add_argument(
-            "--tol", type=_tolerance_flag(tol_rule), default=None, help=f"override the decision tolerance, {tol_rule[1]}"
-        )
+    def options(sp, *flags, tol_rule=None):
+        # --out, and those of --seed, --samples and --tol that the command reads
+        if "--seed" in flags:
+            sp.add_argument("--seed", type=_integer_flag("--seed", _SEED), default=None)
+        if "--samples" in flags:
+            sp.add_argument("--samples", type=_integer_flag("--samples", _SAMPLES), default=None, help=_SAMPLES[1])
+        if tol_rule is not None:
+            sp.add_argument(
+                "--tol", type=_tolerance_flag(tol_rule), default=None, help=f"override the decision tolerance, {tol_rule[1]}"
+            )
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("check", help="run and cross-validate all certifiers")
     sp.add_argument("spec")
     sp.add_argument("--no-scale", action="store_true", help="omit the metric-scale identity check")
-    common(sp, _SUBSPACE_TOL)
+    options(sp, "--seed", "--samples", tol_rule=_SUBSPACE_TOL)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("kernels", help="Gram PSD report for a kernel parameter")
     sp.add_argument("spec")
     sp.add_argument("--x", required=True, help="comma-separated coordinates in U")
     sp.add_argument("--chi", default=None, help="comma-separated coefficients on S")
-    sp.add_argument("--points", type=_integer_flag("--points", 1), default=20)
-    common(sp)
+    sp.add_argument("--points", type=_integer_flag("--points", _POINTS), default=20, help=_POINTS[1])
+    options(sp, "--seed", tol_rule=_POSITIVE_FINITE)
     sp.set_defaults(func=cmd_kernels)
 
     sp = sub.add_parser("bergman", help="Bergman kernel estimate")
@@ -371,19 +384,19 @@ def build_parser():
     sp.add_argument("--p1", required=True, help="z,v entries, complex like 2+5i")
     sp.add_argument("--p2", required=True)
     sp.add_argument("--method", default="closed", choices=["closed", "mc"])
-    common(sp)
+    options(sp, "--seed", "--samples")
     sp.set_defaults(func=cmd_bergman)
 
     sp = sub.add_parser("orbit", help="orbit multiplicity certificate at x")
     sp.add_argument("spec")
     sp.add_argument("--x", required=True)
-    common(sp, _SUBSPACE_TOL)
+    options(sp, tol_rule=_SUBSPACE_TOL)
     sp.set_defaults(func=cmd_orbit)
 
     sp = sub.add_parser("catalog", help="list or export built-in examples")
     sp.add_argument("--export", default=None)
     sp.add_argument("--variant", default=None)
-    common(sp)
+    options(sp)
     sp.set_defaults(func=cmd_catalog)
     return p
 

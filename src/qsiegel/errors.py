@@ -59,12 +59,6 @@ class FactorizationResidualTooLarge(QSiegelError):
         self.residual = residual
 
 
-class MCVarianceTooHigh(QSiegelError):
-    def __init__(self, msg, relative_se=None):
-        super().__init__(msg)
-        self.relative_se = relative_se
-
-
 class NotPositiveDefinite(QSiegelError):
     pass
 

@@ -20,9 +20,8 @@ N - r normals, every coordinate of u is a quadratic form in them, and
 Delta(u) = prod_j T_jj^2 / Delta(2y).  A consumer that needs only <u, a> for
 a few directions a contracts the form with them first, so u itself is never
 formed: the Bergman MC needs one phase a sample, the metric moments a dozen
-projections.  Box-rejection Monte Carlo provides the
-independent cross-check of the closed forms.  All sampling is counter-based,
-keyed by (seed, stream, block index), so results do not depend on scheduling.
+projections.  All sampling is counter-based, keyed by (seed, stream, block
+index), so results do not depend on scheduling.
 """
 import math
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MCVarianceTooHigh, NotInCone, NotInDomain
+from .errors import NotInCone, NotInDomain
 from .rng import BLOCK, blocks
 
 
@@ -80,100 +79,18 @@ def _inv_i_iq(alg, dets):
     return 2.0 ** alg.dim * (2.0 / math.pi) ** r / gindikin_gamma(alg, s) * dets ** (s + 1.0)
 
 
-# -- box-rejection Monte Carlo ----------------------------------------------
-
-# box half-width in units of the inverse smallest spectral value; the
-# truncated mass scales like exp(-_BOX_KAPPA) times a low-degree polynomial
-_BOX_KAPPA = 12.0
-
-
-def _cone_box_mc(alg, u, samples, seed, stream):
-    """Rejection MC for I(u): uniform box scaled by the spectral data of u."""
-    dec = alg.spectral_decompose(u)
-    lam_min = float(np.min(dec.eigenvalues))
-    n = alg.dim
-    if alg.kind == "diagonal":
-        lows = np.zeros(n)
-        highs = _BOX_KAPPA / (2.0 * np.asarray(u))
-    else:
-        r = _BOX_KAPPA / (2.0 * lam_min)
-        lows = -r * np.ones(n)
-        highs = r * np.ones(n)
-    vol = float(np.prod(highs - lows))
-    uvec = np.asarray(u, dtype=float)
-
-    total = total_sq = 0.0
-    for g, rows in blocks(seed, stream, samples):
-        ys = lows + g.random((BLOCK, n))[: rows.stop - rows.start] * (highs - lows)
-        inside = _batch_in_cone(alg, ys)
-        f = np.where(inside, np.exp(-2.0 * ys @ uvec), 0.0)
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return vol * mean, vol * math.sqrt(var / samples)
-
-
-def _batch_in_cone(alg, ys):
-    return np.linalg.eigvalsh(alg.to_matrix(ys))[:, 0] > 0.0
-
-
-def _iq_box_mc(q_map, u, samples, seed, stream):
-    m_u = 2.0 * q_map.g_matrix(u)
-    m_u = 0.5 * (m_u + m_u.T)
-    vals = np.linalg.eigvalsh(m_u)
-    if vals[0] <= 0.0:
-        raise NotInCone("I_Q box requires a positive form")
-    dim = m_u.shape[0]
-    r = math.sqrt(2.0 * _BOX_KAPPA / vals[0])
-    vol = (2.0 * r) ** dim
-    total = total_sq = 0.0
-    for g, rows in blocks(seed, stream, samples):
-        vs = (2.0 * g.random((BLOCK, dim))[: rows.stop - rows.start] - 1.0) * r
-        f = np.exp(-np.einsum("si,ij,sj->s", vs, m_u, vs))
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return vol * mean, vol * math.sqrt(var / samples)
-
-
 @dataclass
 class ConeIntegrals:
     i_value: float
     iq_value: float
-    method: str
-    i_se: float = 0.0
-    iq_se: float = 0.0
-    samples: int = 0
-    seed: Optional[int] = None
-    closed_form_i: bool = True
-    closed_form_iq: bool = True
 
 
-def cone_integrals(alg, q_map, u, method="closed", samples=200_000, seed=0, se_limit=0.01):
-    """I(u) and I_Q(u); ``method`` is 'closed' or 'mc'.
-
-    Both values are positive on the open cone.  The MC path reports standard
-    errors and raises MCVarianceTooHigh when either relative error exceeds
-    ``se_limit``.
-    """
+def cone_integrals(alg, q_map, u):
+    """I(u) and I_Q(u) in closed form; both are positive on the open cone."""
     u = alg.check_element(u)
     if not alg.cone_contains(u, mode="open"):
         raise NotInCone("cone integrals need u in the open cone")
-    if method == "closed":
-        return ConeIntegrals(cone_laplace(alg, u), gaussian_iq(q_map, u), "closed")
-    if method != "mc":
-        raise ValueError("method must be 'closed' or 'mc'")
-    i_val, i_se = _cone_box_mc(alg, u, samples, seed, stream=1)
-    iq_val, iq_se = _iq_box_mc(q_map, u, samples, seed, stream=2)
-    if i_se > se_limit * abs(i_val) or iq_se > se_limit * abs(iq_val):
-        raise MCVarianceTooHigh(
-            f"relative standard error above {se_limit:.1%} "
-            f"(I: {i_se / abs(i_val):.2%}, I_Q: {iq_se / abs(iq_val):.2%})",
-            relative_se=float(max(i_se / abs(i_val), iq_se / abs(iq_val))),
-        )
-    return ConeIntegrals(i_val, iq_val, "mc", i_se, iq_se, samples, seed, False, False)
+    return ConeIntegrals(cone_laplace(alg, u), gaussian_iq(q_map, u))
 
 
 # -- the invariant base measure and the exact samplers ------------------------

@@ -1,8 +1,9 @@
 """Extremal invariant reproducing kernels and their parameter space.
 
-A kernel parameter is a pair (x, chi): x must satisfy the admissibility
-conditions (the restriction of g_x to P is positive semi-definite and its
-radical N_x sits inside ker g_x), chi is a real covector on S extended
+A kernel parameter is a pair (x, chi): x must be admissible (the restriction
+of g_x to P is positive semi-definite and its radical N_x is j-invariant and
+sits inside ker g_x; ``subspaces.admissible_radical`` is the one predicate,
+which ``derive_spaces`` applies), and chi is a real covector on S extended
 complex-linearly.  The kernel value at ((z, v), (z', v')) with v = q + s,
 v' = q' + s' split along V = P + S + jS is
 
@@ -23,8 +24,15 @@ the column point and one bilinear pairing:
     cross(a, b) = - h(conj(s_b), A_x conj(s_a)) - h(s_a, A_x s_b)
                   + 4 v_b^H R_x v_a
 
-so each point is split, conjugated and paired with chi once, and the cross
-terms of all pairs are one matrix product of stacked per-point features.
+so each point list is split once, and the cross terms of all pairs are one
+matrix product of stacked per-point features.  The split is one
+least-squares solve against [P | S | j S], with j applied to the orthonormal
+basis s_k of S; V = P + S + jS is direct because derive_spaces has checked
+V = P + S^x + jS^x.  Its coordinates a on S and b on jS give all four numbers
+at once: with c = a + i b,
+
+    s = sum c_k s_k,   conj(s) = sum conj(c_k) s_k,
+    chi(s) = chi . c,  chi(conj(s)) = chi . conj(c).
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -35,13 +43,12 @@ from . import creal
 from .errors import (
     FactorizationResidualTooLarge,
     FrameInvalid,
-    NotALinearSpace,
     NonFiniteValue,
     NotIdempotent,
     NotInLambda,
 )
-from .subspaces import RealSubspace, basic_spaces, conj_matrix, derive_spaces, radical_on
-from .tolerances import TOL_PSD, TOL_SUB
+from .subspaces import RealSubspace, admissible_radical, basic_spaces, derive_spaces
+from .tolerances import TOL_PSD
 
 
 def classify_lambda(q_map, w, x):
@@ -50,19 +57,8 @@ def classify_lambda(q_map, w, x):
     Checks positive semi-definiteness of g_x on P = W meet jW, j-invariance of
     the radical, and the containment N_x inside ker g_x.
     """
-    d = basic_spaces(q_map, w, x)
-    gx = q_map.g_matrix(x)
-    try:
-        n_x = radical_on(gx, d.p)
-    except NotALinearSpace:
-        return None
-    if n_x.dim % 2 != 0:
-        return None
-    if not n_x.equals(n_x.j_image(q_map.n), tol=TOL_SUB):
-        return None
-    if not d.ker_gx.contains(n_x, tol=TOL_SUB):
-        return None
-    return n_x.dim // 2
+    n_x = admissible_radical(q_map.g_matrix(x), basic_spaces(q_map, w, x), q_map.n)
+    return None if n_x is None else n_x.dim // 2
 
 
 @dataclass
@@ -76,25 +72,20 @@ class KernelParams:
     chi: np.ndarray          # coefficients over the orthonormal basis of S
     spaces: object
     a_x: np.ndarray          # n x n complex, self-adjoint, supported on S + jS
-    conj_s: np.ndarray       # real 2n x 2n conjugation over the real form S
 
 
 def build_kernel_params(q_map, w, x, chi=None, sx_basis=None):
     """Assemble kernel parameters; raises NotInLambda for inadmissible x."""
     x = np.asarray(x, dtype=float)
-    k = classify_lambda(q_map, w, x)
-    if k is None:
-        raise NotInLambda("g_x on P is not PSD with radical inside ker g_x")
     spaces = derive_spaces(q_map, w, x, sx_basis=sx_basis)
     pxc = creal.complexify(spaces.proj_sx, check=True, tol=1e-8)
     a_x = 2.0 * pxc.conj().T @ q_map.rep.r_op(x) @ pxc
-    cs = conj_matrix(spaces.s, q_map.n)
     if chi is None:
         chi = np.zeros(spaces.s.dim)
     chi = np.asarray(chi, dtype=float)
     if chi.shape != (spaces.s.dim,):
         raise ValueError(f"chi must have length dim S = {spaces.s.dim}")
-    return KernelParams(q_map, w, x, k, chi, spaces, a_x, cs)
+    return KernelParams(q_map, w, x, spaces.n_x.dim // 2, chi, spaces, a_x)
 
 
 def invariant_kernel_raw(q_map, x, p1, p2):
@@ -108,32 +99,20 @@ def invariant_kernel_raw(q_map, x, p1, p2):
     return np.exp(1j * np.dot(np.asarray(x, dtype=float), zpart))
 
 
-def _chi_values(params, s):
-    """chi extended complex-linearly, chi(s1 + j s2) = chi(s1) + i chi(s2),
-    on each row of s; one least-squares solve covers all rows."""
-    d = params.spaces.s.dim
-    if d == 0:
-        return np.zeros(s.shape[0], dtype=complex)
-    b = params.spaces.s.basis
-    span = np.hstack([b, creal.j_matrix(params.q_map.n) @ b])
-    coeff, _, _, _ = np.linalg.lstsq(span, creal.cx_to_re(s).T, rcond=None)
-    return params.chi @ coeff[:d] + 1j * (params.chi @ coeff[d:])
-
-
 def _point_terms(params, points):
     """Per-point pieces of the kernel exponent: row and column terms and the
     left and right features whose products give the cross terms."""
     z = np.array([p.z for p in points], dtype=complex)
     v = np.array([p.v for p in points], dtype=complex)
-    _, s = params.spaces.split_p_s(v)
-    sbar = creal.re_to_cx(creal.cx_to_re(s) @ params.conj_s.T)
-    m = len(points)
-    chi = _chi_values(params, np.vstack([s, sbar]))
+    _, c = params.spaces.split_p_s(v)
+    s_rows = creal.re_to_cx(params.spaces.s.basis.T)
+    s = c @ s_rows
+    sbar = c.conj() @ s_rows
     a_s = s @ params.a_x.T
     a_sbar = sbar @ params.a_x.T
     xz = z @ params.x
-    row = 1j * xz + np.sum(a_sbar.conj() * s, axis=1) - 1j * chi[:m]
-    col = -1j * xz.conj() + np.sum(a_s.conj() * sbar, axis=1) + 1j * chi[m:]
+    row = 1j * xz + np.sum(a_sbar.conj() * s, axis=1) - 1j * (c @ params.chi)
+    col = -1j * xz.conj() + np.sum(a_s.conj() * sbar, axis=1) + 1j * (c.conj() @ params.chi)
     rx = params.q_map.rep.r_op(params.x)
     left = np.hstack([a_sbar.conj(), s, 4.0 * v @ rx.T])
     right = np.hstack([-sbar, -a_s.conj(), v.conj()])
@@ -259,12 +238,14 @@ def frame_scalar_check(alg, q_map, e1, x, n_samples=100, seed=0):
     params = frame_kernel_params(alg, q_map, e1, x)
     rng = np.random.default_rng(seed)
     b = params.spaces.s.basis
-    jb = creal.j_matrix(q_map.n) @ b
+    span = np.hstack([b, creal.j_matrix(q_map.n) @ b])
+    # s = S a + jS b has the conjugate S a - jS b over the real form S
+    flip = np.repeat([1.0, -1.0], params.spaces.s.dim)
     dev = 0.0
     for _ in range(n_samples):
         coeffs = rng.standard_normal(2 * params.spaces.s.dim)
-        s = creal.re_to_cx(np.hstack([b, jb]) @ coeffs)
-        sbar = creal.re_to_cx(params.conj_s @ creal.cx_to_re(s))
+        s = creal.re_to_cx(span @ coeffs)
+        sbar = creal.re_to_cx(span @ (flip * coeffs))
         lhs = np.vdot(params.a_x @ sbar, s)
         rhs = c * np.vdot(sbar, s)
         dev = max(dev, abs(lhs - rhs))

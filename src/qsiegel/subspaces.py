@@ -187,14 +187,19 @@ class DerivedSpaces:
 
         ``v`` is one vector (n,) or a batch of rows (m, n); one least-squares
         solve covers the batch and every row must split within tolerance.
+        Returns q and the complex coordinates c of s over the basis s_k of S,
+        s = sum_k c_k s_k: the split matrix holds j s_k beside s_k, so
+        c = a + i b for the coefficients a on S and b on jS.
         """
         vre = creal.cx_to_re(v).T
         coeff, _, _, _ = np.linalg.lstsq(self.split_matrix, vre, rcond=None)
         resid = np.linalg.norm(self.split_matrix @ coeff - vre, axis=0)
         if np.any(resid > TOL_SUB * np.maximum(1.0, np.linalg.norm(vre, axis=0))):
             raise DecompositionFailure("v does not decompose as P + (S + jS)")
-        q = self.p.basis @ coeff[: self.p.dim]
-        return creal.re_to_cx(q.T), creal.re_to_cx((vre - q).T)
+        dp, ds = self.p.dim, self.s.dim
+        q = self.p.basis @ coeff[:dp]
+        c = coeff[dp : dp + ds] + 1j * coeff[dp + ds :]
+        return creal.re_to_cx(q.T), c.T
 
 
 def basic_spaces(q_map, w, x):
@@ -234,20 +239,35 @@ def radical_on(form, sub, tol_psd=TOL_PSD):
     return RealSubspace.from_spanning(sub.basis @ null)
 
 
-def derive_spaces(q_map, w, x, sx_basis=None):
-    """Full derived data at x, including N_x, S^x, P^x and the projection p^x.
+def admissible_radical(gx, d, n):
+    """N_x, the radical of g_x on P, when x is admissible for W; else None.
 
-    ``sx_basis`` overrides the default choice of S^x (the re-h orthocomplement
-    of N_x inside S_x) with any complement of N_x in S_x; kernel values must
-    not depend on this choice.
+    x is admissible when g_x is positive semi-definite on P = W meet jW and
+    its radical N_x is even-dimensional, j-invariant and inside ker g_x.
+    ``d`` holds the basic spaces of x.
+    """
+    try:
+        n_x = radical_on(gx, d.p)
+    except NotALinearSpace:
+        return None
+    if n_x.dim % 2 or not n_x.equals(n_x.j_image(n), tol=TOL_SUB) or not d.ker_gx.contains(n_x, tol=TOL_SUB):
+        return None
+    return n_x
+
+
+def derive_spaces(q_map, w, x, sx_basis=None):
+    """Full derived data at an admissible x: N_x, S^x, P^x and the projection p^x.
+
+    Raises NotInLambda unless x is admissible (see ``admissible_radical``)
+    and V = P + S^x + jS^x.  ``sx_basis`` overrides the default choice of S^x
+    (the re-h orthocomplement of N_x inside S_x) with any complement of N_x
+    in S_x; kernel values must not depend on this choice.
     """
     d = basic_spaces(q_map, w, x)
     n = q_map.n
-    gx = q_map.g_matrix(x)
-    try:
-        n_x = radical_on(gx, d.p)
-    except NotALinearSpace as exc:
-        raise NotInLambda(f"g_x restricted to P is not positive semi-definite: {exc}") from exc
+    n_x = admissible_radical(q_map.g_matrix(x), d, n)
+    if n_x is None:
+        raise NotInLambda("g_x on P is not PSD with radical inside ker g_x")
     d.n_x = n_x
 
     if sx_basis is None:
@@ -272,25 +292,9 @@ def derive_spaces(q_map, w, x, sx_basis=None):
     sel[dp:, dp:] = np.eye(2 * n - dp)
     d.proj_sx = blocks @ sel @ inv
 
-    # split for kernel coordinates: V = P + S + jS (direct when Im Q(S,S) = 0)
-    js = d.s.j_image(n)
-    d.split_matrix = np.hstack([d.p.basis, d.s.basis, js.basis])
+    # split for kernel coordinates: V = P + S + jS, with j applied to the
+    # basis of S itself.  P is orthogonal to S + jS, and S meets jS only in
+    # (W + jW)^perp, which is 0 since S^x lies in W and V = P + S^x + jS^x.
+    d.split_matrix = np.hstack([d.p.basis, d.s.basis, creal.j_matrix(n) @ d.s.basis])
     return d
 
-
-def conj_matrix(real_form, n):
-    """Real-linear conjugation of (real_form + j real_form) fixing real_form.
-
-    Returned as a 2n x 2n matrix that acts as the conjugation on the complex
-    span of the real form and as zero on a complement.
-    """
-    if real_form.dim == 0:
-        return np.zeros((2 * n, 2 * n))
-    b = real_form.basis
-    jb = creal.j_matrix(n) @ b
-    span = np.hstack([b, jb])
-    if np.linalg.matrix_rank(span, tol=1e-10) != span.shape[1]:
-        raise DecompositionFailure("real form meets j(real form); no conjugation")
-    coeff = np.linalg.pinv(span)
-    signs = np.diag(np.concatenate([np.ones(real_form.dim), -np.ones(real_form.dim)]))
-    return span @ signs @ coeff

@@ -5,8 +5,9 @@ import pytest
 
 from qsiegel import GroupElement, RealSubspace, SiegelPoint, creal, standard_model
 from qsiegel.certify import base_metric, phase_space_j
-from qsiegel.errors import NotInDomain, NotPSD
+from qsiegel.errors import DecompositionFailure, NotInCone, NotInDomain, NotPSD
 from qsiegel.integrals import _inv_i_iq, cone_laplace, sample_cone_exponential, sample_invariant_measure
+from qsiegel.rng import BLOCK, blocks
 from qsiegel.subspaces import complement_wrt, kernel_of_form
 from qsiegel.tolerances import TOL_EIG, TOL_PSD, TOL_RANK
 
@@ -355,3 +356,81 @@ def base_moments_oracle(alg, q_map, directions_u, directions_v, samples, seed):
     gammas = np.array(directions_v, dtype=complex).reshape(-1, q_map.n)
     qgs = np.real(q_map.q_eval(gammas, gammas))
     return np.mean(vals, axis=0), np.mean(np.abs(vals) ** 2, axis=0), np.mean(us @ qgs.T, axis=0)
+
+
+def conj_matrix(real_form, n):
+    """Real-linear conjugation of (real_form + j real_form) fixing real_form.
+
+    Returned as a 2n x 2n matrix that acts as the conjugation on the complex
+    span of the real form and as zero on a complement: the pseudo-inverse of
+    [S | jS] maps a vector to its coordinates, and the jS ones change sign.
+    The kernels read the conjugate from the coordinates of their own split;
+    this is the reference they are pinned to.
+    """
+    if real_form.dim == 0:
+        return np.zeros((2 * n, 2 * n))
+    b = real_form.basis
+    jb = creal.j_matrix(n) @ b
+    span = np.hstack([b, jb])
+    if np.linalg.matrix_rank(span, tol=1e-10) != span.shape[1]:
+        raise DecompositionFailure("real form meets j(real form); no conjugation")
+    coeff = np.linalg.pinv(span)
+    signs = np.diag(np.concatenate([np.ones(real_form.dim), -np.ones(real_form.dim)]))
+    return span @ signs @ coeff
+
+
+# -- box-rejection Monte Carlo: the independent oracle of the cone integrals ----
+
+# box half-width in units of the inverse smallest spectral value; the
+# truncated mass scales like exp(-BOX_KAPPA) times a low-degree polynomial
+BOX_KAPPA = 12.0
+
+
+def cone_box_mc(alg, u, samples, seed, stream=1):
+    """(I(u), se) by rejection MC: a uniform box scaled by the spectral data of u.
+
+    A diagonal cone (d = 0) is the positive orthant, so its box starts at 0
+    with one width per coordinate; the others take a cube about 0.
+    """
+    lam_min = float(np.min(alg.spectral_decompose(u).eigenvalues))
+    n = alg.dim
+    uvec = np.asarray(u, dtype=float)
+    if alg.d == 0:
+        lows = np.zeros(n)
+        highs = BOX_KAPPA / (2.0 * uvec)
+    else:
+        r = BOX_KAPPA / (2.0 * lam_min)
+        lows = -r * np.ones(n)
+        highs = r * np.ones(n)
+    vol = float(np.prod(highs - lows))
+    total = total_sq = 0.0
+    for g, rows in blocks(seed, stream, samples):
+        ys = lows + g.random((BLOCK, n))[: rows.stop - rows.start] * (highs - lows)
+        inside = np.linalg.eigvalsh(alg.to_matrix(ys))[:, 0] > 0.0
+        f = np.where(inside, np.exp(-2.0 * ys @ uvec), 0.0)
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return vol * mean, vol * math.sqrt(var / samples)
+
+
+def iq_box_mc(q_map, u, samples, seed, stream=2):
+    """(I_Q(u), se) by MC over a cube about 0 scaled by the smallest eigenvalue of the form."""
+    m_u = 2.0 * q_map.g_matrix(u)
+    m_u = 0.5 * (m_u + m_u.T)
+    vals = np.linalg.eigvalsh(m_u)
+    if vals[0] <= 0.0:
+        raise NotInCone("I_Q box requires a positive form")
+    dim = m_u.shape[0]
+    r = math.sqrt(2.0 * BOX_KAPPA / vals[0])
+    vol = (2.0 * r) ** dim
+    total = total_sq = 0.0
+    for g, rows in blocks(seed, stream, samples):
+        vs = (2.0 * g.random((BLOCK, dim))[: rows.stop - rows.start] - 1.0) * r
+        f = np.exp(-np.einsum("si,ij,sj->s", vs, m_u, vs))
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return vol * mean, vol * math.sqrt(var / samples)

@@ -90,6 +90,16 @@ def test_kernels_psd_and_not_in_lambda(tmp_path, capsys):
     assert code2 == 1
 
 
+def test_kernels_on_w_with_w_plus_jw_short_of_v_is_one_line(tmp_path, capsys):
+    # W + jW = C e1 in V = C^2: V is not P + S^x + jS^x, so S meets jS and the
+    # kernel coordinates are undefined
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"algebra": {"kind": "diagonal", "param": 2}, "W": {"basis": [[1.0, 0.0, 0.0, 0.0]]}}))
+    assert main(["kernels", str(path), "--x", "1,1", "--points", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "does not split as P + S^x + jS^x" in err
+
+
 def test_kernels_large_chi_still_psd(tmp_path, capsys):
     spec = write_spec(tmp_path, "heisenberg-rank1", "real")
     code, out = run_cli(
@@ -132,6 +142,64 @@ def test_nonpositive_samples_rejected(tmp_path, capsys, command, samples):
     assert main([command, spec, *point, "--samples", samples]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernels", "SPEC", "--x", "1,0,1", "--samples", "3"],
+        ["bergman", "SPEC", "--p1", "i,i,0,0,0", "--p2", "i,i,0,0,0", "--tol", "1e-8"],
+        ["orbit", "SPEC", "--x", "1,0,1", "--seed", "3"],
+        ["orbit", "SPEC", "--x", "1,0,1", "--samples", "3"],
+        ["catalog", "--seed", "3"],
+        ["catalog", "--samples", "3"],
+        ["catalog", "--tol", "1e-8"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, "sym2", "frame")
+    argv = [spec if arg == "SPEC" else arg for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"unrecognized arguments: {argv[-2]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["check", "SPEC", "--no-scale", "--samples", str(cli.MAX_SAMPLES + 1)], "--samples"),
+        (["bergman", "SPEC", "--p1", "i,i,0,0,0", "--p2", "i,i,0,0,0", "--method", "mc", "--samples", "1000000000"],
+         "--samples"),
+        (["kernels", "SPEC", "--x", "1,0,1", "--points", str(cli.MAX_POINTS + 1)], "--points"),
+        (["kernels", "SPEC", "--x", "1,0,1", "--points", "100000"], "--points"),
+    ],
+)
+def test_sample_and_point_counts_above_their_bounds_rejected(tmp_path, capsys, monkeypatch, argv, flag):
+    def build(*args):
+        raise AssertionError("the algebra was built")
+
+    spec = write_spec(tmp_path, "sym2", "frame")
+    monkeypatch.setattr(cli, "standard_model", build)
+    assert main([spec if arg == "SPEC" else arg for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bergman", "s.json", "--p1", "i", "--p2", "i", "--samples", "200000"],
+        ["check", "s.json", "--samples", "60"],
+        ["check", "s.json", "--samples", str(cli.MAX_SAMPLES)],
+        ["kernels", "s.json", "--x", "1", "--points", "120"],
+        ["kernels", "s.json", "--x", "1", "--points", str(cli.MAX_POINTS)],
+    ],
+)
+def test_sample_and_point_counts_at_their_bounds_parse(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert str(getattr(args, argv[-2].lstrip("-"))) == argv[-1]
+    cli.validate_spec({"algebra": {"kind": "rank1"}, "W": {"basis": []}, "sampling": {"samples": cli.MAX_SAMPLES}})
 
 
 @pytest.mark.parametrize(
@@ -201,6 +269,7 @@ def _set(spec, path, value):
         ("algebra.size", 2, "size"),
         ("tolerances.subspace", 1.0, "tolerances.subspace must be a number in (0, 0.001]"),
         ("tolerances.subspace", 0.5, "tolerances.subspace must be a number in (0, 0.001]"),
+        ("sampling.samples", cli.MAX_SAMPLES + 1, f"sampling.samples must be an integer in [1, {cli.MAX_SAMPLES}]"),
     ],
 )
 def test_invalid_spec_rejected_in_one_line(tmp_path, capsys, path, value, named):

@@ -7,7 +7,9 @@ and the Bergman code) and then take a few random mutations: a deleted or extra
 key, a value of the wrong type, NaN or inf, a short row.  Algebra sizes stay
 at most 3 so that a draw runs fast, except that one spec in ten asks for a
 size far above the cap of ``validate_spec``, which must reject it before
-building anything.  Fixed examples pin kernel overflow to a one-line error.
+building anything.  Fixed examples pin kernel overflow, and sample and point
+counts above ``MAX_SAMPLES`` and ``MAX_POINTS`` (a Bergman MC of 1e9 samples,
+about 32 GB, and a 100000 x 100000 Gram matrix), to a one-line error.
 """
 import contextlib
 import io
@@ -129,6 +131,11 @@ DIAG2_LOW_RESIDUALS = {
 # once turned the sampled certifiers to True and not Im Q: exit 2
 @example((HERM3_ZERO, "check", ["--no-scale", "--samples", "2", "--tol", "2"]))
 @example((DIAG2_LOW_RESIDUALS, "check", ["--samples", "2", "--tol", "0.5"]))
+# counts above their bounds are rejected before anything is allocated
+@example((RANK1_IMAGINARY_LINE, "kernels", ["--x", "1", "--points", "100000"]))
+@example((RANK1_IMAGINARY_LINE, "bergman", ["--p1", "1.5i,0.1", "--p2", "1.5i,0.1", "--method", "mc",
+                                            "--samples", "1000000000"]))
+@example(({**RANK1_IMAGINARY_LINE, "sampling": {"samples": 10**9}}, "check", ["--no-scale"]))
 def test_cli_ends_in_an_exit_code_never_an_exception(tmp_path_factory, case):
     spec, command, argv = case
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import base_moments_oracle, bergman_mc_oracle
+from conftest import base_moments_oracle, bergman_mc_oracle, cone_box_mc, iq_box_mc
 from qsiegel import SiegelPoint, bergman_kernel, cone_integrals, standard_model
-from qsiegel.errors import MCVarianceTooHigh, NotInCone, NotInDomain
+from qsiegel.errors import NotInCone, NotInDomain
 from qsiegel.integrals import (
     _inv_i_iq,
     _sample_cone_gamma,
@@ -78,24 +78,20 @@ def test_cone_integrals_requires_open_cone(diag2):
 
 @pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
 def test_mc_matches_closed_forms(models, kind):
+    # the box MC of the test oracles against the library's closed forms
     alg, _, q_map = models[kind]
     closed = cone_integrals(alg, q_map, alg.unit)
-    mc = cone_integrals(alg, q_map, alg.unit, method="mc", samples=400_000, seed=2, se_limit=0.1)
-    assert abs(mc.i_value - closed.i_value) <= 4.0 * mc.i_se + 1e-3 * closed.i_value
-    assert abs(mc.iq_value - closed.iq_value) <= 4.0 * mc.iq_se + 1e-3 * closed.iq_value
-
-
-def test_mc_variance_guard(sym2):
-    alg, _, q_map = sym2
-    with pytest.raises(MCVarianceTooHigh):
-        cone_integrals(alg, q_map, alg.unit, method="mc", samples=2_000, seed=0, se_limit=0.001)
+    i_mc, i_se = cone_box_mc(alg, alg.unit, 400_000, seed=2)
+    iq_mc, iq_se = iq_box_mc(q_map, alg.unit, 400_000, seed=2)
+    assert i_se <= 0.1 * i_mc and iq_se <= 0.1 * iq_mc
+    assert abs(i_mc - closed.i_value) <= 4.0 * i_se + 1e-3 * closed.i_value
+    assert abs(iq_mc - closed.iq_value) <= 4.0 * iq_se + 1e-3 * closed.iq_value
 
 
 def test_mc_determinism(diag2):
     alg, _, q_map = diag2
-    a = cone_integrals(alg, q_map, alg.unit, method="mc", samples=50_000, seed=9, se_limit=1.0)
-    b = cone_integrals(alg, q_map, alg.unit, method="mc", samples=50_000, seed=9, se_limit=1.0)
-    assert a.i_value == b.i_value and a.iq_value == b.iq_value
+    assert cone_box_mc(alg, alg.unit, 50_000, seed=9) == cone_box_mc(alg, alg.unit, 50_000, seed=9)
+    assert iq_box_mc(q_map, alg.unit, 50_000, seed=9) == iq_box_mc(q_map, alg.unit, 50_000, seed=9)
 
 
 # -- invariant measure -------------------------------------------------------------

@@ -17,6 +17,7 @@ from qsiegel import (
     frame_scalar_check,
     kernel_matrix,
 )
+from conftest import conj_matrix
 from qsiegel import creal
 from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.errors import (
@@ -72,6 +73,35 @@ def test_build_params_rank1(rank1):
     params = rank1_params(rank1)
     assert params.k == 0
     assert np.allclose(params.a_x, [[1.0]], atol=1e-12)
+
+
+def test_build_params_derives_the_spaces_once(monkeypatch):
+    # one basic_spaces and one radical_on per parameter: derive_spaces checks
+    # admissibility with the same predicate as classify_lambda
+    from qsiegel import kernels, subspaces
+
+    calls = {"basic_spaces": 0, "radical_on": 0}
+    for name in calls:
+        original = getattr(subspaces, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (subspaces, kernels):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    entry = catalog_get("sym3")
+    alg, _, q_map = entry.model()
+    w = entry.variant("frame").subspace(q_map.n)
+    for x in (alg.unit, alg.standard_frame()[1]):
+        calls.update(basic_spaces=0, radical_on=0)
+        params = build_kernel_params(q_map, w, x, chi=np.array([0.3]))
+        assert calls == {"basic_spaces": 1, "radical_on": 1}
+        calls.update(basic_spaces=0, radical_on=0)
+        assert classify_lambda(q_map, w, x) == params.k
+        assert calls == {"basic_spaces": 1, "radical_on": 1}
+    assert params.k >= 1, "the boundary x has a nonzero radical"
 
 
 def test_build_params_rejects_inadmissible(diag2):
@@ -131,7 +161,6 @@ def test_eval_agrees_with_adapted_coordinate_route():
     # coherent-state space, written in coordinates adapted to x (split along
     # P + S^x + jS^x, with the conjugation of the real form S^x); this route
     # never touches A_x or the fixed S-splitting used by eval_kernel
-    from qsiegel.subspaces import conj_matrix
 
     for name, var in [("sym2", "frame"), ("diag2", "phase"), ("herm2", "frame"), ("sym3", "frame")]:
         entry = catalog_get(name)
@@ -267,7 +296,8 @@ def _frame_vector(alg, k):
 
 def reference_kernel(params, p1, p2):
     """Per-pair evaluation that kernel_matrix replaced, kept as its reference:
-    each point is split along P + S + jS and chi is solved for on its own."""
+    each point is split along P + S + jS, conjugated by the matrix of
+    ``conj_matrix`` and paired with chi by a least-squares solve of its own."""
 
     def split(v):
         vre = creal.cx_to_re(v)
@@ -286,8 +316,9 @@ def reference_kernel(params, p1, p2):
 
     s1, s2 = split(p1.v), split(p2.v)
     first = invariant_kernel_raw(params.q_map, params.x, p1, p2)
-    s1bar = creal.re_to_cx(params.conj_s @ creal.cx_to_re(s1))
-    s2bar = creal.re_to_cx(params.conj_s @ creal.cx_to_re(s2))
+    conj_s = conj_matrix(params.spaces.s, params.q_map.n)
+    s1bar = creal.re_to_cx(conj_s @ creal.cx_to_re(s1))
+    s2bar = creal.re_to_cx(conj_s @ creal.cx_to_re(s2))
     d1 = s1 - s2bar
     d2 = s1bar - s2
     second = np.exp(np.vdot(params.a_x @ d2, d1))  # h(d1, A_x d2)
@@ -376,12 +407,16 @@ def test_batched_split_matches_single_splits_and_checks_every_row(sym2):
     w = catalog_get("sym2").variant("frame").subspace(q_map.n)
     spaces = build_kernel_params(q_map, w, alg.unit).spaces
     vs = np.array([p.v for p in sample_points(q_map, alg, 5, seed=25)])
-    q, s = spaces.split_p_s(vs)
+    q, c = spaces.split_p_s(vs)
+    # the coordinates c of s are complex over the basis of the real form S
+    assert np.allclose(q + c @ creal.re_to_cx(spaces.s.basis.T), vs, atol=1e-14)
     for i, v in enumerate(vs):
-        qi, si = spaces.split_p_s(v)
-        assert np.allclose(q[i], qi, atol=1e-14) and np.allclose(s[i], si, atol=1e-14)
-    # drop the last S + jS direction: only rows without a component along it split
-    narrow = dataclasses.replace(spaces, split_matrix=spaces.split_matrix[:, :-1])
+        qi, ci = spaces.split_p_s(v)
+        assert np.allclose(q[i], qi, atol=1e-14) and np.allclose(c[i], ci, atol=1e-14)
+    # zero the last S + jS direction: only rows without a component along it split
+    narrow_matrix = spaces.split_matrix.copy()
+    narrow_matrix[:, -1] = 0.0
+    narrow = dataclasses.replace(spaces, split_matrix=narrow_matrix)
     inside = creal.re_to_cx(narrow.split_matrix @ np.ones(narrow.split_matrix.shape[1]))
     narrow.split_p_s(np.array([inside, inside]))
     with pytest.raises(DecompositionFailure):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import conj_matrix
 from qsiegel import RealSubspace, complement_wrt, derive_spaces, kernel_of_form
 from qsiegel import creal
 from qsiegel.catalog import catalog_get
 from qsiegel.errors import NotALinearSpace, NotInLambda
 from qsiegel.kernels import classify_lambda
-from qsiegel.subspaces import basic_spaces, complement_bases, conj_matrix, radical_on, span_bases
+from qsiegel.subspaces import basic_spaces, complement_bases, radical_on, span_bases
 
 MF_ENTRIES = [
     ("heisenberg-rank1", "full"),
@@ -257,6 +258,17 @@ def test_w_splits_at_admissible_parameters():
             assert w.distance(d.p_x.add(d.s_x)) <= 1e-8
             assert w.distance(d.p.add(d.s_x_complement)) <= 1e-8
             assert d.p.intersect(d.s_x_complement).dim == 0
+
+
+def test_kernel_split_is_a_basis_of_v_when_derive_spaces_succeeds():
+    # V = P + S^x + jS^x with S^x inside W forces W + jW = V, so S meets jS
+    # only in (W + jW)^perp = 0 and [P | S | jS] is square and invertible
+    for name, var, alg, q_map, w in mf_models():
+        rng = np.random.default_rng(8)
+        for x in admissible_samples(alg, q_map, w, rng, count=5):
+            split = derive_spaces(q_map, w, x).split_matrix
+            assert split.shape == (2 * q_map.n, 2 * q_map.n), f"{name}/{var}"
+            assert np.linalg.matrix_rank(split, tol=1e-10) == 2 * q_map.n, f"{name}/{var}"
 
 
 def test_derive_spaces_rejects_inadmissible(diag2):

@@ -31,7 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import creal
-from .errors import HypothesisViolated, NotPSD, NotPositiveDefinite
+from .errors import HypothesisViolated, NotPSD
 from .integrals import base_measure_moments
 from .representation import SiegelPoint
 from .subspaces import RealSubspace, complement_bases, complement_wrt, span_bases
@@ -74,11 +74,6 @@ class Certificate:
         return out
 
 
-def _pairs(vec):
-    vec = np.asarray(vec, dtype=complex)
-    return [[float(a.real), float(a.imag)] for a in vec]
-
-
 def phase_space_j(dim_u, n):
     """Complex structure on (Re z, Im z, Re v, Im v) coordinates."""
     out = np.zeros((2 * (dim_u + n), 2 * (dim_u + n)))
@@ -114,7 +109,7 @@ def check_imq_vanishes(q_map, w):
     verdict = worst <= tol
     witness = None
     if not verdict:
-        witness = {"s1": _pairs(basis[first[k]]), "s2": _pairs(basis[second[k]])}
+        witness = {"s1": creal.pairs(basis[first[k]]), "s2": creal.pairs(basis[second[k]])}
     return Certificate("imq_vanishes", verdict, worst, tol, witness, extra={"dim_s": s.dim})
 
 
@@ -134,24 +129,16 @@ def base_metric(alg, q_map):
 
     e' is the cone point with <e', x> = 2(tr T_x + tr R_x), where
     tr T_x = (N / r) tr x and tr R_x = tr(X) / 2 = tr(x) / 2, so
-    e' = (2N / r + 1) e.  U-part: (a + ib, a' + ib') -> <e', a o a' + b o b'> / 4,
-    so H = T_{e'} / 4.  V-part: the form of e'.  Mixed block zero.
+    e' = s e with s = 2N / r + 1.  U-part: (a + ib, a' + ib') ->
+    <e', a o a' + b o b'> / 4, so H = T_{e'} / 4 = s / 4 I.  V-part: the form
+    of e', s I.  Mixed block zero.  s > 0, so the metric is positive definite.
     """
-    dim, n = alg.dim, q_map.n
-    e_prime = (2.0 * alg.dim / alg.rank + 1.0) * alg.unit
-    t = alg.left_mult(e_prime)
-    h = 0.125 * (t + t.T)
-    v_block = q_map.g_matrix(e_prime)
-    g = np.zeros((2 * (dim + n), 2 * (dim + n)))
-    g[:dim, :dim] = h
-    g[dim : 2 * dim, dim : 2 * dim] = h
-    g[2 * dim :, 2 * dim :] = v_block
-    if np.linalg.eigvalsh(0.5 * (g + g.T))[0] <= 0.0:
-        raise NotPositiveDefinite("base metric is not positive definite")
-    return BaseMetric(g, e_prime, h, v_block)
+    s = 2.0 * alg.dim / alg.rank + 1.0
+    diagonal = np.repeat([0.25 * s, s], [2 * alg.dim, 2 * q_map.n])
+    return BaseMetric(np.diag(diagonal), s * alg.unit, 0.25 * s * np.eye(alg.dim), s * np.eye(2 * q_map.n))
 
 
-def bergman_metric_scale(alg, q_map, metric=None, seed=0, samples=100_000, n_dirs=4):
+def bergman_metric_scale(alg, q_map, seed=0, samples=100_000):
     """Ratio of the closed-form base metric to MC moments of the invariant
     measure, averaged over random tangent directions.  The theory predicts 1;
     the value is reported in certificates and never affects verdicts."""
@@ -160,10 +147,10 @@ def bergman_metric_scale(alg, q_map, metric=None, seed=0, samples=100_000, n_dir
         _, m1, m2, qv = base_measure_moments(alg, q_map, zetas, gammas, samples, seed)
         return m2 - np.abs(m1) ** 2, 2.0 * qv
 
-    return _metric_scale(alg, q_map, metric, seed, sampled, n_dirs)
+    return _metric_scale(alg, q_map, seed, sampled)
 
 
-def exact_metric_scale(alg, q_map, metric=None, seed=0):
+def exact_metric_scale(alg, q_map, seed=0):
     """``bergman_metric_scale`` from the exact moments of the invariant measure,
     the value its MC estimate converges to: 1 up to rounding."""
     mean, cov = exact_measure_moments(alg)
@@ -172,7 +159,7 @@ def exact_metric_scale(alg, q_map, metric=None, seed=0):
         var = [z.real @ cov @ z.real + z.imag @ cov @ z.imag for z in zetas]
         return var, 2.0 * np.real(q_map.q_eval(gammas, gammas)) @ mean
 
-    return _metric_scale(alg, q_map, metric, seed, exact)
+    return _metric_scale(alg, q_map, seed, exact)
 
 
 def exact_measure_moments(alg):
@@ -184,16 +171,15 @@ def exact_measure_moments(alg):
     return s * y_inv, s * alg.quad_rep(y_inv)
 
 
-def _metric_scale(alg, q_map, metric, seed, moments, n_dirs=4):
+def _metric_scale(alg, q_map, seed, moments):
     """Mean and list of the ratios of the closed-form metric to the measure
-    side over seeded unit directions zeta in U_C and gamma in V, where
+    side over four seeded unit directions zeta in U_C and four gamma in V, where
     ``moments(zetas, gammas)`` gives Var <u, zeta> and 2 E<u, Q(gamma, gamma)>."""
-    if metric is None:
-        metric = base_metric(alg, q_map)
+    metric = base_metric(alg, q_map)
     rng = np.random.default_rng(seed + 12345)
     dirs_u = []
     dirs_v = []
-    for _ in range(n_dirs):
+    for _ in range(4):
         z = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         dirs_u.append(z / np.linalg.norm(z))
         g = rng.standard_normal(q_map.n) + 1j * rng.standard_normal(q_map.n)
@@ -212,7 +198,7 @@ def _metric_scale(alg, q_map, metric, seed, moments, n_dirs=4):
 # -- condition: coisotropic orbits ---------------------------------------------
 
 
-def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, metric_scale=None, tol=TOL_SUB):
+def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, tol=TOL_SUB):
     """W_y-perp inside j W_y, W_y = Y^(-1/2) W, at sampled points y.
 
     Samples are certified as stacks, in blocks of ``block_size``; the residual
@@ -237,7 +223,7 @@ def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, metric_scale=None, to
         col = int(np.argmax(np.linalg.norm(resid_mat[0], axis=0)))
         tangent = np.concatenate([np.zeros(2 * alg.dim), orth[0][:, col]])
         back = np.linalg.solve(q_map.transport_to_base(point)[1][0], tangent)
-        witness = {"tangent_vector": [float(t) for t in back], "point": {"z": _pairs(z), "v": _pairs(v)}}
+        witness = {"tangent_vector": [float(t) for t in back], "point": {"z": creal.pairs(z), "v": creal.pairs(v)}}
     return Certificate(
         "coisotropic",
         verdict,
@@ -246,7 +232,6 @@ def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, metric_scale=None, to
         witness,
         seed=seed,
         samples=n_samples,
-        metric_scale=metric_scale,
         sample_residuals=resid,
     )
 
@@ -344,7 +329,7 @@ def check_orbit_multiplicity(q_map, w, x, tol=TOL_SUB):
         k = _witness_index(resid, tol)
         _, resid_mat, jwp = _orbit_residuals(q_map, w, xs[k : k + 1])
         col = int(np.argmax(np.linalg.norm(resid_mat[0], axis=0)))
-        witness = {"v": _pairs(creal.re_to_cx(jwp[0][:, col])), "x": [float(t) for t in xs[k]]}
+        witness = {"v": creal.pairs(creal.re_to_cx(jwp[0][:, col])), "x": [float(t) for t in xs[k]]}
     if x.ndim == 1:
         extra = {"x": [float(t) for t in x]}
     else:
@@ -376,7 +361,8 @@ def _orbit_residuals(q_map, w, xs):
     if np.any(vals[..., 0] < -TOL_PSD * np.maximum(1.0, gx_norm)):
         raise NotPSD("g_x must be positive semi-definite on V")
     m = gx.shape[-1]
-    jwp = span_bases(creal.j_matrix(q_map.n) @ complement_bases(gx, w.basis, gx_norm))
+    # j is orthogonal, so it keeps the complement's columns orthonormal or zero
+    jwp = creal.j_matrix(q_map.n) @ complement_bases(gx, w.basis, gx_norm)
     kernel = complement_bases(gx, np.eye(m), gx_norm)
     target = span_bases(np.concatenate([kernel, np.broadcast_to(w.basis, gx.shape[:-1] + (w.dim,))], axis=-1))
     resid_mat = jwp - (target @ np.swapaxes(target, -1, -2)) @ jwp
@@ -417,17 +403,18 @@ class CombinedReport:
         }
 
 
-def certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=0, metric_scale=None, compute_scale=False, tol=TOL_SUB):
+def certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=0, compute_scale=False, tol=TOL_SUB):
     """Run the three certifiers and compare their verdicts.
 
     Orbit multiplicity is sampled at ``n_orbit`` interior cone points; its
     certificate verdict is the conjunction, with per-sample verdicts kept for
-    diagnosis.  ``consistent`` is True when all three conditions agree.
+    diagnosis.  ``consistent`` is True when all three conditions agree.  With
+    ``compute_scale`` the coisotropic certificate carries the exact metric scale.
     """
-    if compute_scale and metric_scale is None:
-        metric_scale, _ = exact_metric_scale(alg, q_map, seed=seed)
     c_imq = check_imq_vanishes(q_map, w)
-    c_coiso = check_coisotropic(alg, q_map, w, n_samples=n_coiso, seed=seed, metric_scale=metric_scale, tol=tol)
+    c_coiso = check_coisotropic(alg, q_map, w, n_samples=n_coiso, seed=seed, tol=tol)
+    if compute_scale:
+        c_coiso = replace(c_coiso, metric_scale=exact_metric_scale(alg, q_map, seed=seed)[0])
 
     rng = np.random.default_rng([seed, 0x0B17])
     count, block = max(1, n_orbit), block_size(q_map)

@@ -15,13 +15,14 @@ import numpy as np
 
 from . import catalog as _catalog
 from .certify import certify_all, check_orbit_multiplicity
+from .creal import pairs
 from .errors import QSiegelError, SpecFileError, UsageError
 from .integrals import bergman_kernel
 from .jordan import algebra_dim
 from .kernels import build_kernel_params, gram_psd_report
 from .representation import SiegelPoint, standard_model
 from .subspaces import RealSubspace
-from .tolerances import TOL_PSD, TOL_RANK, TOL_SUB
+from .tolerances import TOL_PSD, TOL_SUB
 
 
 def _finite(value):
@@ -147,11 +148,9 @@ def load_spec(path):
     else:
         if any(len(row) != 2 * q_map.n for row in rows):
             raise SpecFileError(f"W basis vectors must have length {2 * q_map.n}")
-        basis = np.array(rows, dtype=float)
-        svals = np.linalg.svd(basis.T, compute_uv=False)
-        if len(rows) > len(svals) or svals[-1] <= TOL_RANK * svals[0]:
+        w = RealSubspace.from_spanning(np.array(rows, dtype=float).T)
+        if w.dim < len(rows):
             raise SpecFileError("W basis vectors are linearly dependent at tolerance")
-        w = RealSubspace.from_spanning(basis.T)
     sampling = {key: int(value) for key, value in spec.get("sampling", {}).items()}
     sampling["tolerances"] = spec.get("tolerances", {})
     return alg, q_map, w, sampling
@@ -184,14 +183,15 @@ def _parse_point(text, dim_u, n, flag):
     return SiegelPoint(vals[:dim_u], vals[dim_u:])
 
 
-def _integer_flag(flag, rule):
-    """argparse type of an integer flag under a (test, what) rule; raises
-    UsageError, so main exits 1 with one line."""
+def _flag(flag, rule, convert):
+    """argparse type of a flag read by ``convert`` (int or float) under the
+    (test, what) rule of the value it sets; raises UsageError, so main exits 1
+    with one line."""
     test, what = rule
 
     def parse(text):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
             value = None
         if value is None or not test(value):
@@ -199,26 +199,6 @@ def _integer_flag(flag, rule):
         return value
 
     return parse
-
-
-def _tolerance_flag(rule):
-    """argparse type of --tol under the (test, what) rule of the tolerance it overrides; raises UsageError."""
-    test, what = rule
-
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not test(value):
-            raise UsageError(f"--tol must be {what}, got {text!r}")
-        return value
-
-    return parse
-
-
-def _pairs(values):
-    return [[float(np.real(v)), float(np.imag(v))] for v in np.atleast_1d(values)]
 
 
 def emit(report, out):
@@ -296,8 +276,8 @@ def cmd_bergman(args):
             "method": est.method,
             "samples": est.samples,
             "seed": seed,
-            "p1": {"z": _pairs(p1.z), "v": _pairs(p1.v)},
-            "p2": {"z": _pairs(p2.z), "v": _pairs(p2.v)},
+            "p1": {"z": pairs(p1.z), "v": pairs(p1.v)},
+            "p2": {"z": pairs(p2.z), "v": pairs(p2.v)},
         },
         args.out,
     )
@@ -356,12 +336,12 @@ def build_parser():
     def options(sp, *flags, tol_rule=None):
         # --out, and those of --seed, --samples and --tol that the command reads
         if "--seed" in flags:
-            sp.add_argument("--seed", type=_integer_flag("--seed", _SEED), default=None)
+            sp.add_argument("--seed", type=_flag("--seed", _SEED, int), default=None)
         if "--samples" in flags:
-            sp.add_argument("--samples", type=_integer_flag("--samples", _SAMPLES), default=None, help=_SAMPLES[1])
+            sp.add_argument("--samples", type=_flag("--samples", _SAMPLES, int), default=None, help=_SAMPLES[1])
         if tol_rule is not None:
             sp.add_argument(
-                "--tol", type=_tolerance_flag(tol_rule), default=None, help=f"override the decision tolerance, {tol_rule[1]}"
+                "--tol", type=_flag("--tol", tol_rule, float), default=None, help=f"override the decision tolerance, {tol_rule[1]}"
             )
         sp.add_argument("--out", default=None)
 
@@ -375,7 +355,7 @@ def build_parser():
     sp.add_argument("spec")
     sp.add_argument("--x", required=True, help="comma-separated coordinates in U")
     sp.add_argument("--chi", default=None, help="comma-separated coefficients on S")
-    sp.add_argument("--points", type=_integer_flag("--points", _POINTS), default=20, help=_POINTS[1])
+    sp.add_argument("--points", type=_flag("--points", _POINTS, int), default=20, help=_POINTS[1])
     options(sp, "--seed", tol_rule=_POSITIVE_FINITE)
     sp.set_defaults(func=cmd_kernels)
 

@@ -18,6 +18,11 @@ def re_to_cx(w):
     return w[..., :n] + 1j * w[..., n:]
 
 
+def pairs(values):
+    """[Re, Im] float pairs of a complex vector (or scalar), for JSON reports."""
+    return [[float(v.real), float(v.imag)] for v in np.atleast_1d(np.asarray(values, dtype=complex))]
+
+
 def realify(a):
     """Real 2n x 2n matrix of the C-linear operator a, or of each one in a stack."""
     a = np.asarray(a, dtype=complex)

@@ -59,10 +59,6 @@ class FactorizationResidualTooLarge(QSiegelError):
         self.residual = residual
 
 
-class NotPositiveDefinite(QSiegelError):
-    pass
-
-
 class NotPSD(QSiegelError):
     pass
 

@@ -229,11 +229,11 @@ class EuclideanJordanAlgebra:
             return mn >= -TOL_CONE
         raise ValueError("mode must be 'open' or 'closed'")
 
-    def peirce_system(self, c, tol=1e-8):
+    def peirce_system(self, c):
         """Projectors of T_c onto its eigenvalues 1, 1/2, 0 for an idempotent c:
         P(c), I - P(c) - P(e - c) and P(e - c)."""
         c = self.check_element(c)
-        if np.linalg.norm(self.mult(c, c) - c) > tol * max(1.0, np.dot(c, c)):
+        if np.linalg.norm(self.mult(c, c) - c) > 1e-8 * max(1.0, np.dot(c, c)):
             raise NotIdempotent("c o c differs from c beyond tolerance")
         p1, p0 = self.quad_rep(c), self.quad_rep(self.unit - c)
         return PeirceSystem(c, p1, np.eye(self.dim) - p1 - p0, p0)

@@ -47,7 +47,7 @@ from .errors import (
     NotIdempotent,
     NotInLambda,
 )
-from .subspaces import RealSubspace, admissible_radical, basic_spaces, derive_spaces
+from .subspaces import RealSubspace, admissible_radical, basic_spaces, derive_spaces, span_bases
 from .tolerances import TOL_PSD
 
 
@@ -57,7 +57,7 @@ def classify_lambda(q_map, w, x):
     Checks positive semi-definiteness of g_x on P = W meet jW, j-invariance of
     the radical, and the containment N_x inside ker g_x.
     """
-    n_x = admissible_radical(q_map.g_matrix(x), basic_spaces(q_map, w, x), q_map.n)
+    n_x = admissible_radical(basic_spaces(q_map, w, x), q_map.n)
     return None if n_x is None else n_x.dim // 2
 
 
@@ -213,8 +213,10 @@ def frame_scalar_check(alg, q_map, e1, x, n_samples=100, seed=0):
     x = alg.check_element(x)
     x1, x_half, x0 = peirce.split(x)
 
-    basis_half = _peirce_basis(peirce.p_half)
-    basis_zero = _peirce_basis(peirce.p0)
+    # a projector's rank is its trace: p_half and p0 of an idempotent accepted
+    # to 1e-8 carry dust of that size, which the relative cutoff alone keeps
+    # when their Peirce space is 0
+    basis_half, basis_zero = (span_bases(p)[:, : int(round(np.trace(p)))] for p in (peirce.p_half, peirce.p0))
     if basis_zero.shape[1]:
         t0 = basis_zero.T @ alg.left_mult(x0) @ basis_zero
         if np.linalg.eigvalsh(0.5 * (t0 + t0.T))[0] < -TOL_PSD * max(1.0, np.linalg.norm(t0, 2)):
@@ -267,12 +269,6 @@ def frame_w_subspace(alg, q_map, e1):
     return p.add(s), p, s
 
 
-def frame_kernel_params(alg, q_map, e1, x, chi=None):
+def frame_kernel_params(alg, q_map, e1, x):
     w, _, _ = frame_w_subspace(alg, q_map, e1)
-    return build_kernel_params(q_map, w, x, chi=chi)
-
-
-def _peirce_basis(projector):
-    u, s, _ = np.linalg.svd(projector)
-    r = int(np.sum(s > 0.5))
-    return u[:, :r]
+    return build_kernel_params(q_map, w, x)

@@ -1,17 +1,25 @@
 """Real-subspace arithmetic in the realified space V_R.
 
-Subspaces are kept in canonical form as orthonormal basis matrices; every
-rank decision funnels through one SVD cutoff (TOL_RANK relative to the
-largest singular value) so downstream certifiers inherit a single, central
-numerical policy.
+Subspaces are kept in canonical form as orthonormal basis matrices.  Every
+subspace rank decision runs in one of two functions, with one SVD cutoff
+(TOL_RANK relative to the largest singular value), so downstream certifiers
+inherit a single, central numerical policy: ``span_bases`` decides the rank
+of a span, ``complement_bases`` that of a form complement, and each matrix
+is factored once.  ``RealSubspace.from_spanning``, ``complement_wrt``,
+``kernel_of_form`` and ``RealSubspace.intersect`` (a complement for the
+identity form) are the one-matrix case of these two.  Two decisions use a
+cutoff of their own: ``radical_on`` drops the eigenvalues of a restricted
+form below TOL_RANK of its spectrum (floored at the form's roundoff), and
+``derive_spaces`` accepts the split V = P + S^x + jS^x when its smallest
+singular value exceeds the absolute 1e-10.  (``kernels.frame_scalar_check``
+spans the Peirce projectors here but takes their ranks from their traces.)
 
 The rank decisions run on stacks: ``span_bases`` and ``complement_bases``
 take a leading stack axis and decide every rank in one stacked SVD.  Their
 bases have a fixed width across the stack, and a column that a member's own
 rank drops is zero (masked), so projectors B B^T and residual 2-norms are
 exact even when ranks differ inside the stack.  A stack of equal ranks
-carries no masked column.  ``RealSubspace.from_spanning`` and
-``complement_wrt`` are the one-matrix case of these two functions.
+carries no masked column.
 """
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,12 +34,10 @@ from .tolerances import TOL_PSD, TOL_RANK, TOL_SUB
 class RealSubspace:
     """Column space of an orthonormal basis matrix in R^m."""
 
-    def __init__(self, basis, ambient=None):
+    def __init__(self, basis):
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2:
             raise ValueError("basis must be an m x d matrix")
-        if ambient is not None and basis.shape[0] != ambient:
-            raise ValueError("ambient dimension mismatch")
         if basis.shape[1]:
             gram = basis.T @ basis
             if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-12:
@@ -41,12 +47,12 @@ class RealSubspace:
         self.dim = basis.shape[1]
 
     @classmethod
-    def from_spanning(cls, vectors, tol=TOL_RANK):
+    def from_spanning(cls, vectors):
         """Rank-revealing orthogonalization of an m x k spanning set."""
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim == 1:
             vectors = vectors[:, None]
-        return cls(span_bases(vectors, tol))
+        return cls(span_bases(vectors))
 
     @classmethod
     def zero(cls, m):
@@ -77,15 +83,12 @@ class RealSubspace:
         return RealSubspace.from_spanning(np.hstack([self.basis, other.basis]))
 
     def intersect(self, other):
-        """Intersection via the null space of [B1 | -B2]."""
+        """Intersection via the null space of [B1 | -B2]: its complement for the
+        identity form, whose 2-norm is 1."""
         if self.dim == 0 or other.dim == 0:
             return RealSubspace.zero(self.ambient)
         stacked = np.hstack([self.basis, -other.basis])
-        _, s, vt = np.linalg.svd(stacked, full_matrices=True)
-        null_mask = np.zeros(vt.shape[0], dtype=bool)
-        null_mask[s.size :] = True
-        null_mask[: s.size] = s <= TOL_RANK * max(s[0], 1.0)
-        coeffs = vt[null_mask][:, : self.dim].T
+        coeffs = complement_bases(np.eye(stacked.shape[1]), stacked.T, 1.0)[: self.dim]
         if coeffs.shape[1] == 0:
             return RealSubspace.zero(self.ambient)
         return RealSubspace.from_spanning(self.basis @ coeffs)
@@ -114,16 +117,16 @@ class RealSubspace:
         return f"RealSubspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def span_bases(vectors, tol=TOL_RANK):
+def span_bases(vectors):
     """Orthonormal bases of the column spans of a stack of m x k matrices.
 
-    One stacked SVD; a singular value counts when it exceeds ``tol`` times
+    One stacked SVD; a singular value counts when it exceeds TOL_RANK times
     the largest one of its own matrix.  The width is the largest rank in the
     stack, each basis is the leading left singular vectors of its matrix, and
     the columns beyond its own rank are zero.
     """
     u, s, _ = np.linalg.svd(np.asarray(vectors, dtype=float), full_matrices=False)
-    keep = s > tol * s[..., :1]
+    keep = s > TOL_RANK * s[..., :1]
     width = int(np.max(np.sum(keep, axis=-1), initial=0))
     return u[..., :width] * keep[..., None, :width]
 
@@ -164,7 +167,9 @@ def complement_wrt(b, w):
 
 
 def kernel_of_form(b):
-    return complement_wrt(b, RealSubspace.full(np.asarray(b).shape[0]))
+    """ker b, from one SVD of b: the largest singular value of I b is |b|_2."""
+    b = np.asarray(b, dtype=float)
+    return RealSubspace(complement_bases(b, np.eye(b.shape[-1]), 0.0))
 
 
 @dataclass
@@ -174,6 +179,7 @@ class DerivedSpaces:
     w: RealSubspace
     p: RealSubspace                      # W meet jW
     s: RealSubspace                      # re-h complement of jW
+    g_x: np.ndarray = field(repr=False)  # the form g_x on V (real 2n x 2n)
     ker_gx: RealSubspace
     s_x: RealSubspace                    # g_x-complement of jW, intersected with W
     n_x: Optional[RealSubspace] = None   # radical of g_x on P (when PSD)
@@ -211,10 +217,10 @@ def basic_spaces(q_map, w, x):
     gx = q_map.g_matrix(x)
     ker = kernel_of_form(gx)
     s_x = complement_wrt(gx, jw).intersect(w)
-    return DerivedSpaces(w=w, p=p, s=s, ker_gx=ker, s_x=s_x)
+    return DerivedSpaces(w=w, p=p, s=s, g_x=gx, ker_gx=ker, s_x=s_x)
 
 
-def radical_on(form, sub, tol_psd=TOL_PSD):
+def radical_on(form, sub):
     """Radical of a PSD form restricted to a subspace.
 
     Raises NotALinearSpace when the restriction is indefinite, since the
@@ -230,7 +236,7 @@ def radical_on(form, sub, tol_psd=TOL_PSD):
     g = 0.5 * (g + g.T)
     vals, vecs = np.linalg.eigh(g)
     top = max(float(vals[-1]), 0.0)
-    if vals[0] < -tol_psd * max(1.0, top):
+    if vals[0] < -TOL_PSD * max(1.0, top):
         raise NotALinearSpace("form is indefinite on the subspace")
     floor = 1e-12 * max(1.0, float(np.linalg.norm(form, 2)))
     null = vecs[:, np.abs(vals) <= max(TOL_RANK * top, floor)]
@@ -239,7 +245,7 @@ def radical_on(form, sub, tol_psd=TOL_PSD):
     return RealSubspace.from_spanning(sub.basis @ null)
 
 
-def admissible_radical(gx, d, n):
+def admissible_radical(d, n):
     """N_x, the radical of g_x on P, when x is admissible for W; else None.
 
     x is admissible when g_x is positive semi-definite on P = W meet jW and
@@ -247,7 +253,7 @@ def admissible_radical(gx, d, n):
     ``d`` holds the basic spaces of x.
     """
     try:
-        n_x = radical_on(gx, d.p)
+        n_x = radical_on(d.g_x, d.p)
     except NotALinearSpace:
         return None
     if n_x.dim % 2 or not n_x.equals(n_x.j_image(n), tol=TOL_SUB) or not d.ker_gx.contains(n_x, tol=TOL_SUB):
@@ -265,13 +271,14 @@ def derive_spaces(q_map, w, x, sx_basis=None):
     """
     d = basic_spaces(q_map, w, x)
     n = q_map.n
-    n_x = admissible_radical(q_map.g_matrix(x), d, n)
+    n_x = admissible_radical(d, n)
     if n_x is None:
         raise NotInLambda("g_x on P is not PSD with radical inside ker g_x")
     d.n_x = n_x
+    nx_perp = n_x.perp()
 
     if sx_basis is None:
-        d.s_x_complement = d.s_x.intersect(n_x.perp())
+        d.s_x_complement = d.s_x.intersect(nx_perp)
     else:
         cand = RealSubspace.from_spanning(sx_basis)
         if not d.s_x.contains(cand, tol=1e-7):
@@ -279,18 +286,18 @@ def derive_spaces(q_map, w, x, sx_basis=None):
         if cand.intersect(n_x).dim > 0 or cand.dim + n_x.dim != d.s_x.dim:
             raise DecompositionFailure("supplied S^x is not complementary to N_x in S_x")
         d.s_x_complement = cand
-    d.p_x = n_x.perp().intersect(d.p)
+    d.p_x = nx_perp.intersect(d.p)
 
     sx = d.s_x_complement
-    jsx = sx.j_image(n)
-    blocks = np.hstack([d.p.basis, sx.basis, jsx.basis])
-    if blocks.shape[1] != 2 * n or np.linalg.matrix_rank(blocks, tol=1e-10) != 2 * n:
+    blocks = np.hstack([d.p.basis, sx.basis, sx.j_image(n).basis])
+    # one SVD decides the split (square, every singular value above the
+    # absolute 1e-10) and inverts it: p^x keeps the S^x + jS^x coordinates,
+    # the rows of blocks^-1 = V diag(1/s) U^T past P
+    u, sv, vt = np.linalg.svd(blocks)
+    if blocks.shape[1] != 2 * n or sv[-1] <= 1e-10:
         raise NotInLambda("V does not split as P + S^x + jS^x for this x")
-    inv = np.linalg.inv(blocks)
-    sel = np.zeros((2 * n, 2 * n))
     dp = d.p.dim
-    sel[dp:, dp:] = np.eye(2 * n - dp)
-    d.proj_sx = blocks @ sel @ inv
+    d.proj_sx = blocks[:, dp:] @ ((vt.T[dp:] / sv) @ u.T)
 
     # split for kernel coordinates: V = P + S + jS, with j applied to the
     # basis of S itself.  P is orthogonal to S + jS, and S meets jS only in

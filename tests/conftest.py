@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -356,6 +357,56 @@ def base_moments_oracle(alg, q_map, directions_u, directions_v, samples, seed):
     gammas = np.array(directions_v, dtype=complex).reshape(-1, q_map.n)
     qgs = np.real(q_map.q_eval(gammas, gammas))
     return np.mean(vals, axis=0), np.mean(np.abs(vals) ** 2, axis=0), np.mean(us @ qgs.T, axis=0)
+
+
+def intersect_oracle(a, b):
+    """A meet B as ``RealSubspace.intersect`` read before it called
+    ``complement_bases``: its own SVD of [A | -B], the null mask at
+    TOL_RANK * max(s[0], 1) and the coefficients on A re-spanned."""
+    if a.dim == 0 or b.dim == 0:
+        return RealSubspace.zero(a.ambient)
+    stacked = np.hstack([a.basis, -b.basis])
+    _, s, vt = np.linalg.svd(stacked, full_matrices=True)
+    null_mask = np.zeros(vt.shape[0], dtype=bool)
+    null_mask[s.size :] = True
+    null_mask[: s.size] = s <= TOL_RANK * max(s[0], 1.0)
+    coeffs = vt[null_mask][:, : a.dim].T
+    if coeffs.shape[1] == 0:
+        return RealSubspace.zero(a.ambient)
+    return RealSubspace.from_spanning(a.basis @ coeffs)
+
+
+def split_projection_oracle(d, n):
+    """p^x as ``derive_spaces`` built it before one SVD did both jobs: the
+    split [P | S^x | jS^x] tested by ``matrix_rank(tol=1e-10)``, then
+    blocks . diag(0 on P, 1 past it) . inv(blocks).  None when it does not split."""
+    blocks = np.hstack([d.p.basis, d.s_x_complement.basis, d.s_x_complement.j_image(n).basis])
+    if blocks.shape[1] != 2 * n or np.linalg.matrix_rank(blocks, tol=1e-10) != 2 * n:
+        return None
+    sel = np.zeros((2 * n, 2 * n))
+    sel[d.p.dim :, d.p.dim :] = np.eye(2 * n - d.p.dim)
+    return blocks @ sel @ np.linalg.inv(blocks)
+
+
+class SVDCounter:
+    """Replaces ``np.linalg.svd`` and keeps the name of the function that made each call."""
+
+    def __init__(self, monkeypatch):
+        self.callers = []
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            self.callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+
+    def reset(self):
+        self.callers.clear()
+
+    @property
+    def calls(self):
+        return len(self.callers)
 
 
 def conj_matrix(real_form, n):

@@ -22,12 +22,13 @@ from qsiegel.certify import BaseMetric, block_size, exact_measure_moments, exact
 from qsiegel.errors import HypothesisViolated, NotPSD
 from qsiegel.integrals import base_measure_moments, sample_invariant_measure
 from qsiegel.kernels import frame_w_subspace
-from qsiegel.subspaces import complement_wrt
+from qsiegel.subspaces import complement_wrt, kernel_of_form
 from qsiegel.tolerances import TOL_SUB, TOL_ZERO
 
 from conftest import (
     ORACLE_SIZES,
     DenseRepresentationOracle,
+    SVDCounter,
     base_metric_u_block_oracle,
     coisotropic_loop_oracle,
     oracle_expected_mf,
@@ -395,6 +396,39 @@ def test_coisotropic_witness_is_a_violating_complement_vector(name, variant):
     assert abs(np.linalg.norm(moved) - 1.0) <= 1e-12
     assert np.linalg.norm(moved - orth.projector() @ moved) <= 1e-12
     assert np.linalg.norm(moved - jt.projector() @ moved) > cert.tol
+
+
+@pytest.mark.parametrize("name,variant", NOT_MF_VARIANTS)
+def test_orbit_witness_is_a_unit_vector_of_jw_prime_outside_k(name, variant):
+    # the basis of jW' is not unique, so the witness v is checked by what it
+    # must satisfy at its x: a unit vector of jW', W' the g_x-complement of W,
+    # farther than tol from K = ker g_x + W
+    entry = catalog_get(name)
+    alg, _, q_map = entry.model()
+    w = entry.variant(variant).subspace(q_map.n)
+    orbit = certify_all(alg, q_map, w, n_coiso=1, n_orbit=50, seed=3).certificates[2]
+    assert not orbit.verdict
+    v = creal.cx_to_re(np.array([complex(*t) for t in orbit.witness["v"]]))
+    gx = q_map.g_matrix(np.array(orbit.witness["x"]))
+    jw_prime = complement_wrt(gx, w).j_image(q_map.n)
+    k = kernel_of_form(gx).add(w)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert np.linalg.norm(v - jw_prime.projector() @ v) <= 1e-12
+    assert np.linalg.norm(v - k.projector() @ v) > orbit.tol
+
+
+def test_orbit_block_takes_three_svds(monkeypatch):
+    # the g_x-complement of W, the kernel of g_x and the span of kernel + W;
+    # j keeps the complement's basis orthonormal, so it is not spanned again
+    entry = catalog_get("sym3")
+    alg, _, q_map = entry.model()
+    xs = alg.exp(0.7 * np.random.default_rng(4).standard_normal((5, alg.dim)))
+    counter = SVDCounter(monkeypatch)
+    for variant in ("frame", "complexline"):
+        w = entry.variant(variant).subspace(q_map.n)
+        counter.reset()
+        certify._orbit_residuals(q_map, w, xs)
+        assert counter.calls == 3, variant
 
 
 def test_witness_is_first_of_the_tied_worst_samples():

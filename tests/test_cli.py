@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from conftest import SVDCounter
 from qsiegel import cli
 from qsiegel.catalog import catalog_get
 from qsiegel.cli import main
@@ -75,6 +77,28 @@ def test_check_dependent_basis_rejected(tmp_path, capsys):
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]
     path.write_text(json.dumps({"algebra": {"kind": "diagonal", "param": 2}, "W": {"basis": rows}}))
     assert main(["check", str(path)]) == 1
+
+
+@pytest.mark.parametrize("ratio,dim", [(0.5e-9, None), (2e-9, 2)])
+def test_dependence_of_w_is_decided_at_the_rank_cutoff(tmp_path, capsys, ratio, dim):
+    # two rows with singular values 1 and ratio, on both sides of TOL_RANK = 1e-9
+    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((4, 4)))
+    rows = (q[:, :2] * [1.0, ratio]).T.tolist()
+    path = tmp_path / "cutoff.json"
+    path.write_text(json.dumps({"algebra": {"kind": "diagonal", "param": 2}, "W": {"basis": rows}}))
+    if dim is None:
+        assert main(["check", str(path), "--no-scale"]) == 1
+        assert capsys.readouterr().err == "error: W basis vectors are linearly dependent at tolerance\n"
+    else:
+        assert cli.load_spec(str(path))[2].dim == dim
+
+
+def test_load_spec_factors_w_once(tmp_path, monkeypatch):
+    # one span of the rows both decides their independence and gives W's basis
+    spec = write_spec(tmp_path, "sym3", "frame")
+    counter = SVDCounter(monkeypatch)
+    cli.load_spec(spec)
+    assert counter.calls == 1
 
 
 def test_kernels_psd_and_not_in_lambda(tmp_path, capsys):

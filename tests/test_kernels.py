@@ -525,6 +525,20 @@ def test_frame_scalar_herm2(herm2):
         assert rep.scalar_deviation <= 1e-8
 
 
+@pytest.mark.parametrize("kind,param", [("diagonal", 2), ("sym_real", 2), ("sym_real", 3)])
+def test_frame_scalar_check_on_an_idempotent_accepted_to_rounding(kind, param):
+    # e1 scaled by 1 + 3e-9 passes the 1e-8 idempotent test, and its Peirce
+    # projectors carry dust of that size; at diagonal 2 U(e1, 1/2) is 0, and a
+    # dust direction kept as its basis solved x_half = 2 T_y x_0 with y ~ 3e8
+    alg, _, q_map = standard_model(kind, param)
+    e1 = alg.standard_frame()[0]
+    x = alg.unit + 0.1 * e1
+    exact = frame_scalar_check(alg, q_map, e1, x, n_samples=5)
+    near = frame_scalar_check(alg, q_map, (1.0 + 3e-9) * e1, x, n_samples=5)
+    assert abs(near.scalar - exact.scalar) <= 1e-7
+    assert np.max(np.abs(near.y - exact.y)) <= 1e-7
+
+
 def test_frame_scalar_rejects_bad_frames(sym2):
     alg, _, q_map = sym2
     with pytest.raises(FrameInvalid):

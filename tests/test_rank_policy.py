@@ -1,0 +1,61 @@
+"""Every subspace rank decision of the library runs through one policy.
+
+``subspaces.span_bases`` and ``subspaces.complement_bases`` decide ranks with
+the TOL_RANK cutoff, and every other rank decision calls one of them.  The
+only other SVDs are ``RealSubspace.perp`` (the complement of an orthonormal
+basis, whose basis fixes the coordinates of ``--chi``), ``derive_spaces``
+(one SVD both decides the split V = P + S^x + jS^x at the absolute 1e-10 and
+inverts it) and ``EuclideanJordanAlgebra.invert``.  This scans the syntax
+tree of each module for ``svd`` and ``matrix_rank``, read as an attribute or
+imported by name, so comments and docstrings may still name them.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qsiegel"
+MODULES = sorted(SRC.glob("*.py"))
+SVD_SITES = {
+    ("subspaces.py", "span_bases"),
+    ("subspaces.py", "complement_bases"),
+    ("subspaces.py", "perp"),
+    ("subspaces.py", "derive_spaces"),
+    ("jordan.py", "invert"),
+}
+
+
+def linalg_uses(source):
+    """(enclosing function or None, name) of each use of ``svd`` or ``matrix_rank``."""
+    hits = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("svd", "matrix_rank"):
+                hits.append((function, child.attr))
+            if isinstance(child, ast.ImportFrom):
+                hits.extend((function, a.name) for a in child.names if a.name in ("svd", "matrix_rank"))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return hits
+
+
+def test_the_scan_finds_each_form():
+    source = (
+        "from numpy.linalg import svd\n"
+        "def f(a):\n    return np.linalg.matrix_rank(a)\n"
+        "class C:\n    def g(self, a):\n        u, s, vt = np.linalg.svd(a)  # np.linalg.svd\n"
+    )
+    assert linalg_uses(source) == [(None, "svd"), ("f", "matrix_rank"), ("g", "svd")]
+    assert linalg_uses('"""np.linalg.svd and matrix_rank"""\nx = np.linalg.norm(a, 2)\n') == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_matrix_rank_and_svd_only_at_its_sites(path):
+    for function, name in linalg_uses(path.read_text()):
+        assert name != "matrix_rank", f"{path.name}: {function} decides a rank with matrix_rank"
+        assert (path.name, function) in SVD_SITES, f"{path.name}: {function} runs its own SVD"

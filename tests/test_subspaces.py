@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import conj_matrix
+from conftest import SVDCounter, conj_matrix, intersect_oracle, split_projection_oracle
 from qsiegel import RealSubspace, complement_wrt, derive_spaces, kernel_of_form
 from qsiegel import creal
 from qsiegel.catalog import catalog_get
@@ -37,6 +37,24 @@ def test_from_spanning_canonicalizes():
     sub = RealSubspace.from_spanning(np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]]))
     assert sub.dim == 1
     assert sub.contains_vector(np.array([1.0, 0.0, 1.0]))
+
+
+def test_intersect_matches_the_null_space_oracle():
+    # intersect is the identity-form complement of [A | -B]^T: the same cutoff
+    # TOL_RANK * max(s[0], 1) on the same matrix, so the bases are equal, also
+    # when B holds A's vectors moved by up to 1e-6 and the rank is near the cutoff
+    rng = np.random.default_rng(41)
+    for trial in range(400):
+        m = int(rng.integers(2, 9))
+        a = RealSubspace.from_spanning(rng.standard_normal((m, int(rng.integers(1, m + 1)))))
+        shared = a.basis @ rng.standard_normal((a.dim, int(rng.integers(1, a.dim + 1))))
+        shared += rng.choice([0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6]) * rng.standard_normal(shared.shape)
+        b = RealSubspace.from_spanning(np.hstack([shared, rng.standard_normal((m, int(rng.integers(0, m))))]))
+        got, want = a.intersect(b), intersect_oracle(a, b)
+        assert np.array_equal(got.basis, want.basis), f"trial {trial}"
+    for name, var, alg, q_map, w in mf_models():
+        jw = w.j_image(q_map.n)
+        assert np.array_equal(w.intersect(jw).basis, intersect_oracle(w, jw).basis), f"{name}/{var}"
 
 
 def test_equality_by_projector_distance():
@@ -269,6 +287,32 @@ def test_kernel_split_is_a_basis_of_v_when_derive_spaces_succeeds():
             split = derive_spaces(q_map, w, x).split_matrix
             assert split.shape == (2 * q_map.n, 2 * q_map.n), f"{name}/{var}"
             assert np.linalg.matrix_rank(split, tol=1e-10) == 2 * q_map.n, f"{name}/{var}"
+
+
+def test_split_projection_matches_the_inverse_oracle():
+    # one SVD of [P | S^x | jS^x] decides the split and gives the rows of its
+    # inverse; p^x agrees with the matrix_rank + inv construction it replaced
+    for name, var, alg, q_map, w in mf_models():
+        rng = np.random.default_rng(6)
+        for x in admissible_samples(alg, q_map, w, rng):
+            d = derive_spaces(q_map, w, x)
+            want = split_projection_oracle(d, q_map.n)
+            assert want is not None, f"{name}/{var}"
+            assert np.max(np.abs(d.proj_sx - want)) <= 1e-12, f"{name}/{var}"
+
+
+def test_split_is_decided_and_inverted_by_one_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("derive_spaces factors the split once, by its SVD")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    counter = SVDCounter(monkeypatch)
+    for name, var, alg, q_map, w in mf_models():
+        for x in admissible_samples(alg, q_map, w, np.random.default_rng(6), count=3):
+            counter.reset()
+            derive_spaces(q_map, w, x)
+            assert counter.callers.count("derive_spaces") == 1, f"{name}/{var}"
 
 
 def test_derive_spaces_rejects_inadmissible(diag2):

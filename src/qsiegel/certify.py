@@ -7,7 +7,8 @@ Three certifiers are implemented and cross-validated:
   form of the invariant metric.  At the base point that metric is scalar on
   Re U, Im U and V, and the orbit tangent through a point with
   y = Im z - Q(v, v) moves to Re U + W_y, W_y = Y^(-1/2) W; so the test is
-  W_y-perp inside j W_y, in V,
+  W_y-perp inside j W_y, in V: <y, Im Q(S, S)> = 0 for S = (jW)-perp, with
+  the residual |G^(-1/2) Im H G^(-1/2)|_2, H = S^H Y S, G = Re H,
 * ``check_orbit_multiplicity`` -- the coadjoint-orbit condition
   j(W-complement for g_x) inside ker(g_x) + W at cone parameters x.
 
@@ -17,11 +18,11 @@ test conjugate conditions by different numerical routes, and their agreement
 checks the numerics.  The theory says the three verdicts agree;
 disagreement is an alarm and maps to a dedicated exit code in the CLI.
 
-The two sampled certifiers work on stacks: every sample in a block is drawn,
-spanned and complemented by stacked LAPACK calls, and the rank decisions of
-``subspaces.span_bases`` and ``subspaces.complement_bases`` run on the whole
-stack, with masked zero columns where a sample's rank is lower than the
-stack's width.  Blocks keep one 2n x 2n float64 stack within STACK_BYTES.
+The two sampled certifiers work on stacks of samples, in blocks that keep
+one 2n x 2n float64 stack within STACK_BYTES.  The coisotropic residual
+decides no rank; the orbit certifier's ``subspaces.span_bases`` and
+``subspaces.complement_bases`` decide every rank of a stack at once, with
+masked zero columns where a sample's rank is lower than the stack's width.
 The witness is the first sample above the tolerance whose residual is within
 TOL_ZERO of the worst.
 """
@@ -199,15 +200,22 @@ def _metric_scale(alg, q_map, seed, moments):
 
 
 def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, tol=TOL_SUB):
-    """W_y-perp inside j W_y, W_y = Y^(-1/2) W, at sampled points y.
+    """W_y-perp inside j W_y, W_y = Y^(-1/2) W, at sampled points y, in closed form on S.
+
+    Y commutes with j, so W_y-perp = Y^(1/2) jS and (j W_y)-perp = Y^(1/2) S:
+    the test is <y, Im Q(S, S)> = 0, and |O - P_{jW_y} O|_2 is the cosine of
+    the smallest principal angle between Y^(1/2) S and Y^(1/2) jS, |C|_2 for
+    C = G^(-1/2) Im H G^(-1/2), H = S^H Y S over complex S and G = Re H.
 
     Samples are certified as stacks, in blocks of ``block_size``; the residual
     is the worst over the samples and ``sample_residuals`` keeps each one.  The
-    witness tangent vector is the worst complement direction (0, 0, w) at the
-    base point, moved back by the derivative of ``transport_to_base``."""
+    witness tangent vector is Y^(1/2) jS G^(-1/2) u at the base point, u the
+    top eigenvector of C^T C; moved back by the inverse derivative of
+    ``transport_to_base`` it is affine_derivative(v) (0, 0, Y jS G^(-1/2) u)."""
     count = max(1, n_samples)
+    s_rows = creal.re_to_cx((creal.j_matrix(q_map.n) @ w.perp().basis).T)
     resid = np.concatenate(
-        [_coisotropic_residuals(q_map, w, p)[0] for _, p in _coisotropic_points(q_map, seed, count)]
+        [_coisotropic_residuals(q_map, s_rows, p)[0] for _, p in _coisotropic_points(q_map, seed, count)]
     )
     worst = float(np.max(resid))
     verdict = worst <= tol
@@ -218,11 +226,10 @@ def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, tol=TOL_SUB):
         k = _witness_index(resid, tol)
         start, p = next((s, p) for s, p in _coisotropic_points(q_map, seed, count) if k < s + len(p.v))
         z, v = p.z[k - start], p.v[k - start]
-        point = SiegelPoint(z[None], v[None])
-        _, resid_mat, orth = _coisotropic_residuals(q_map, w, point)
-        col = int(np.argmax(np.linalg.norm(resid_mat[0], axis=0)))
-        tangent = np.concatenate([np.zeros(2 * alg.dim), orth[0][:, col]])
-        back = np.linalg.solve(q_map.transport_to_base(point)[1][0], tangent)
+        _, c, root, y = _coisotropic_residuals(q_map, s_rows, SiegelPoint(z[None], v[None]))
+        u = np.linalg.eigh(c[0].T @ c[0])[1][:, -1]
+        gamma = y[0] @ (1j * ((root[0] @ u) @ s_rows))
+        back = q_map.affine_derivative(v) @ np.concatenate([np.zeros(2 * alg.dim), creal.cx_to_re(gamma)])
         witness = {"tangent_vector": [float(t) for t in back], "point": {"z": creal.pairs(z), "v": creal.pairs(v)}}
     return Certificate(
         "coisotropic",
@@ -244,19 +251,15 @@ def _coisotropic_points(q_map, seed, count):
         yield start, q_map.sample_domain_point(rng, size=min(block, count - start))
 
 
-def _coisotropic_residuals(q_map, w, points):
-    """Per-point residuals |O - P_{jW_y} O|_2 for a stack of points, where O
-    is the orthocomplement of W_y = Y^(-1/2) W in V.
-
-    Returns (residuals, residual matrices, complements).  A point whose
-    complement is zero has residual 0.
-    """
-    wy = span_bases(creal.realify(q_map.inverse_root(points)[1]) @ w.basis)
-    orth = complement_bases(np.eye(2 * q_map.n), wy, 1.0)
-    # j is orthogonal, so it keeps the bases of W_y orthonormal
-    jw = creal.j_matrix(q_map.n) @ wy
-    resid_mat = orth - (jw @ np.swapaxes(jw, -1, -2)) @ orth
-    return np.linalg.norm(resid_mat, ord=2, axis=(-2, -1)), resid_mat, orth
+def _coisotropic_residuals(q_map, s, points):
+    """Per-point |C|_2, C, G^(-1/2) and Y for a stack of points, H over the rows
+    ``s`` of S = (jW)-perp = j W-perp; G > 0 for y in the cone, dim S = 0 reads 0."""
+    y = q_map.algebra.to_matrix(q_map.cone_part(points))
+    h = s.conj() @ y @ s.T
+    vals, vecs = np.linalg.eigh(h.real)
+    root = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    c = root @ h.imag @ root
+    return np.linalg.norm(c, ord=2, axis=(-2, -1)), c, root, y
 
 
 # -- orthocomplement identity over the distinguished submanifold ----------------

@@ -57,7 +57,12 @@ MAX_ALGEBRA_DIM = 64
 # (--points); the README gives what each costs at N = MAX_ALGEBRA_DIM
 MAX_SAMPLES = 250_000
 MAX_POINTS = 1000
+# largest sample count of check (--samples, and sampling.samples as its
+# default): one sample decides a verdict almost surely, more buy margin, and
+# at N = MAX_ALGEBRA_DIM each costs milliseconds
+MAX_CHECK_SAMPLES = 1000
 _SAMPLES = _integer_in(1, MAX_SAMPLES)
+_CHECK_SAMPLES = _integer_in(1, MAX_CHECK_SAMPLES)
 _POINTS = _integer_in(1, MAX_POINTS)
 _SEED = _integer_in(0)
 _POSITIVE_FINITE = (lambda value: _finite(value) and value > 0, "a positive finite number")
@@ -214,6 +219,8 @@ def cmd_check(args):
     alg, q_map, w, sampling = load_spec(args.spec)
     seed = args.seed if args.seed is not None else sampling.get("seed", 0)
     samples = args.samples if args.samples is not None else sampling.get("samples", 20)
+    if samples > MAX_CHECK_SAMPLES:
+        raise UsageError(f"sampling.samples of check must be at most {MAX_CHECK_SAMPLES}, got {samples}")
     tol = args.tol if args.tol is not None else sampling["tolerances"].get("subspace", TOL_SUB)
     report = certify_all(
         alg,
@@ -333,12 +340,12 @@ def build_parser():
     p = _Parser(prog="qsiegel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def options(sp, *flags, tol_rule=None):
+    def options(sp, *flags, tol_rule=None, samples_rule=_SAMPLES):
         # --out, and those of --seed, --samples and --tol that the command reads
         if "--seed" in flags:
             sp.add_argument("--seed", type=_flag("--seed", _SEED, int), default=None)
         if "--samples" in flags:
-            sp.add_argument("--samples", type=_flag("--samples", _SAMPLES, int), default=None, help=_SAMPLES[1])
+            sp.add_argument("--samples", type=_flag("--samples", samples_rule, int), default=None, help=samples_rule[1])
         if tol_rule is not None:
             sp.add_argument(
                 "--tol", type=_flag("--tol", tol_rule, float), default=None, help=f"override the decision tolerance, {tol_rule[1]}"
@@ -348,7 +355,7 @@ def build_parser():
     sp = sub.add_parser("check", help="run and cross-validate all certifiers")
     sp.add_argument("spec")
     sp.add_argument("--no-scale", action="store_true", help="omit the metric-scale identity check")
-    options(sp, "--seed", "--samples", tol_rule=_SUBSPACE_TOL)
+    options(sp, "--seed", "--samples", tol_rule=_SUBSPACE_TOL, samples_rule=_CHECK_SAMPLES)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("kernels", help="Gram PSD report for a kernel parameter")

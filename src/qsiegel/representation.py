@@ -128,15 +128,6 @@ class HermitianMapQ:
         d[..., : 2 * nu, 2 * nu :] = np.swapaxes(creal.cx_to_re(zeta), -1, -2)
         return d
 
-    def inverse_root(self, point):
-        """(y, Y^(-1/2)) for y = Im z - Q(v, v) by one (stacked) eigh of Y;
-        raises NotInDomain unless every point lies in the domain."""
-        y = self.cone_part(point)
-        vals, vecs = np.linalg.eigh(self.algebra.to_matrix(y))
-        if np.any(vals[..., 0] <= TOL_CONE):
-            raise NotInDomain("point is not in the Siegel domain")
-        return y, (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-
     def transport_to_base(self, point):
         """Group motion sending ``point`` to the base point (ie, 0), in closed form.
 
@@ -144,12 +135,16 @@ class HermitianMapQ:
         moves the point to (x + iy, 0) with y = Im z - Q(v, v), and the
         scaling by y^(-1/2) then takes iy to ie: it acts as
         P(y^(-1/2)) = e^{-T_u} on U_C and as Y^(-1/2) = e^{-R_u} on V, for
-        u = log y.  One eigh of Y (``inverse_root``) gives both, and every
-        point must lie in the domain.
+        u = log y.  One eigh of Y gives both, and every point must lie in
+        the domain.
         """
         alg = self.algebra
         nu = self.dim_u
-        y, m = self.inverse_root(point)
+        y = self.cone_part(point)
+        vals, vecs = np.linalg.eigh(alg.to_matrix(y))
+        if np.any(vals[..., 0] <= TOL_CONE):
+            raise NotInDomain("point is not in the Siegel domain")
+        m = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
         p = alg.quad_rep(alg.from_matrix(m))
         scaling = np.zeros(y.shape[:-1] + (2 * (nu + self.n),) * 2)
         scaling[..., :nu, :nu] = p

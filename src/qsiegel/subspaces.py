@@ -180,6 +180,7 @@ class DerivedSpaces:
     p: RealSubspace                      # W meet jW
     s: RealSubspace                      # re-h complement of jW
     g_x: np.ndarray = field(repr=False)  # the form g_x on V (real 2n x 2n)
+    g_x_norm: float                      # |g_x|_2, taken once for S_x and N_x
     ker_gx: RealSubspace
     s_x: RealSubspace                    # g_x-complement of jW, intersected with W
     n_x: Optional[RealSubspace] = None   # radical of g_x on P (when PSD)
@@ -215,19 +216,20 @@ def basic_spaces(q_map, w, x):
     p = w.intersect(jw)
     s = jw.perp()
     gx = q_map.g_matrix(x)
+    gx_norm = float(np.linalg.norm(gx, 2))
     ker = kernel_of_form(gx)
-    s_x = complement_wrt(gx, jw).intersect(w)
-    return DerivedSpaces(w=w, p=p, s=s, g_x=gx, ker_gx=ker, s_x=s_x)
+    s_x = RealSubspace(complement_bases(gx, jw.basis, gx_norm)).intersect(w)
+    return DerivedSpaces(w=w, p=p, s=s, g_x=gx, g_x_norm=gx_norm, ker_gx=ker, s_x=s_x)
 
 
-def radical_on(form, sub):
+def radical_on(form, sub, form_norm):
     """Radical of a PSD form restricted to a subspace.
 
     Raises NotALinearSpace when the restriction is indefinite, since the
     isotropic vectors then fail to form a subspace.  The zero cutoff is
     relative to the restricted spectrum but floored at roundoff scale of the
-    ambient form, so a restriction that is zero up to dust is the whole
-    subspace.
+    ambient form (``form_norm`` is its 2-norm), so a restriction that is zero
+    up to dust is the whole subspace.
     """
     if sub.dim == 0:
         return RealSubspace.zero(sub.ambient)
@@ -238,7 +240,7 @@ def radical_on(form, sub):
     top = max(float(vals[-1]), 0.0)
     if vals[0] < -TOL_PSD * max(1.0, top):
         raise NotALinearSpace("form is indefinite on the subspace")
-    floor = 1e-12 * max(1.0, float(np.linalg.norm(form, 2)))
+    floor = 1e-12 * max(1.0, form_norm)
     null = vecs[:, np.abs(vals) <= max(TOL_RANK * top, floor)]
     if null.shape[1] == sub.dim:
         return sub
@@ -253,7 +255,7 @@ def admissible_radical(d, n):
     ``d`` holds the basic spaces of x.
     """
     try:
-        n_x = radical_on(d.g_x, d.p)
+        n_x = radical_on(d.g_x, d.p, d.g_x_norm)
     except NotALinearSpace:
         return None
     if n_x.dim % 2 or not n_x.equals(n_x.j_image(n), tol=TOL_SUB) or not d.ker_gx.contains(n_x, tol=TOL_SUB):

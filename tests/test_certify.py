@@ -355,6 +355,25 @@ def test_stacked_certifiers_match_per_sample_loops(kind, param, monkeypatch):
         assert (a.verdict, a.witness) == (b.verdict, b.witness)
 
 
+@pytest.mark.parametrize(
+    "kind,param", ORACLE_SIZES + [("sym_real", 10), ("herm_complex", 8), ("diagonal", 16)], ids=lambda v: str(v)
+)
+def test_coisotropic_closed_form_matches_the_phase_space_definition(kind, param):
+    # the closed form on S against the loop oracle's complement in R^(2N + 2n),
+    # a route through rank decisions, at 1e-12: the real form and
+    # random W from 0 to 2n dimensions, both verdicts among them
+    alg, _, q_map = standard_model(kind, param)
+    n = q_map.n
+    rng = np.random.default_rng(35)
+    subspaces = {"realform": RealSubspace(np.vstack([np.eye(n), np.zeros((n, n))]))}
+    for d in sorted({0, 1, n - 1, n, n + 1, 2 * n - 1, 2 * n}):
+        subspaces[d] = RealSubspace.from_spanning(rng.standard_normal((2 * n, d))) if d else RealSubspace.zero(2 * n)
+    for name, w in subspaces.items():
+        got = check_coisotropic(alg, q_map, w, n_samples=3, seed=6).sample_residuals
+        want = coisotropic_loop_oracle(alg, q_map, w, 3, 6)
+        assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
 @pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
 def test_coisotropic_at_y_is_orbit_condition_at_y_inverse(kind, param):
     # W_y^perp in j W_y, W_y = Y^(-1/2) W, is j Y W^perp in W: the orbit

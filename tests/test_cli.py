@@ -192,7 +192,7 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv,flag",
     [
-        (["check", "SPEC", "--no-scale", "--samples", str(cli.MAX_SAMPLES + 1)], "--samples"),
+        (["check", "SPEC", "--no-scale", "--samples", str(cli.MAX_CHECK_SAMPLES + 1)], "--samples"),
         (["bergman", "SPEC", "--p1", "i,i,0,0,0", "--p2", "i,i,0,0,0", "--method", "mc", "--samples", "1000000000"],
          "--samples"),
         (["kernels", "SPEC", "--x", "1,0,1", "--points", str(cli.MAX_POINTS + 1)], "--points"),
@@ -210,12 +210,25 @@ def test_sample_and_point_counts_above_their_bounds_rejected(tmp_path, capsys, m
     assert err.count("\n") == 1 and flag in err
 
 
+def test_check_sample_default_above_its_bound_rejected(tmp_path, capsys):
+    # check's bound is below the spec's: a sampling.samples that bergman takes
+    # is an error for check unless --samples overrides it
+    spec = write_spec(tmp_path, "heisenberg-rank1", "real", samples=cli.MAX_CHECK_SAMPLES + 1)
+    assert main(["check", spec, "--no-scale"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sampling.samples" in err and str(cli.MAX_CHECK_SAMPLES) in err
+    code, out = run_cli(["check", spec, "--no-scale", "--samples", "3"], capsys)
+    assert code == 0 and json.loads(out)["certificates"][1]["samples"] == 3
+    code, out = run_cli(["bergman", spec, "--p1", "i,0", "--p2", "i,0", "--method", "mc"], capsys)
+    assert code == 0 and json.loads(out)["samples"] == cli.MAX_CHECK_SAMPLES + 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["bergman", "s.json", "--p1", "i", "--p2", "i", "--samples", "200000"],
         ["check", "s.json", "--samples", "60"],
-        ["check", "s.json", "--samples", str(cli.MAX_SAMPLES)],
+        ["check", "s.json", "--samples", str(cli.MAX_CHECK_SAMPLES)],
         ["kernels", "s.json", "--x", "1", "--points", "120"],
         ["kernels", "s.json", "--x", "1", "--points", str(cli.MAX_POINTS)],
     ],

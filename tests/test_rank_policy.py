@@ -7,7 +7,11 @@ basis, whose basis fixes the coordinates of ``--chi``), ``derive_spaces``
 (one SVD both decides the split V = P + S^x + jS^x at the absolute 1e-10 and
 inverts it) and ``EuclideanJordanAlgebra.invert``.  This scans the syntax
 tree of each module for ``svd`` and ``matrix_rank``, read as an attribute or
-imported by name, so comments and docstrings may still name them.
+a name or imported by name, so comments and docstrings may still name them.
+
+The coisotropic residual is in closed form on S and decides no rank:
+``certify._coisotropic_residuals`` reaches none of the rank-deciding
+functions and no SVD.
 """
 import ast
 from pathlib import Path
@@ -25,8 +29,12 @@ SVD_SITES = {
 }
 
 
-def linalg_uses(source):
-    """(enclosing function or None, name) of each use of ``svd`` or ``matrix_rank``."""
+CUTOFF_FREE = {("certify.py", "_coisotropic_residuals")}
+RANK_DECISIONS = ("span_bases", "complement_bases", "from_spanning", "complement_wrt", "svd")
+
+
+def uses(source, names):
+    """(enclosing function or None, name) of each use of one of ``names``."""
     hits = []
 
     def visit(node, function):
@@ -34,14 +42,20 @@ def linalg_uses(source):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr in ("svd", "matrix_rank"):
+            if isinstance(child, ast.Attribute) and child.attr in names:
                 hits.append((function, child.attr))
+            if isinstance(child, ast.Name) and child.id in names:
+                hits.append((function, child.id))
             if isinstance(child, ast.ImportFrom):
-                hits.extend((function, a.name) for a in child.names if a.name in ("svd", "matrix_rank"))
+                hits.extend((function, a.name) for a in child.names if a.name in names)
             visit(child, function)
 
     visit(ast.parse(source), None)
     return hits
+
+
+def linalg_uses(source):
+    return uses(source, ("svd", "matrix_rank"))
 
 
 def test_the_scan_finds_each_form():
@@ -59,3 +73,17 @@ def test_no_matrix_rank_and_svd_only_at_its_sites(path):
     for function, name in linalg_uses(path.read_text()):
         assert name != "matrix_rank", f"{path.name}: {function} decides a rank with matrix_rank"
         assert (path.name, function) in SVD_SITES, f"{path.name}: {function} runs its own SVD"
+
+
+def test_the_scan_finds_a_call_by_name_and_by_attribute():
+    source = "def f(w):\n    return span_bases(w), RealSubspace.from_spanning(w)\n"
+    assert uses(source, RANK_DECISIONS) == [("f", "span_bases"), ("f", "from_spanning")]
+
+
+@pytest.mark.parametrize("module,function", sorted(CUTOFF_FREE))
+def test_cutoff_free_functions_decide_no_rank(module, function):
+    source = (SRC / module).read_text()
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert function in defined
+    hits = [name for caller, name in uses(source, RANK_DECISIONS) if caller == function]
+    assert hits == [], f"{module}: {function} reaches {hits}"

@@ -124,7 +124,7 @@ def test_intersect_and_add():
 def test_radical_rejects_indefinite():
     p = RealSubspace.full(2)
     with pytest.raises(NotALinearSpace):
-        radical_on(np.diag([1.0, -1.0]), p)
+        radical_on(np.diag([1.0, -1.0]), p, 1.0)
 
 
 # -- derived spaces ------------------------------------------------------------------
@@ -313,6 +313,31 @@ def test_split_is_decided_and_inverted_by_one_svd(monkeypatch):
             counter.reset()
             derive_spaces(q_map, w, x)
             assert counter.callers.count("derive_spaces") == 1, f"{name}/{var}"
+
+
+def test_derive_spaces_factors_g_x_twice(monkeypatch):
+    # the kernel's SVD and one 2-norm, which serves both the g_x-complement of
+    # jW and radical_on's floor
+    entry = catalog_get("sym3")
+    alg, _, q_map = entry.model()
+    w = entry.variant("frame").subspace(q_map.n)
+    calls = []
+
+    def counting(name, original):
+        def call(a, *args, **kwargs):
+            if np.shape(a) == gx.shape and np.allclose(a, gx):
+                calls.append(name)
+            return original(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
+    for x in (alg.unit, alg.standard_frame()[1]):
+        gx = q_map.g_matrix(x)
+        calls.clear()
+        derive_spaces(q_map, w, x)
+        assert sorted(calls) == ["norm", "svd"]
 
 
 def test_derive_spaces_rejects_inadmissible(diag2):

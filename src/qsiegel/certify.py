@@ -20,11 +20,15 @@ disagreement is an alarm and maps to a dedicated exit code in the CLI.
 
 The two sampled certifiers work on stacks of samples, in blocks that keep
 one 2n x 2n float64 stack within STACK_BYTES.  The coisotropic residual
-decides no rank; the orbit certifier's ``subspaces.span_bases`` and
-``subspaces.complement_bases`` decide every rank of a stack at once, with
-masked zero columns where a sample's rank is lower than the stack's width.
-The witness is the first sample above the tolerance whose residual is within
-TOL_ZERO of the worst.
+decides no rank.  The orbit certifier takes, per block, one stacked eigh of
+2R_x, whose realification is g_x: its eigenvalues give the PSD test and
+|g_x|_2, and ``subspaces.kernel_bases`` reads ker g_x off them.  The
+g_x-complement of W is one stacked ``subspaces.complement_bases``; only a
+block in which some g_x has a kernel (a boundary x) spans ker g_x + W with
+``subspaces.span_bases``, and every other block tests against W itself.
+These decide every rank of a stack at once, with masked zero columns where a
+sample's rank is lower than the stack's width.  The witness is the first
+sample above the tolerance whose residual is within TOL_ZERO of the worst.
 """
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
@@ -35,7 +39,7 @@ from . import creal
 from .errors import HypothesisViolated, NotPSD
 from .integrals import base_measure_moments
 from .representation import SiegelPoint
-from .subspaces import RealSubspace, complement_bases, complement_wrt, span_bases
+from .subspaces import RealSubspace, complement_bases, complement_wrt, kernel_bases, span_bases
 from .tolerances import TOL_PSD, TOL_SUB, TOL_ZERO
 
 # byte budget of one stack of 2n x 2n float64 matrices in the sampled
@@ -353,22 +357,24 @@ def _orbit_residuals(q_map, w, xs):
     """Per-sample residuals |jW' - P_K jW'|_2 for a stack of cone parameters,
     where W' is the g_x-complement of W and K = ker g_x + W.
 
+    One stacked eigh of 2R_x gives the PSD test, |g_x|_2 and ker g_x; a block
+    in which no g_x has a kernel, every interior x, takes K = W as it is.
     Returns (residuals, residual matrices, bases of jW').  Raises NotPSD when
     some g_x is not positive semi-definite; a sample with jW' = 0 has
     residual 0.
     """
-    gx = q_map.g_matrix(xs)
-    gx = 0.5 * (gx + np.swapaxes(gx, -1, -2))
-    vals = np.linalg.eigvalsh(gx)
+    vals, vecs = q_map.g_eigh(xs)
     gx_norm = np.max(np.abs(vals), axis=-1)
     if np.any(vals[..., 0] < -TOL_PSD * np.maximum(1.0, gx_norm)):
         raise NotPSD("g_x must be positive semi-definite on V")
-    m = gx.shape[-1]
     # j is orthogonal, so it keeps the complement's columns orthonormal or zero
-    jwp = creal.j_matrix(q_map.n) @ complement_bases(gx, w.basis, gx_norm)
-    kernel = complement_bases(gx, np.eye(m), gx_norm)
-    target = span_bases(np.concatenate([kernel, np.broadcast_to(w.basis, gx.shape[:-1] + (w.dim,))], axis=-1))
-    resid_mat = jwp - (target @ np.swapaxes(target, -1, -2)) @ jwp
+    jwp = creal.j_matrix(q_map.n) @ complement_bases(q_map.g_matrix(xs), w.basis, gx_norm)
+    kernel = kernel_bases(vals, vecs, gx_norm)
+    target = w.basis
+    if kernel.shape[-1]:
+        wide = np.broadcast_to(w.basis, kernel.shape[:-1] + (w.dim,))
+        target = span_bases(np.concatenate([kernel, wide], axis=-1))
+    resid_mat = jwp - target @ (np.swapaxes(target, -1, -2) @ jwp)
     return np.linalg.norm(resid_mat, ord=2, axis=(-2, -1)), resid_mat, jwp
 
 

@@ -26,7 +26,13 @@ def pairs(values):
 def realify(a):
     """Real 2n x 2n matrix of the C-linear operator a, or of each one in a stack."""
     a = np.asarray(a, dtype=complex)
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+    rows, cols = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + (2 * rows, 2 * cols))
+    out[..., :rows, :cols] = a.real
+    np.negative(a.imag, out=out[..., :rows, cols:])
+    out[..., rows:, :cols] = a.imag
+    out[..., rows:, cols:] = a.real
+    return out
 
 
 def complexify(m, check=True, tol=1e-9):
@@ -43,6 +49,7 @@ def complexify(m, check=True, tol=1e-9):
 
 def j_matrix(n):
     """Multiplication by i on R^{2n}."""
-    z = np.zeros((n, n))
-    i = np.eye(n)
-    return np.block([[z, -i], [i, z]])
+    out = np.zeros((2 * n, 2 * n))
+    out[n:, :n] = np.eye(n)
+    np.negative(out[n:, :n], out=out[:n, n:])
+    return out

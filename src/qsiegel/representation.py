@@ -61,6 +61,16 @@ class HermitianMapQ:
         """Real symmetric 2n x 2n matrix of g_x(v, v') = <x, Re Q(v, v')>."""
         return 2.0 * creal.realify(self.rep.r_op(x))
 
+    def g_eigh(self, x):
+        """Eigenvalues (ascending) and complex eigenvectors of 2 R_x = X, or of
+        each one in a stack.
+
+        g_x = realify(X), so each eigenpair (lam, u) of X gives g_x the double
+        eigenvalue lam with real eigenvectors (Re u, Im u) and j (Re u, Im u):
+        one n x n eigh holds the spectrum, |g_x|_2 = max |lam| and ker g_x.
+        """
+        return np.linalg.eigh(self.algebra.to_matrix(x))
+
     def omega_matrix(self, x):
         """Alternating matrix of omega_x(v, v') = g_x(v, j v')."""
         return self.g_matrix(x) @ creal.j_matrix(self.n)

@@ -1,25 +1,29 @@
 """Real-subspace arithmetic in the realified space V_R.
 
 Subspaces are kept in canonical form as orthonormal basis matrices.  Every
-subspace rank decision runs in one of two functions, with one SVD cutoff
+subspace rank decision runs in one of three functions, with one cutoff
 (TOL_RANK relative to the largest singular value), so downstream certifiers
 inherit a single, central numerical policy: ``span_bases`` decides the rank
-of a span, ``complement_bases`` that of a form complement, and each matrix
-is factored once.  ``RealSubspace.from_spanning``, ``complement_wrt``,
-``kernel_of_form`` and ``RealSubspace.intersect`` (a complement for the
-identity form) are the one-matrix case of these two.  Two decisions use a
-cutoff of their own: ``radical_on`` drops the eigenvalues of a restricted
-form below TOL_RANK of its spectrum (floored at the form's roundoff), and
-``derive_spaces`` accepts the split V = P + S^x + jS^x when its smallest
-singular value exceeds the absolute 1e-10.  (``kernels.frame_scalar_check``
-spans the Peirce projectors here but takes their ranks from their traces.)
+of a span, ``complement_bases`` that of a form complement, and
+``kernel_bases`` that of ker g_x, from the eigenvalues of 2R_x (g_x is its
+realification, so its singular values are their absolute values); each
+matrix is factored once.  ``RealSubspace.from_spanning``,
+``complement_wrt``, ``kernel_of_form`` and ``RealSubspace.intersect`` (a
+complement for the identity form) are the one-matrix case of the first two.
+Two decisions use a cutoff of their own: ``radical_on`` drops the
+eigenvalues of a restricted form below TOL_RANK of its spectrum (floored at
+the form's roundoff), and ``derive_spaces`` accepts the split
+V = P + S^x + jS^x when its smallest singular value exceeds the absolute
+1e-10.  (``kernels.frame_scalar_check`` spans the Peirce projectors here but
+takes their ranks from their traces.)
 
-The rank decisions run on stacks: ``span_bases`` and ``complement_bases``
-take a leading stack axis and decide every rank in one stacked SVD.  Their
-bases have a fixed width across the stack, and a column that a member's own
-rank drops is zero (masked), so projectors B B^T and residual 2-norms are
-exact even when ranks differ inside the stack.  A stack of equal ranks
-carries no masked column.
+The rank decisions run on stacks: the three functions take a leading stack
+axis and decide every rank of the stack at once, ``span_bases`` and
+``complement_bases`` in one stacked SVD.  Their bases have a fixed width
+across the stack, and a column that a member's own rank drops is zero
+(masked), so projectors B B^T and residual 2-norms are exact even when
+ranks differ inside the stack.  A stack of equal ranks carries no masked
+column.
 """
 from dataclasses import dataclass, field
 from typing import Optional
@@ -157,6 +161,25 @@ def complement_bases(b, bases, b_norm=None):
     return np.swapaxes(vt, -1, -2)[..., low:] * mask[..., None, :]
 
 
+def kernel_bases(vals, vecs, norm):
+    """Bases of ker g for a stack of forms g = realify(A), A Hermitian n x n.
+
+    ``vals`` and ``vecs`` are the stacked ``eigh`` of A and ``norm`` the
+    2-norm of each g, max |vals|.  An eigenvalue counts as zero when
+    |lam| <= TOL_RANK * norm: the cutoff ``complement_bases(g, I, norm)``
+    applies to g's singular values, which are the |lam|, each twice.  The
+    null eigenvectors U, in ascending order of lam, give the columns
+    realify(U) = [(Re U, Im U) | j (Re U, Im U)].  The width is twice the
+    largest null count in the stack, and the columns beyond a member's own
+    null count are zero.
+    """
+    null = np.abs(vals) <= TOL_RANK * np.asarray(norm)[..., None]
+    width = int(np.max(np.sum(null, axis=-1), initial=0))
+    order = np.argsort(~null, axis=-1, kind="stable")[..., :width]
+    u = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    return creal.realify(u * np.take_along_axis(null, order, axis=-1)[..., None, :])
+
+
 def complement_wrt(b, w):
     """{v : b(v, w) = 0 for all w in W} for a symmetric bilinear form b.
 
@@ -180,7 +203,7 @@ class DerivedSpaces:
     p: RealSubspace                      # W meet jW
     s: RealSubspace                      # re-h complement of jW
     g_x: np.ndarray = field(repr=False)  # the form g_x on V (real 2n x 2n)
-    g_x_norm: float                      # |g_x|_2, taken once for S_x and N_x
+    g_x_norm: float                      # |g_x|_2 = max |eigenvalue of 2R_x|, for S_x and N_x
     ker_gx: RealSubspace
     s_x: RealSubspace                    # g_x-complement of jW, intersected with W
     n_x: Optional[RealSubspace] = None   # radical of g_x on P (when PSD)
@@ -216,8 +239,9 @@ def basic_spaces(q_map, w, x):
     p = w.intersect(jw)
     s = jw.perp()
     gx = q_map.g_matrix(x)
-    gx_norm = float(np.linalg.norm(gx, 2))
-    ker = kernel_of_form(gx)
+    vals, vecs = q_map.g_eigh(x)
+    gx_norm = float(np.max(np.abs(vals)))
+    ker = RealSubspace(kernel_bases(vals, vecs, gx_norm))
     s_x = RealSubspace(complement_bases(gx, jw.basis, gx_norm)).intersect(w)
     return DerivedSpaces(w=w, p=p, s=s, g_x=gx, g_x_norm=gx_norm, ker_gx=ker, s_x=s_x)
 

@@ -331,6 +331,26 @@ def orbit_loop_oracle(q_map, w, xs):
     return resid
 
 
+def orbit_qr_oracle(q_map, w, xs):
+    """Per-sample residuals of the orbit certifier at interior cone parameters,
+    by a route that decides no rank.
+
+    g_x is invertible there, so ker g_x = 0, K = W and the g_x-complement of W
+    is W' = g_x^-1 W-perp: the residual |jW' - P_W jW'|_2 is |W-perp^T J Q|_2
+    for the orthonormal Q of Q R = g_x^-1 W-perp.  W = V reads 0.
+    """
+    w_perp = w.perp().basis
+    jmat = creal.j_matrix(q_map.n)
+    resid = []
+    for x in xs:
+        if w_perp.shape[1] == 0:
+            resid.append(0.0)
+            continue
+        q, _ = np.linalg.qr(np.linalg.solve(q_map.g_matrix(x), w_perp))
+        resid.append(float(np.linalg.norm(w_perp.T @ jmat @ q, ord=2)))
+    return resid
+
+
 def bergman_mc_oracle(alg, q_map, p1, p2, samples, seed):
     """(value, se) of the MC Bergman kernel from the materialized samples u.
 

@@ -33,6 +33,7 @@ from conftest import (
     coisotropic_loop_oracle,
     oracle_expected_mf,
     orbit_loop_oracle,
+    orbit_qr_oracle,
 )
 
 
@@ -324,33 +325,54 @@ def _oracle_subspaces(alg, q_map):
     }
 
 
+def _boundary_parameters(alg, rng, count):
+    """Cone parameters of rank r - 1: P(a) moves frame weights with one zero
+    to a generic point of the boundary (at rank 1, the apex 0)."""
+    frame = np.array(alg.standard_frame())
+    xs = []
+    for k in range(count):
+        weights = rng.uniform(0.5, 2.0, alg.rank)
+        weights[k % alg.rank] = 0.0
+        a = alg.exp(0.5 * rng.standard_normal(alg.dim))
+        xs.append(alg.quad_rep(a) @ (weights @ frame))
+    return np.array(xs)
+
+
 @pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
 def test_stacked_certifiers_match_per_sample_loops(kind, param, monkeypatch):
     # residuals lie in [0, 1], so 1e-12 is absolute; per-sample verdicts must
-    # be identical.  The orbit stack puts a boundary x, a frame idempotent,
-    # among interior ones, so ranks differ inside one stack.
+    # be identical.  The orbit stacks put a frame idempotent among interior
+    # x, take boundary x only, and mix the two, so ranks differ inside one
+    # stack; g_x has a kernel at every boundary x.
     alg, _, q_map = standard_model(kind, param)
     xs = alg.exp(0.7 * np.random.default_rng(32).standard_normal((7, alg.dim)))
-    xs = np.insert(xs, 3, alg.standard_frame()[0], axis=0)
+    boundary = _boundary_parameters(alg, np.random.default_rng(37), 4)
+    stacks = [
+        np.insert(xs, 3, alg.standard_frame()[0], axis=0),
+        boundary,
+        np.concatenate([xs[:3], boundary[:1], xs[3:], boundary[1:]]),
+    ]
 
-    def certify_both(w):
-        return check_coisotropic(alg, q_map, w, n_samples=7, seed=4), check_orbit_multiplicity(q_map, w, xs)
+    def certify_all_stacks(w):
+        orbit = [check_orbit_multiplicity(q_map, w, stack) for stack in stacks]
+        return [check_coisotropic(alg, q_map, w, n_samples=7, seed=4)] + orbit
 
     subspaces = _oracle_subspaces(alg, q_map)
     for name, w in subspaces.items():
-        oracles = coisotropic_loop_oracle(alg, q_map, w, 7, 4), orbit_loop_oracle(q_map, w, xs)
-        for cert, want in zip(certify_both(w), oracles):
+        oracles = [coisotropic_loop_oracle(alg, q_map, w, 7, 4)] + [orbit_loop_oracle(q_map, w, x) for x in stacks]
+        for cert, want in zip(certify_all_stacks(w), oracles):
             got = cert.sample_residuals
             assert got.shape == (len(want),), name
             assert np.max(np.abs(got - want)) <= 1e-12, name
             assert list(got <= TOL_SUB) == [r <= TOL_SUB for r in want], name
-    # in blocks of 3 samples, blocks end inside both stacks; the witness is
-    # drawn again from its own block
-    whole = certify_both(subspaces["random"])
+    # in blocks of 3 samples, blocks end inside every stack, and the mixed
+    # stack has a block with no kernel (K = W as it is) beside blocks that
+    # span ker g_x + W; the witness is drawn again from its own block
+    whole = certify_all_stacks(subspaces["random"])
     m = 2 * q_map.n
     monkeypatch.setattr(certify, "STACK_BYTES", 3 * 8 * m * m)
     assert block_size(q_map) == 3
-    for a, b in zip(whole, certify_both(subspaces["random"])):
+    for a, b in zip(whole, certify_all_stacks(subspaces["random"])):
         assert np.max(np.abs(a.sample_residuals - b.sample_residuals)) <= 1e-12
         assert (a.verdict, a.witness) == (b.verdict, b.witness)
 
@@ -372,6 +394,22 @@ def test_coisotropic_closed_form_matches_the_phase_space_definition(kind, param)
         got = check_coisotropic(alg, q_map, w, n_samples=3, seed=6).sample_residuals
         want = coisotropic_loop_oracle(alg, q_map, w, 3, 6)
         assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+@pytest.mark.parametrize(
+    "kind,param", ORACLE_SIZES + [("sym_real", 10), ("herm_complex", 8), ("diagonal", 16)], ids=lambda v: str(v)
+)
+def test_orbit_residuals_match_the_qr_oracle_at_interior_x(kind, param):
+    # at interior x the closed form |W-perp^T J Q|_2, Q R = g_x^-1 W-perp,
+    # decides no rank: random W from 0 to 2n dimensions, both verdicts among them
+    alg, _, q_map = standard_model(kind, param)
+    n = q_map.n
+    rng = np.random.default_rng(36)
+    xs = alg.exp(0.7 * rng.standard_normal((4, alg.dim)))
+    for d in range(2 * n + 1):
+        w = RealSubspace.from_spanning(rng.standard_normal((2 * n, d))) if d else RealSubspace.zero(2 * n)
+        got = certify._orbit_residuals(q_map, w, xs)[0]
+        assert np.max(np.abs(got - orbit_qr_oracle(q_map, w, xs))) <= 1e-12, d
 
 
 @pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
@@ -436,18 +474,20 @@ def test_orbit_witness_is_a_unit_vector_of_jw_prime_outside_k(name, variant):
     assert np.linalg.norm(v - k.projector() @ v) > orbit.tol
 
 
-def test_orbit_block_takes_three_svds(monkeypatch):
-    # the g_x-complement of W, the kernel of g_x and the span of kernel + W;
-    # j keeps the complement's basis orthonormal, so it is not spanned again
+def test_orbit_block_takes_one_svd_at_interior_x_and_two_with_a_kernel(monkeypatch):
+    # the g_x-complement of W always; the span of ker g_x + W only in a block
+    # where some g_x has a kernel, here a frame idempotent among interior x
     entry = catalog_get("sym3")
     alg, _, q_map = entry.model()
-    xs = alg.exp(0.7 * np.random.default_rng(4).standard_normal((5, alg.dim)))
+    interior = alg.exp(0.7 * np.random.default_rng(4).standard_normal((5, alg.dim)))
+    mixed = np.insert(interior, 2, alg.standard_frame()[0], axis=0)
     counter = SVDCounter(monkeypatch)
     for variant in ("frame", "complexline"):
         w = entry.variant(variant).subspace(q_map.n)
-        counter.reset()
-        certify._orbit_residuals(q_map, w, xs)
-        assert counter.calls == 3, variant
+        for xs, svds in ((interior, 1), (mixed, 2)):
+            counter.reset()
+            certify._orbit_residuals(q_map, w, xs)
+            assert counter.calls == svds, (variant, len(xs))
 
 
 def test_witness_is_first_of_the_tied_worst_samples():

@@ -1,13 +1,15 @@
 """Every subspace rank decision of the library runs through one policy.
 
 ``subspaces.span_bases`` and ``subspaces.complement_bases`` decide ranks with
-the TOL_RANK cutoff, and every other rank decision calls one of them.  The
-only other SVDs are ``RealSubspace.perp`` (the complement of an orthonormal
-basis, whose basis fixes the coordinates of ``--chi``), ``derive_spaces``
-(one SVD both decides the split V = P + S^x + jS^x at the absolute 1e-10 and
-inverts it) and ``EuclideanJordanAlgebra.invert``.  This scans the syntax
-tree of each module for ``svd`` and ``matrix_rank``, read as an attribute or
-a name or imported by name, so comments and docstrings may still name them.
+the TOL_RANK cutoff, ``subspaces.kernel_bases`` decides the kernel of g_x
+from the eigenvalues of 2R_x at the same cutoff, and every other rank
+decision calls one of them.  The only other SVDs are ``RealSubspace.perp``
+(the complement of an orthonormal basis, whose basis fixes the coordinates
+of ``--chi``), ``derive_spaces`` (one SVD both decides the split
+V = P + S^x + jS^x at the absolute 1e-10 and inverts it) and
+``EuclideanJordanAlgebra.invert``.  This scans the syntax tree of each
+module for ``svd`` and ``matrix_rank``, read as an attribute or a name or
+imported by name, so comments and docstrings may still name them.
 
 The coisotropic residual is in closed form on S and decides no rank:
 ``certify._coisotropic_residuals`` reaches none of the rank-deciding
@@ -30,7 +32,7 @@ SVD_SITES = {
 
 
 CUTOFF_FREE = {("certify.py", "_coisotropic_residuals")}
-RANK_DECISIONS = ("span_bases", "complement_bases", "from_spanning", "complement_wrt", "svd")
+RANK_DECISIONS = ("span_bases", "complement_bases", "kernel_bases", "from_spanning", "complement_wrt", "svd")
 
 
 def uses(source, names):

@@ -315,9 +315,9 @@ def test_split_is_decided_and_inverted_by_one_svd(monkeypatch):
             assert counter.callers.count("derive_spaces") == 1, f"{name}/{var}"
 
 
-def test_derive_spaces_factors_g_x_twice(monkeypatch):
-    # the kernel's SVD and one 2-norm, which serves both the g_x-complement of
-    # jW and radical_on's floor
+def test_derive_spaces_factors_g_x_once(monkeypatch):
+    # one eigh of 2R_x gives |g_x|_2 and ker g_x, so g_x itself goes to no
+    # SVD and no 2-norm
     entry = catalog_get("sym3")
     alg, _, q_map = entry.model()
     w = entry.variant("frame").subspace(q_map.n)
@@ -325,19 +325,20 @@ def test_derive_spaces_factors_g_x_twice(monkeypatch):
 
     def counting(name, original):
         def call(a, *args, **kwargs):
-            if np.shape(a) == gx.shape and np.allclose(a, gx):
-                calls.append(name)
+            for label, target in (("g_x", gx), ("2R_x", two_r)):
+                if np.shape(a) == target.shape and np.allclose(a, target):
+                    calls.append(f"{name} of {label}")
             return original(a, *args, **kwargs)
 
         return call
 
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
+    for name in ("svd", "norm", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     for x in (alg.unit, alg.standard_frame()[1]):
-        gx = q_map.g_matrix(x)
+        gx, two_r = q_map.g_matrix(x), alg.to_matrix(x)
         calls.clear()
         derive_spaces(q_map, w, x)
-        assert sorted(calls) == ["norm", "svd"]
+        assert calls == ["eigh of 2R_x"]
 
 
 def test_derive_spaces_rejects_inadmissible(diag2):

@@ -141,16 +141,17 @@ class EuclideanJordanAlgebra:
         return float(np.dot(self.unit, x))
 
     def invert(self, x):
-        """Jordan inverse x^{-1} = P(x)^{-1} x."""
+        """Jordan inverse from_matrix(V Lambda^-1 V^H); singular when min lambda^2,
+        the smallest singular value of P(x), is at most TOL_RANK * max lambda^2."""
         x = self.check_element(x)
-        p = self.quad_rep(x)
-        u, s, vt = np.linalg.svd(p)
-        if s[0] == 0.0 or s[-1] <= TOL_RANK * s[0]:
+        vals, vecs = self._eigh(x)
+        sq = vals * vals
+        if sq.min() <= TOL_RANK * sq.max():
             raise Singular(
-                f"element is not invertible (smallest singular value of P(x): {s[-1]:.3e})",
-                smallest_singular_value=float(s[-1]),
+                f"element is not invertible (smallest singular value of P(x): {sq.min():.3e})",
+                smallest_singular_value=float(sq.min()),
             )
-        return vt.T @ ((u.T @ x) / s)
+        return self.from_matrix((vecs / vals) @ vecs.conj().T)
 
     # -- spectral calculus --------------------------------------------------
 

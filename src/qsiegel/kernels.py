@@ -12,7 +12,8 @@ v' = q' + s' split along V = P + S + jS is
     * exp(-i chi(s - conj(s')))
 
 where conjugation is taken with respect to the real form S and
-A_x = 2 p_x^* R_x p_x for the projection p_x onto S^x + jS^x along P.
+A_x = 2 p_x^* R_x p_x for the projection p_x onto S^x + jS^x along P; S^x
+is any complement of N_x in S_x, the radical of omega_x = g_x(., j.) on W.
 
 ``kernel_matrix`` evaluates all pairs of two point lists at once.  With
 h(a, b) = b^H a, <x, Q(v, v')> = v'^H (2 R_x) v and chi complex-linear, the
@@ -74,10 +75,10 @@ class KernelParams:
     a_x: np.ndarray          # n x n complex, self-adjoint, supported on S + jS
 
 
-def build_kernel_params(q_map, w, x, chi=None, sx_basis=None):
+def build_kernel_params(q_map, w, x, chi=None):
     """Assemble kernel parameters; raises NotInLambda for inadmissible x."""
     x = np.asarray(x, dtype=float)
-    spaces = derive_spaces(q_map, w, x, sx_basis=sx_basis)
+    spaces = derive_spaces(q_map, w, x)
     pxc = creal.complexify(spaces.proj_sx, check=True, tol=1e-8)
     a_x = 2.0 * pxc.conj().T @ q_map.rep.r_op(x) @ pxc
     if chi is None:

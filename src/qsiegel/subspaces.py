@@ -2,20 +2,25 @@
 
 Subspaces are kept in canonical form as orthonormal basis matrices.  Every
 subspace rank decision runs in one of three functions, with one cutoff
-(TOL_RANK relative to the largest singular value), so downstream certifiers
-inherit a single, central numerical policy: ``span_bases`` decides the rank
-of a span, ``complement_bases`` that of a form complement, and
+(TOL_RANK relative to the largest singular value): ``span_bases`` decides
+the rank of a span, ``complement_bases`` that of a form complement, and
 ``kernel_bases`` that of ker g_x, from the eigenvalues of 2R_x (g_x is its
 realification, so its singular values are their absolute values); each
 matrix is factored once.  ``RealSubspace.from_spanning``,
 ``complement_wrt``, ``kernel_of_form`` and ``RealSubspace.intersect`` (a
 complement for the identity form) are the one-matrix case of the first two.
-Two decisions use a cutoff of their own: ``radical_on`` drops the
-eigenvalues of a restricted form below TOL_RANK of its spectrum (floored at
-the form's roundoff), and ``derive_spaces`` accepts the split
-V = P + S^x + jS^x when its smallest singular value exceeds the absolute
-1e-10.  (``kernels.frame_scalar_check`` spans the Peirce projectors here but
-takes their ranks from their traces.)
+(``kernels.frame_scalar_check`` spans the Peirce projectors here but takes
+their ranks from their traces.)
+
+A kernel parameter x takes these decisions, each on the one matrix that
+defines its space, and re-spans no product of orthonormal bases: jW
+(``span_bases`` of J W; S = (jW)^perp takes its dimension), P = W meet jW
+(``intersect``), ker g_x (``kernel_bases``), N_x (``radical_on``, whose
+cutoff is TOL_RANK of the spectrum of g_x on P, floored at the roundoff of
+g_x), S_x, the radical of omega_x = g_x(., j.) on W (``complement_bases``
+of W^T g_x J W at the cutoff |g_x|_2), S^x = S_x meet N_x^perp
+(``complement_bases`` of N_x^T S_x, no decision when N_x = 0), and the
+split V = P + S^x + jS^x (smallest singular value above the absolute 1e-10).
 
 The rank decisions run on stacks: the three functions take a leading stack
 axis and decide every rank of the stack at once, ``span_bases`` and
@@ -138,11 +143,12 @@ def span_bases(vectors):
 def complement_bases(b, bases, b_norm=None):
     """{v : b(v, w) = 0 for all w in span(bases)} for each member of a stack.
 
-    ``b`` is a symmetric m x m form or a stack of them, ``bases`` a stack of
-    m x d bases (masked zero columns allowed) and ``b_norm`` the 2-norm of
-    each form, computed here when not given.  A singular value of B^T b
-    counts when it exceeds TOL_RANK * max(s[0], |b|_2).  The width is m minus
-    the smallest rank in the stack, each basis is the trailing right singular
+    ``b`` is a symmetric or alternating m x m form or a stack of them (either
+    way b(v, .) and b(., v) vanish together), ``bases`` a stack of m x d
+    bases (masked zero columns allowed) and ``b_norm`` the 2-norm of each
+    form, computed here when not given.  A singular value of B^T b counts
+    when it exceeds TOL_RANK * max(s[0], |b|_2).  The width is m minus the
+    smallest rank in the stack, each basis is the trailing right singular
     vectors of its B^T b, and the columns within its own rank are zero.
     """
     b = np.asarray(b, dtype=float)
@@ -205,10 +211,9 @@ class DerivedSpaces:
     g_x: np.ndarray = field(repr=False)  # the form g_x on V (real 2n x 2n)
     g_x_norm: float                      # |g_x|_2 = max |eigenvalue of 2R_x|, for S_x and N_x
     ker_gx: RealSubspace
-    s_x: RealSubspace                    # g_x-complement of jW, intersected with W
     n_x: Optional[RealSubspace] = None   # radical of g_x on P (when PSD)
-    s_x_complement: Optional[RealSubspace] = None  # S^x, complement of N_x in S_x
-    p_x: Optional[RealSubspace] = None   # re-h complement of N_x inside P
+    s_x: Optional[RealSubspace] = None   # radical of omega_x = g_x(., j.) on W
+    s_x_complement: Optional[RealSubspace] = None  # S^x, re-h complement of N_x in S_x
     proj_sx: Optional[np.ndarray] = None  # p^x on V, along P onto S^x + jS^x (real 2n x 2n)
     split_matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -233,7 +238,7 @@ class DerivedSpaces:
 
 
 def basic_spaces(q_map, w, x):
-    """P, S, ker g_x and S_x for arbitrary x (no admissibility required)."""
+    """P, S and ker g_x for arbitrary x (no admissibility required)."""
     n = q_map.n
     jw = w.j_image(n)
     p = w.intersect(jw)
@@ -242,8 +247,7 @@ def basic_spaces(q_map, w, x):
     vals, vecs = q_map.g_eigh(x)
     gx_norm = float(np.max(np.abs(vals)))
     ker = RealSubspace(kernel_bases(vals, vecs, gx_norm))
-    s_x = RealSubspace(complement_bases(gx, jw.basis, gx_norm)).intersect(w)
-    return DerivedSpaces(w=w, p=p, s=s, g_x=gx, g_x_norm=gx_norm, ker_gx=ker, s_x=s_x)
+    return DerivedSpaces(w=w, p=p, s=s, g_x=gx, g_x_norm=gx_norm, ker_gx=ker)
 
 
 def radical_on(form, sub, form_norm):
@@ -268,7 +272,7 @@ def radical_on(form, sub, form_norm):
     null = vecs[:, np.abs(vals) <= max(TOL_RANK * top, floor)]
     if null.shape[1] == sub.dim:
         return sub
-    return RealSubspace.from_spanning(sub.basis @ null)
+    return RealSubspace(sub.basis @ null)
 
 
 def admissible_radical(d, n):
@@ -282,18 +286,18 @@ def admissible_radical(d, n):
         n_x = radical_on(d.g_x, d.p, d.g_x_norm)
     except NotALinearSpace:
         return None
-    if n_x.dim % 2 or not n_x.equals(n_x.j_image(n), tol=TOL_SUB) or not d.ker_gx.contains(n_x, tol=TOL_SUB):
+    jn_x = RealSubspace(creal.j_matrix(n) @ n_x.basis)
+    if n_x.dim % 2 or not n_x.equals(jn_x, tol=TOL_SUB) or not d.ker_gx.contains(n_x, tol=TOL_SUB):
         return None
     return n_x
 
 
-def derive_spaces(q_map, w, x, sx_basis=None):
-    """Full derived data at an admissible x: N_x, S^x, P^x and the projection p^x.
+def derive_spaces(q_map, w, x):
+    """Full derived data at an admissible x: N_x, S_x, S^x and the projection p^x.
 
     Raises NotInLambda unless x is admissible (see ``admissible_radical``)
-    and V = P + S^x + jS^x.  ``sx_basis`` overrides the default choice of S^x
-    (the re-h orthocomplement of N_x inside S_x) with any complement of N_x
-    in S_x; kernel values must not depend on this choice.
+    and V = P + S^x + jS^x.  S_x = {w in W : g_x(w, jW) = 0} is the radical
+    of omega_x = g_x(., j.) on W, and S^x the re-h complement of N_x in S_x.
     """
     d = basic_spaces(q_map, w, x)
     n = q_map.n
@@ -301,21 +305,14 @@ def derive_spaces(q_map, w, x, sx_basis=None):
     if n_x is None:
         raise NotInLambda("g_x on P is not PSD with radical inside ker g_x")
     d.n_x = n_x
-    nx_perp = n_x.perp()
+    jmat = creal.j_matrix(n)
+    omega_w = w.basis.T @ d.g_x @ jmat @ w.basis
+    d.s_x = RealSubspace(w.basis @ complement_bases(omega_w, np.eye(w.dim), d.g_x_norm))
+    # N_x lies in S_x; with N_x = 0 the complement is I, taken without an SVD
+    coeffs = complement_bases(np.eye(d.s_x.dim), d.s_x.basis.T @ n_x.basis, 1.0)
+    sx = d.s_x_complement = RealSubspace(d.s_x.basis @ coeffs)
 
-    if sx_basis is None:
-        d.s_x_complement = d.s_x.intersect(nx_perp)
-    else:
-        cand = RealSubspace.from_spanning(sx_basis)
-        if not d.s_x.contains(cand, tol=1e-7):
-            raise DecompositionFailure("supplied S^x is not inside S_x")
-        if cand.intersect(n_x).dim > 0 or cand.dim + n_x.dim != d.s_x.dim:
-            raise DecompositionFailure("supplied S^x is not complementary to N_x in S_x")
-        d.s_x_complement = cand
-    d.p_x = nx_perp.intersect(d.p)
-
-    sx = d.s_x_complement
-    blocks = np.hstack([d.p.basis, sx.basis, sx.j_image(n).basis])
+    blocks = np.hstack([d.p.basis, sx.basis, jmat @ sx.basis])
     # one SVD decides the split (square, every singular value above the
     # absolute 1e-10) and inverts it: p^x keeps the S^x + jS^x coordinates,
     # the rows of blocks^-1 = V diag(1/s) U^T past P
@@ -328,6 +325,5 @@ def derive_spaces(q_map, w, x, sx_basis=None):
     # split for kernel coordinates: V = P + S + jS, with j applied to the
     # basis of S itself.  P is orthogonal to S + jS, and S meets jS only in
     # (W + jW)^perp, which is 0 since S^x lies in W and V = P + S^x + jS^x.
-    d.split_matrix = np.hstack([d.p.basis, d.s.basis, creal.j_matrix(n) @ d.s.basis])
+    d.split_matrix = np.hstack([d.p.basis, d.s.basis, jmat @ d.s.basis])
     return d
-

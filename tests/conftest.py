@@ -408,6 +408,14 @@ def split_projection_oracle(d, n):
     return blocks @ sel @ np.linalg.inv(blocks)
 
 
+def sx_oracle(q_map, d):
+    """(S_x, S^x) by the route ``derive_spaces`` took before it read S_x as the
+    radical of omega_x = g_x(., j.) on W: the g_x-complement of jW met with W,
+    then S_x met with N_x^perp."""
+    s_x = complement_wrt(d.g_x, d.w.j_image(q_map.n)).intersect(d.w)
+    return s_x, s_x.intersect(d.n_x.perp())
+
+
 class SVDCounter:
     """Replaces ``np.linalg.svd`` and keeps the name of the function that made each call."""
 

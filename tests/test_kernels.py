@@ -256,12 +256,14 @@ def test_group_invariance():
 
 
 def test_sx_choice_does_not_affect_values():
-    # rebuild the parameters with a randomized complement of N_x inside S_x
+    # rebuild A_x from a randomized complement of N_x inside S_x: the split
+    # [P | S^x | jS^x] of that complement gives its own projection p^x
     cases = [
         ("sym2", "frame", lambda alg: _frame_vector(alg, 0)),
         ("sym3", "frame", lambda alg: _frame_vector(alg, 1)),
         ("diag2", "full", lambda alg: np.array([1.0, 0.0])),
     ]
+    compared = 0
     for name, var, make_x in cases:
         entry = catalog_get(name)
         alg, _, q_map = entry.model()
@@ -273,18 +275,21 @@ def test_sx_choice_does_not_affect_values():
         d = params.spaces
         for _ in range(5):
             mix = d.s_x.basis @ rng.standard_normal((d.s_x.dim, d.s_x_complement.dim))
-            cand = d.s_x_complement.basis + 0.7 * (mix - d.n_x.projector() @ mix * 0)
-            try:
-                params2 = build_kernel_params(q_map, w, x, sx_basis=cand)
-            except DecompositionFailure:
+            cand = RealSubspace.from_spanning(d.s_x_complement.basis + 0.7 * mix)
+            if cand.dim != d.s_x_complement.dim or cand.intersect(d.n_x).dim or cand.equals(d.s_x_complement):
                 continue
-            if params2.spaces.s_x_complement.equals(d.s_x_complement):
-                continue
+            blocks = np.hstack([d.p.basis, cand.basis, creal.j_matrix(q_map.n) @ cand.basis])
+            keep = np.diag((np.arange(2 * q_map.n) >= d.p.dim).astype(float))
+            pxc = creal.complexify(blocks @ keep @ np.linalg.inv(blocks))
+            a_x = 2.0 * pxc.conj().T @ q_map.rep.r_op(x) @ pxc
+            params2 = dataclasses.replace(params, a_x=a_x)
+            compared += 1
             for p1 in sample_points(q_map, alg, 3, seed=8):
                 for p2 in sample_points(q_map, alg, 3, seed=9):
                     assert eval_kernel(params, p1, p2) == pytest.approx(
                         eval_kernel(params2, p1, p2), rel=1e-10, abs=1e-13
                     )
+    assert compared == 10
 
 
 def _frame_vector(alg, k):

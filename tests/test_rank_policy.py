@@ -5,15 +5,18 @@ the TOL_RANK cutoff, ``subspaces.kernel_bases`` decides the kernel of g_x
 from the eigenvalues of 2R_x at the same cutoff, and every other rank
 decision calls one of them.  The only other SVDs are ``RealSubspace.perp``
 (the complement of an orthonormal basis, whose basis fixes the coordinates
-of ``--chi``), ``derive_spaces`` (one SVD both decides the split
-V = P + S^x + jS^x at the absolute 1e-10 and inverts it) and
-``EuclideanJordanAlgebra.invert``.  This scans the syntax tree of each
-module for ``svd`` and ``matrix_rank``, read as an attribute or a name or
-imported by name, so comments and docstrings may still name them.
+of ``--chi``) and ``derive_spaces`` (one SVD both decides the split
+V = P + S^x + jS^x at the absolute 1e-10 and inverts it).  This scans the
+syntax tree of each module for ``svd`` and ``matrix_rank``, read as an
+attribute or a name or imported by name, so comments and docstrings may
+still name them.
 
 The coisotropic residual is in closed form on S and decides no rank:
 ``certify._coisotropic_residuals`` reaches none of the rank-deciding
-functions and no SVD.
+functions and no SVD.  The admissibility predicate and the derivation of
+N_x, S_x and S^x build each space once, from the one matrix that defines
+it: ``radical_on``, ``admissible_radical`` and ``derive_spaces`` re-span
+nothing through ``from_spanning``, ``j_image``, ``perp`` or ``intersect``.
 """
 import ast
 from pathlib import Path
@@ -27,12 +30,13 @@ SVD_SITES = {
     ("subspaces.py", "complement_bases"),
     ("subspaces.py", "perp"),
     ("subspaces.py", "derive_spaces"),
-    ("jordan.py", "invert"),
 }
 
 
 CUTOFF_FREE = {("certify.py", "_coisotropic_residuals")}
 RANK_DECISIONS = ("span_bases", "complement_bases", "kernel_bases", "from_spanning", "complement_wrt", "svd")
+RESPAN_FREE = {("subspaces.py", name) for name in ("radical_on", "admissible_radical", "derive_spaces")}
+RESPANS = ("from_spanning", "j_image", "perp", "intersect")
 
 
 def uses(source, names):
@@ -82,10 +86,20 @@ def test_the_scan_finds_a_call_by_name_and_by_attribute():
     assert uses(source, RANK_DECISIONS) == [("f", "span_bases"), ("f", "from_spanning")]
 
 
-@pytest.mark.parametrize("module,function", sorted(CUTOFF_FREE))
-def test_cutoff_free_functions_decide_no_rank(module, function):
+def reached(module, function, names):
     source = (SRC / module).read_text()
     defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
     assert function in defined
-    hits = [name for caller, name in uses(source, RANK_DECISIONS) if caller == function]
+    return [name for caller, name in uses(source, names) if caller == function]
+
+
+@pytest.mark.parametrize("module,function", sorted(CUTOFF_FREE))
+def test_cutoff_free_functions_decide_no_rank(module, function):
+    hits = reached(module, function, RANK_DECISIONS)
+    assert hits == [], f"{module}: {function} reaches {hits}"
+
+
+@pytest.mark.parametrize("module,function", sorted(RESPAN_FREE))
+def test_derivation_respans_nothing(module, function):
+    hits = reached(module, function, RESPANS)
     assert hits == [], f"{module}: {function} reaches {hits}"

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import SVDCounter, conj_matrix, intersect_oracle, split_projection_oracle
-from qsiegel import RealSubspace, complement_wrt, derive_spaces, kernel_of_form
+from conftest import SVDCounter, conj_matrix, intersect_oracle, split_projection_oracle, sx_oracle
+from qsiegel import RealSubspace, build_kernel_params, complement_wrt, derive_spaces, kernel_of_form, standard_model
 from qsiegel import creal
-from qsiegel.catalog import catalog_get
+from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.errors import NotALinearSpace, NotInLambda
-from qsiegel.kernels import classify_lambda
+from qsiegel.kernels import classify_lambda, frame_w_subspace
 from qsiegel.subspaces import basic_spaces, complement_bases, radical_on, span_bases
 
 MF_ENTRIES = [
@@ -28,6 +28,24 @@ def mf_models():
         entry = catalog_get(name)
         alg, _, q_map = entry.model()
         yield name, var, alg, q_map, entry.variant(var).subspace(q_map.n)
+
+
+def catalog_mf_models():
+    """Every catalog variant whose frozen verdict is multiplicity-free."""
+    for name in catalog_list():
+        entry = catalog_get(name)
+        alg, _, q_map = entry.model()
+        for v in entry.variants:
+            if v.expected_mf:
+                yield name, v.name, alg, q_map, v.subspace(q_map.n)
+
+
+def interior_and_boundary(alg, rng, count=2):
+    """e, ``count`` random interior points and the frame-boundary points
+    c_1 and c_1 + ... + c_(r-1)."""
+    frame = alg.standard_frame()
+    xs = [alg.unit] + [alg.exp(0.6 * rng.standard_normal(alg.dim)) for _ in range(count)]
+    return xs + [frame[0], sum(frame[:-1]) if alg.rank > 1 else 0.0 * frame[0]]
 
 
 # -- canonical form and complements ------------------------------------------------
@@ -272,8 +290,9 @@ def test_w_splits_at_admissible_parameters():
             assert w.distance(d.p.add(d.s_x)) <= 1e-8, f"{name}/{var}"
             # S_x meets j S_x exactly in N_x
             assert d.s_x.intersect(d.s_x.j_image(q_map.n)).distance(d.n_x) <= 1e-7
-            # W = P_x + S_x = P + S^x as direct sums
-            assert w.distance(d.p_x.add(d.s_x)) <= 1e-8
+            # W = P^x + S_x = P + S^x as direct sums, with P^x = N_x^perp meet P
+            p_x = d.n_x.perp().intersect(d.p)
+            assert w.distance(p_x.add(d.s_x)) <= 1e-8
             assert w.distance(d.p.add(d.s_x_complement)) <= 1e-8
             assert d.p.intersect(d.s_x_complement).dim == 0
 
@@ -339,6 +358,47 @@ def test_derive_spaces_factors_g_x_once(monkeypatch):
         calls.clear()
         derive_spaces(q_map, w, x)
         assert calls == ["eigh of 2R_x"]
+
+
+def test_kernel_params_take_at_most_seven_svds(monkeypatch):
+    # S_x is one complement of omega_x on W and S^x one complement inside
+    # S_x (none when N_x = 0); the route through the g_x-complement of jW
+    # and two intersections took 11 to 16 per parameter and 7 to 9 per
+    # classification
+    counter = SVDCounter(monkeypatch)
+    for name, var, alg, q_map, w in catalog_mf_models():
+        for x in interior_and_boundary(alg, np.random.default_rng(9)):
+            counter.reset()
+            admissible = classify_lambda(q_map, w, x) is not None
+            assert counter.calls <= 4, f"{name}/{var}: {counter.callers}"
+            counter.reset()
+            try:
+                build_kernel_params(q_map, w, x)
+            except NotInLambda:
+                assert not admissible
+            assert counter.calls <= 7, f"{name}/{var}: {counter.callers}"
+
+
+def frame_models():
+    for kind, size in (("sym_real", 4), ("herm_complex", 3), ("herm_complex", 4)):
+        alg, _, q_map = standard_model(kind, size)
+        w, _, _ = frame_w_subspace(alg, q_map, alg.standard_frame()[0])
+        yield kind, f"frame{size}", alg, q_map, w
+
+
+def test_s_x_and_its_complement_match_the_intersection_oracle():
+    # the radical of omega_x on W against the g_x-complement of jW met with W
+    checked = 0
+    for name, var, alg, q_map, w in list(catalog_mf_models()) + list(frame_models()):
+        for x in interior_and_boundary(alg, np.random.default_rng(10)):
+            if classify_lambda(q_map, w, x) is None:
+                continue
+            d = derive_spaces(q_map, w, x)
+            s_x, s_x_complement = sx_oracle(q_map, d)
+            assert d.s_x.distance(s_x) <= 1e-10, f"{name}/{var}"
+            assert d.s_x_complement.distance(s_x_complement) <= 1e-10, f"{name}/{var}"
+            checked += 1
+    assert checked >= 40
 
 
 def test_derive_spaces_rejects_inadmissible(diag2):

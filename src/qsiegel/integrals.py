@@ -20,11 +20,14 @@ N - r normals, every coordinate of u is a quadratic form in them, and
 Delta(u) = prod_j T_jj^2 / Delta(2y).  A consumer that needs only <u, a> for
 a few directions a contracts the form with them first, so u itself is never
 formed: the Bergman MC needs one phase a sample, the metric moments a dozen
-projections.  All sampling is counter-based, keyed by (seed, stream, block
-index), so results do not depend on scheduling.
+projections.  A consumer that needs only Delta(u), the Bergman MC at
+coincident points, draws only the r Gamma rows.  All sampling is
+counter-based, keyed by (seed, stream, block index), so results do not
+depend on scheduling.
 """
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -154,16 +157,22 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None):
     This is the cone's Gamma family of shape s and scale (2y)^-1, with mean
     s (2y)^-1, drawn by its Bartlett decomposition (see the module
     docstring).  Block b draws BLOCK values of each Gamma(s - j d/2) in turn,
-    then an (N - r) x BLOCK array of normals.
+    then an (N - r) x BLOCK array of normals; one generator, re-keyed for
+    each block, serves the whole call.  A row of shape 1 is drawn by
+    ``standard_exponential``, which is numpy's Gamma(1) draw itself.
 
     With ``directions`` an (N, k) array, the Bartlett weights are contracted
     with it once, and the first return value is the (count, k) array of
     <u, a> for the columns a: the same draws, and u itself is never formed.
+    With k = 0 only Delta(u) is wanted, so each block draws its r Gamma rows
+    and stops: its normals come after them, and the next block is re-keyed,
+    so every determinant is the one the full draw gives.
     """
     r, n = alg.rank, alg.dim
     i, j, weights, det_2y = _bartlett_form(alg, y)
     if directions is not None:
         weights = weights @ directions
+    full = weights.shape[1] > 0
     shapes = s - 0.5 * alg.d * np.arange(r)
     # rows of one shape (all r when d = 0) draw in one call, in the same order
     cuts = [0, *(np.flatnonzero(np.diff(shapes)) + 1).tolist(), r]
@@ -173,23 +182,27 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None):
     step = max(1, _CHUNK_VALUES // (len(i) * BLOCK)) * BLOCK
     out = np.empty((count, weights.shape[1]))
     dets = np.empty(count)
+    draws = blocks(seed, stream, count)
     for lo in range(0, count, step):
         hi = min(lo + step, count)
         # pairs[p] = theta_i theta_j; its first r rows, T_jj^2, are the Gamma
         # draws themselves.  theta holds T_jj for j < roots, then the normals.
-        pairs = np.empty((len(i), hi - lo))
+        pairs = np.empty((len(i) if full else r, hi - lo))
         theta = np.empty((n, hi - lo))
-        for g, rows in blocks(seed, stream, hi, start=lo):
+        for g, rows in islice(draws, step // BLOCK):  # the chunk's blocks
             cols = slice(rows.start - lo, rows.stop - lo)
             nb = rows.stop - rows.start
             for a, b, shape in runs:
-                pairs[a:b, cols] = g.gamma(shape, size=(b - a, BLOCK))[:, :nb]
-            if n > r:  # an empty draw still costs a call per block
+                size = (b - a, BLOCK)
+                draw = g.standard_exponential(size) if shape == 1.0 else g.gamma(shape, size=size)
+                pairs[a:b, cols] = draw[:, :nb]
+            if full and n > r:  # an empty draw still costs a call per block
                 theta[r:, cols] = g.standard_normal((n - r, BLOCK))[:, :nb]
         np.prod(pairs[:r], axis=0, out=dets[lo:hi])
-        np.sqrt(pairs[:roots], out=theta[:roots])
-        np.multiply(theta[i[r:]], theta[j[r:]], out=pairs[r:])
-        np.dot(pairs.T, weights, out=out[lo:hi])
+        if full:
+            np.sqrt(pairs[:roots], out=theta[:roots])
+            np.multiply(theta[i[r:]], theta[j[r:]], out=pairs[r:])
+            np.dot(pairs.T, weights, out=out[lo:hi])
     dets /= det_2y
     return out, dets
 
@@ -229,7 +242,11 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
     where the exponent is an integer.  'mc' importance-samples it with the
     exact exponential-weight proposal at the cone midpoint Im w / 2.  The
     sampler yields only the phases <u, Re w> and Delta(u), and the weight
-    e^{i<u, Re w>} / (I I_Q) is summed as its cosine and sine parts.
+    e^{i<u, Re w>} / (I I_Q) is summed as its cosine and sine parts.  At
+    p1 = p2 the point w = 2i (Im z - Q(v, v)) is imaginary (its computed real
+    part is the rounding of Im Q(v, v)) and K(p, p) is real: the sampler
+    yields Delta(u) alone, the estimate is the mean of the real weight
+    1 / (I I_Q), and its imaginary part is exactly 0.
     """
     for p in (p1, p2):
         if not q_map.domain_contains(p):
@@ -248,21 +265,27 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
     y0 = np.imag(w) / 2.0
     if not alg.cone_contains(y0, mode="open"):
         raise NotInDomain("midpoint cone part left the open cone")
-    phase, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, directions=np.real(w)[:, None])
-    phase = phase[:, 0]
-    weight = _inv_i_iq(alg, dets)
-    # the real and imaginary parts of f, then of f - mean, then |f - mean|^2, in place
-    re = np.cos(phase)
-    re *= weight
-    im = np.sin(phase, out=phase)
-    im *= weight
-    mean = complex(np.mean(re), np.mean(im))
-    re -= mean.real
-    im -= mean.imag
-    re *= re
-    im *= im
-    re += im
-    se = math.sqrt(np.mean(re) / samples)
+    if np.array_equal(p1.z, p2.z) and np.array_equal(p1.v, p2.v):
+        # K(p, p) is real: the weight is its one part, from Delta(u) alone
+        _, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, directions=np.empty((n, 0)))
+        parts = [_inv_i_iq(alg, dets)]
+    else:
+        phase, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, directions=np.real(w)[:, None])
+        phase = phase[:, 0]
+        weight = _inv_i_iq(alg, dets)
+        re = np.cos(phase)
+        re *= weight
+        im = np.sin(phase, out=phase)
+        im *= weight
+        parts = [re, im]
+    # the mean of each part of f, then |f - mean|^2 summed into the first part, in place
+    mean = complex(*(np.mean(part) for part in parts))
+    for part, m in zip(parts, (mean.real, mean.imag)):
+        part -= m
+        part *= part
+    for part in parts[1:]:
+        parts[0] += part
+    se = math.sqrt(np.mean(parts[0]) / samples)
     scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** n
     return BergmanEstimate(scale * mean, float(scale * se), "mc", samples, seed)
 

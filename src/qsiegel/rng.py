@@ -4,7 +4,8 @@ Monte Carlo estimators draw samples in fixed-size blocks; the generator for
 block b of stream s under seed q is Philox keyed by (q, s, b).  Sample i is
 produced by block i // BLOCK inside a run of exactly BLOCK draws, so the value
 of sample i depends only on (seed, stream, i) and never on how work is
-scheduled.
+scheduled.  ``blocks`` serves one call with one generator, re-keyed for each
+block.
 """
 import numpy as np
 
@@ -24,19 +25,19 @@ def block_generator(seed, stream, block):
     return np.random.Generator(np.random.Philox(key=_key(seed, stream, block)))
 
 
-def blocks(seed, stream, count, start=0):
-    """Yield (generator, rows) for each block of samples ``start``..``count - 1``.
+def blocks(seed, stream, count):
+    """Yield (generator, rows) for each block of samples 0..``count - 1``.
 
-    ``start`` is a multiple of BLOCK.  ``rows`` is the slice of sample indices
-    the block produces.  A block always draws BLOCK rows and keeps the first
-    ``rows.stop - rows.start``.  One generator is re-keyed for every block,
-    which draws exactly what ``block_generator`` would and costs far less than
-    building a new one; it is valid until the next block is yielded.
+    ``rows`` is the slice of sample indices the block produces.  A block
+    always draws BLOCK rows and keeps the first ``rows.stop - rows.start``.
+    One generator is re-keyed for each block of one call, which draws exactly
+    what ``block_generator`` would and costs far less than building a new
+    one; it is valid until the next block is yielded.
     """
     bits = np.random.Philox(key=_key(seed, stream, 0))
     gen = np.random.Generator(bits)
     fresh = bits.state
-    for b in range(start, count, BLOCK):
+    for b in range(0, count, BLOCK):
         fresh["state"]["key"][1] = _key_word(stream, b // BLOCK)
         bits.state = fresh
         yield gen, slice(b, min(b + BLOCK, count))

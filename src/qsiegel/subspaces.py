@@ -206,11 +206,12 @@ class DerivedSpaces:
     """All subspaces of V_R derived from (Q, W) at a parameter x."""
 
     w: RealSubspace
+    jw: RealSubspace                     # j W
     p: RealSubspace                      # W meet jW
-    s: RealSubspace                      # re-h complement of jW
     g_x: np.ndarray = field(repr=False)  # the form g_x on V (real 2n x 2n)
     g_x_norm: float                      # |g_x|_2 = max |eigenvalue of 2R_x|, for S_x and N_x
     ker_gx: RealSubspace
+    s: Optional[RealSubspace] = None     # re-h complement of jW
     n_x: Optional[RealSubspace] = None   # radical of g_x on P (when PSD)
     s_x: Optional[RealSubspace] = None   # radical of omega_x = g_x(., j.) on W
     s_x_complement: Optional[RealSubspace] = None  # S^x, re-h complement of N_x in S_x
@@ -238,16 +239,17 @@ class DerivedSpaces:
 
 
 def basic_spaces(q_map, w, x):
-    """P, S and ker g_x for arbitrary x (no admissibility required)."""
-    n = q_map.n
-    jw = w.j_image(n)
+    """jW, P and ker g_x for arbitrary x (no admissibility required).
+
+    S = (jW)^perp is left to ``kernel_coordinates``: a classification never reads it.
+    """
+    jw = w.j_image(q_map.n)
     p = w.intersect(jw)
-    s = jw.perp()
     gx = q_map.g_matrix(x)
     vals, vecs = q_map.g_eigh(x)
     gx_norm = float(np.max(np.abs(vals)))
     ker = RealSubspace(kernel_bases(vals, vecs, gx_norm))
-    return DerivedSpaces(w=w, p=p, s=s, g_x=gx, g_x_norm=gx_norm, ker_gx=ker)
+    return DerivedSpaces(w=w, jw=jw, p=p, g_x=gx, g_x_norm=gx_norm, ker_gx=ker)
 
 
 def radical_on(form, sub, form_norm):
@@ -322,8 +324,17 @@ def derive_spaces(q_map, w, x):
     dp = d.p.dim
     d.proj_sx = blocks[:, dp:] @ ((vt.T[dp:] / sv) @ u.T)
 
-    # split for kernel coordinates: V = P + S + jS, with j applied to the
-    # basis of S itself.  P is orthogonal to S + jS, and S meets jS only in
-    # (W + jW)^perp, which is 0 since S^x lies in W and V = P + S^x + jS^x.
-    d.split_matrix = np.hstack([d.p.basis, d.s.basis, jmat @ d.s.basis])
+    d.s, d.split_matrix = kernel_coordinates(d, jmat)
     return d
+
+
+def kernel_coordinates(d, jmat):
+    """S = (jW)^perp and the split matrix [P | S | jS] of the kernel coordinates.
+
+    The split is V = P + S + jS, with j applied to the basis of S itself,
+    whose columns fix the coordinates of ``--chi``.  P is orthogonal to
+    S + jS, and S meets jS only in (W + jW)^perp, which is 0 once
+    V = P + S^x + jS^x, since S^x lies in W.
+    """
+    s = d.jw.perp()
+    return s, np.hstack([d.p.basis, s.basis, jmat @ s.basis])

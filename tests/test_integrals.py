@@ -9,6 +9,7 @@ from conftest import base_moments_oracle, bergman_mc_oracle, cone_box_mc, iq_box
 from qsiegel import SiegelPoint, bergman_kernel, cone_integrals, standard_model
 from qsiegel.errors import NotInCone, NotInDomain
 from qsiegel.integrals import (
+    _bartlett_form,
     _inv_i_iq,
     _sample_cone_gamma,
     base_measure_moments,
@@ -201,6 +202,32 @@ def test_sampler_prefix_is_stable(models, kind):
         long, long_dets = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4)
         assert np.array_equal(long[:700], short) and np.array_equal(long_dets[:700], short_dets)
     assert np.array_equal(sample_invariant_measure(alg, y, 1500, seed=2, stream=4)[:700], short)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
+def test_determinants_match_the_per_block_gamma_reference(models, kind, shape):
+    # Delta(u) bit for bit against a reference that builds each block's own
+    # generator and draws every row by gamma(shape), whatever the mode: with
+    # zero directions the sampler draws only the Gamma rows, one generator
+    # serves the call, and a shape-1 row comes from standard_exponential.
+    # Counts cross block and chunk boundaries and end inside a block
+    alg = models[kind][0]
+    r, d = alg.rank, alg.d
+    s = SHAPES[shape](alg)
+    y = _sampler_y(alg)
+    det_2y = _bartlett_form(alg, y)[3]
+    for count in (700, 1500, 40_000):
+        _, dets = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4)
+        out, only = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4, directions=np.empty((alg.dim, 0)))
+        assert out.shape == (count, 0) and np.array_equal(only, dets)
+        expected = np.empty(count)
+        for b in range(0, count, BLOCK):
+            g = block_generator(2, 4, b // BLOCK)
+            rows = np.array([g.gamma(s - j * d / 2.0, size=BLOCK) for j in range(r)])
+            expected[b : b + BLOCK] = np.prod(rows, axis=0)[: count - b]
+        expected /= det_2y
+        assert np.array_equal(dets, expected)
 
 
 @pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
@@ -407,23 +434,52 @@ def test_bergman_mc_matches_materialized_samples(kind, param, diagonal):
     assert abs(mc.se - se) <= 1e-12 * se
 
 
+def _phase_route(alg, q_map, p1, p2, samples, seed):
+    """(value, se) of the MC Bergman kernel by the cosine and sine of the
+    sampler's phases <u, Re w>, the route taken at every pair of points."""
+    w = _w(q_map, p1, p2)
+    y0 = np.imag(w) / 2.0
+    phase, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, directions=np.real(w)[:, None])
+    weight = _inv_i_iq(alg, dets)
+    re, im = np.cos(phase[:, 0]) * weight, np.sin(phase[:, 0]) * weight
+    mean = complex(np.mean(re), np.mean(im))
+    se = math.sqrt(np.mean((re - mean.real) ** 2 + (im - mean.imag) ** 2) / samples)
+    scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** alg.dim
+    return scale * mean, scale * se
+
+
+@pytest.mark.parametrize("kind,param", CALIBRATION_SIZES + PROJECTED_SIZES, ids=lambda v: str(v))
+def test_bergman_mc_on_the_diagonal_is_real(kind, param):
+    # at p1 = p2 the estimate is the mean of the real weight over Delta(u)
+    # alone: its imaginary part is exactly 0, and its real part and se are
+    # those of the phase route to 1e-15
+    alg, _, q_map = standard_model(kind, param)
+    p = _domain_point(alg, q_map, np.random.default_rng(31))
+    value, se = _phase_route(alg, q_map, p, p, 60_000, seed=32)
+    mc = bergman_kernel(alg, q_map, p, p, samples=60_000, seed=32, method="mc")
+    assert mc.value.imag == 0.0
+    assert abs(mc.value.real - value.real) <= 1e-15 * abs(value.real)
+    assert abs(mc.se - se) <= 1e-15 * se
+
+
 @pytest.mark.parametrize("kind,param", [("sym_real", 3), ("herm_complex", 3), ("herm_complex", 4)], ids=lambda v: str(v))
 def test_bergman_mc_memory_is_bounded_by_the_sample_count(kind, param):
     # the sampler yields one phase and one determinant per sample, never the
     # (samples, N) array u: 200 000 samples peak within 8 MB at every size,
-    # where the materialized u and five complex temporaries held 18 MB at
-    # sym_real 3 and 23 MB at herm_complex 3
+    # off the diagonal and on it, where the materialized u and five complex
+    # temporaries held 18 MB at sym_real 3 and 23 MB at herm_complex 3
     alg, _, q_map = standard_model(kind, param)
     rng = np.random.default_rng(28)
     p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
-    bergman_kernel(alg, q_map, p1, p2, samples=2_000, seed=1, method="mc")
-    tracemalloc.start()
-    try:
-        bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=1, method="mc")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
+    for other in (p2, p1):
+        bergman_kernel(alg, q_map, p1, other, samples=2_000, seed=1, method="mc")
+        tracemalloc.start()
+        try:
+            bergman_kernel(alg, q_map, p1, other, samples=200_000, seed=1, method="mc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 @pytest.mark.parametrize("kind,param", [("sym_real", 3), ("herm_complex", 3)], ids=lambda v: str(v))

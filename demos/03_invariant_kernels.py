@@ -55,11 +55,10 @@ w = entry.variant("frame").subspace(2)
 rng = np.random.default_rng(0)
 x = alg.exp(0.5 * rng.standard_normal(3))
 params = build_kernel_params(q_map, w, x, chi=np.array([0.8]))
-points = []
-for _ in range(15):
-    v = 0.7 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    y = np.real(q_map.q_eval(v, v)) + alg.exp(0.4 * rng.standard_normal(3))
-    points.append(SiegelPoint(rng.standard_normal(3) + 1j * y, v))
+# one SiegelPoint holds the 15 points as a stack: z is 15 x 3 and v is 15 x 2
+v = 0.7 * (rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2)))
+y = np.real(q_map.q_eval(v, v)) + alg.exp(0.4 * rng.standard_normal((15, 3)))
+points = SiegelPoint(rng.standard_normal((15, 3)) + 1j * y, v)
 report = gram_psd_report(params, points)
 print(f"  15x15 Gram: min eigenvalue {report.min_eigenvalue:.3e}, PSD = {report.psd}")
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import catalog as _catalog
 from .certify import certify_all, check_orbit_multiplicity
-from .creal import pairs
-from .errors import QSiegelError, SpecFileError, UsageError
+from .creal import pairs, re_to_cx
+from .errors import NonFiniteValue, QSiegelError, SpecFileError, UsageError
 from .integrals import bergman_kernel
 from .jordan import algebra_dim
 from .kernels import build_kernel_params, gram_psd_report
@@ -207,7 +207,12 @@ def _flag(flag, rule, convert):
 
 
 def emit(report, out):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the report as JSON; a NaN or inf in it, which JSON cannot hold,
+    raises NonFiniteValue before anything is written."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonFiniteValue("the report has a value that is not a finite number (NaN or inf)") from None
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -243,14 +248,13 @@ def cmd_kernels(args):
     # chi lives on S, the orthocomplement of jW: dim S = 2n - dim W
     chi = _parse_reals(args.chi, 2 * q_map.n - w.dim, "--chi") if args.chi else None
     params = build_kernel_params(q_map, w, x, chi=chi)
+    # the point stack from three draws, in the order the kernels module documents
     rng = np.random.default_rng([seed, 0x6B])
-    draws = []
-    for _ in range(args.points):
-        v = rng.uniform(-2.0, 2.0, size=2 * q_map.n) / np.sqrt(2 * q_map.n)
-        draws.append((v[: q_map.n] + 1j * v[q_map.n :], rng.uniform(0.2, 5.0), rng.standard_normal(alg.dim)))
-    vcs = np.array([vc for vc, _, _ in draws])
-    qs = np.real(q_map.q_eval(vcs, vcs))
-    points = [SiegelPoint(x0 + 1j * (q + t * alg.unit), vc) for (vc, t, x0), q in zip(draws, qs)]
+    m = args.points
+    v = re_to_cx(rng.uniform(-2.0, 2.0, size=(m, 2 * q_map.n)) / np.sqrt(2 * q_map.n))
+    t = rng.uniform(0.2, 5.0, size=m)
+    x0 = rng.standard_normal((m, alg.dim))
+    points = SiegelPoint(x0 + 1j * (np.real(q_map.q_eval(v, v)) + t[:, None] * alg.unit), v)
     tol = args.tol if args.tol is not None else sampling["tolerances"].get("gram_psd", TOL_PSD)
     rep = gram_psd_report(params, points, tol=tol)
     emit(

@@ -15,7 +15,19 @@ where conjugation is taken with respect to the real form S and
 A_x = 2 p_x^* R_x p_x for the projection p_x onto S^x + jS^x along P; S^x
 is any complement of N_x in S_x, the radical of omega_x = g_x(., j.) on W.
 
-``kernel_matrix`` evaluates all pairs of two point lists at once.  With
+Points travel as stacks: one ``SiegelPoint`` whose z is m x N and whose v
+is m x n holds m points, the convention of ``representation``, and a single
+point with z of length N and v of length n is a stack of one.  ``qsiegel
+kernels --points m`` draws its stack with three array calls on one
+generator, ``default_rng([seed, 0x6B])``, in this order:
+
+    v  = uniform(-2, 2, (m, 2n)) / sqrt(2n)   (real coordinates of v)
+    t  = uniform(0.2, 5, m)
+    x0 = standard_normal((m, N))
+
+and sets z = x0 + i(Re Q(v, v) + t e), so every point lies in the domain.
+
+``kernel_matrix`` evaluates all pairs of two point stacks at once.  With
 h(a, b) = b^H a, <x, Q(v, v')> = v'^H (2 R_x) v and chi complex-linear, the
 exponent of the pair (a, b) expands into a term of the row point, a term of
 the column point and one bilinear pairing:
@@ -25,7 +37,7 @@ the column point and one bilinear pairing:
     cross(a, b) = - h(conj(s_b), A_x conj(s_a)) - h(s_a, A_x s_b)
                   + 4 v_b^H R_x v_a
 
-so each point list is split once, and the cross terms of all pairs are one
+so each point stack is split once, and the cross terms of all pairs are one
 matrix product of stacked per-point features.  The split is one
 least-squares solve against [P | S | j S], with j applied to the orthonormal
 basis s_k of S; V = P + S + jS is direct because derive_spaces has checked
@@ -101,10 +113,11 @@ def invariant_kernel_raw(q_map, x, p1, p2):
 
 
 def _point_terms(params, points):
-    """Per-point pieces of the kernel exponent: row and column terms and the
-    left and right features whose products give the cross terms."""
-    z = np.array([p.z for p in points], dtype=complex)
-    v = np.array([p.v for p in points], dtype=complex)
+    """Per-point pieces of the kernel exponent of a point stack: row and
+    column terms and the left and right features whose products give the
+    cross terms."""
+    z = np.atleast_2d(points.z)
+    v = np.atleast_2d(points.v)
     _, c = params.spaces.split_p_s(v)
     s_rows = creal.re_to_cx(params.spaces.s.basis.T)
     s = c @ s_rows
@@ -123,8 +136,9 @@ def _point_terms(params, points):
 def kernel_matrix(params, pts_a, pts_b):
     """Kernel values L(a, b) for all a in pts_a (rows) and b in pts_b (columns).
 
-    Each point list is split along P + S + jS once; passing the same list
-    twice splits it once.
+    pts_a and pts_b are SiegelPoint stacks (z of shape (m, N), v of shape
+    (m, n)); a single point is a stack of one.  Each stack is split along
+    P + S + jS once; passing the same stack twice splits it once.
     """
     terms_a = _point_terms(params, pts_a)
     terms_b = terms_a if pts_b is pts_a else _point_terms(params, pts_b)
@@ -137,8 +151,9 @@ def kernel_matrix(params, pts_a, pts_b):
 
 
 def eval_kernel(params, p1, p2):
-    """Value of the extremal invariant kernel at a pair of points."""
-    return complex(kernel_matrix(params, [p1], [p2])[0, 0])
+    """Value of the extremal invariant kernel at a pair of points, each a
+    stack of one."""
+    return complex(kernel_matrix(params, p1, p2)[0, 0])
 
 
 def fock_kernel(q_map, x, q, qp, p_space=None):
@@ -160,14 +175,17 @@ class GramReport:
 
 
 def gram_psd_report(params, points, keep_matrix=False, tol=TOL_PSD):
-    """Gram matrix of kernel values with a relative PSD verdict.
+    """Gram matrix of kernel values on a SiegelPoint stack, with a relative
+    PSD verdict.
 
+    The stack holds the m points as rows of z and v, as ``qsiegel kernels``
+    draws them (see the module docstring); a single point is a stack of one.
     Raises NonFiniteValue when a kernel value overflows to inf or NaN, as a
     large chi makes it do.
     """
-    m = len(points)
     with np.errstate(over="ignore", invalid="ignore"):
         g = kernel_matrix(params, points, points)
+    m = g.shape[0]
     if not np.all(np.isfinite(g)):
         raise NonFiniteValue(f"kernel values overflow: the {m} x {m} Gram matrix has non-finite entries")
     # exactly Hermitian: the lower triangle mirrors the upper, the diagonal is real

@@ -53,6 +53,27 @@ def random_elements(alg, count, seed=0, scale=1.0):
     return [scale * rng.standard_normal(alg.dim) for _ in range(count)]
 
 
+def sample_points(q_map, alg, count, seed):
+    """A stack of ``count`` domain points, drawn point by point from
+    ``default_rng(seed)``: v uniform in a box, t uniform in [0.2, 5] and
+    z = x0 + i(Re Q(v, v) + t e) for a standard normal x0."""
+    rng = np.random.default_rng(seed)
+    zs, vs = [], []
+    for _ in range(count):
+        v = rng.uniform(-2.0, 2.0, size=2 * q_map.n) / np.sqrt(2 * q_map.n)
+        vc = creal.re_to_cx(v)
+        t = rng.uniform(0.2, 5.0)
+        y = np.real(q_map.q_eval(vc, vc)) + t * alg.unit
+        zs.append(rng.standard_normal(alg.dim) + 1j * y)
+        vs.append(vc)
+    return SiegelPoint(np.array(zs), np.array(vs))
+
+
+def unstack(points):
+    """The members of a SiegelPoint stack, one SiegelPoint each."""
+    return [SiegelPoint(z, v) for z, v in zip(points.z, points.v)]
+
+
 def oracle_expected_mf(q_map, w, tol=1e-10):
     """Direct definition-chasing verdict: scan Im Q over a basis of S.
 

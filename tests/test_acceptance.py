@@ -28,6 +28,8 @@ from qsiegel import creal
 from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.kernels import frame_w_subspace
 
+from conftest import sample_points, unstack
+
 ALGS = [("diagonal", 2), ("diagonal", 3), ("sym_real", 2), ("sym_real", 3), ("herm_complex", 2)]
 
 MF_VARIANTS = []
@@ -194,18 +196,6 @@ def _sample_admissible(alg, q_map, w, rng, count):
     return xs
 
 
-def _box_points(q_map, alg, count, seed):
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(count):
-        v = rng.uniform(-2.0, 2.0, size=2 * q_map.n) / np.sqrt(2 * q_map.n)
-        vc = creal.re_to_cx(v)
-        t = rng.uniform(0.2, 5.0)
-        y = np.real(q_map.q_eval(vc, vc)) + t * alg.unit
-        pts.append(SiegelPoint(rng.standard_normal(alg.dim) + 1j * y, vc))
-    return pts
-
-
 def test_criterion_7_kernel_positivity():
     for name, var in MF_VARIANTS:
         alg, q_map, w = _model_and_w(name, var)
@@ -214,7 +204,7 @@ def test_criterion_7_kernel_positivity():
         for i, x in enumerate(_sample_admissible(alg, q_map, w, rng, 20)):
             chi = 2.0 * rng.standard_normal(s_dim) if s_dim else np.zeros(0)
             params = build_kernel_params(q_map, w, x, chi=chi)
-            rep = gram_psd_report(params, _box_points(q_map, alg, 20, seed=1000 + i))
+            rep = gram_psd_report(params, sample_points(q_map, alg, 20, seed=1000 + i))
             assert rep.min_eigenvalue >= -1e-8 * max(1.0, rep.matrix_norm), f"{name}/{var}"
 
     # negative control: an inadmissible parameter defeats positivity
@@ -223,7 +213,7 @@ def test_criterion_7_kernel_positivity():
     assert classify_lambda(q_map, RealSubspace.full(4), x_bad) is None
     found = False
     for trial in range(100):
-        pts = _box_points(q_map, alg, 5, seed=2000 + trial)
+        pts = unstack(sample_points(q_map, alg, 5, seed=2000 + trial))
         g = np.array([[invariant_kernel_raw(q_map, x_bad, a, b) for b in pts] for a in pts])
         vals = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
         if vals[0] < -1e-8 * max(1.0, np.max(np.abs(vals))):

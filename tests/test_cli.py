@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import SVDCounter
-from qsiegel import cli
+from qsiegel import SiegelPoint, build_kernel_params, cli, gram_psd_report
 from qsiegel.catalog import catalog_get
 from qsiegel.cli import main
+from qsiegel.errors import NonFiniteValue
 
 
 def write_spec(tmp_path, entry_name, variant, samples=6, seed=0):
@@ -446,6 +447,44 @@ def test_kernels_reports_identical_across_thread_counts(tmp_path):
         outs.append(proc.stdout)
     assert json.loads(outs[0])["k"] == 1
     assert outs[0] == outs[1]
+
+
+def test_kernels_points_are_the_three_documented_draws(tmp_path, capsys):
+    # the case of the thread-count test; the stack rebuilt from the three
+    # draws of the kernels module docstring gives the CLI's figures bit for bit
+    spec = write_spec(tmp_path, "sym3", "frame")
+    alg, q_map, w, _ = cli.load_spec(spec)
+    x = alg.standard_frame()[1]
+    code, out = run_cli(
+        ["kernels", spec, "--x", ",".join(repr(float(t)) for t in x), "--chi", "1.5", "--points", "120", "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    m, n = 120, q_map.n
+    rng = np.random.default_rng([5, 0x6B])
+    v = rng.uniform(-2.0, 2.0, size=(m, 2 * n)) / np.sqrt(2 * n)
+    t = rng.uniform(0.2, 5.0, size=m)
+    x0 = rng.standard_normal((m, alg.dim))
+    vc = v[:, :n] + 1j * v[:, n:]
+    points = SiegelPoint(x0 + 1j * (np.real(q_map.q_eval(vc, vc)) + t[:, None] * alg.unit), vc)
+    rep = gram_psd_report(build_kernel_params(q_map, w, x, chi=np.array([1.5])), points)
+    report = json.loads(out)
+    assert report["points"] == rep.n_points == m
+    assert report["min_eigenvalue"] == rep.min_eigenvalue
+    assert report["matrix_norm"] == rep.matrix_norm
+
+
+def test_non_finite_report_is_a_one_line_error(tmp_path, capsys):
+    # the closed-form Bergman kernel at Im z = 1e200 overflows to NaN, which
+    # JSON cannot hold: exit 1 with one line, and no report is written
+    spec = write_spec(tmp_path, "heisenberg-rank1", "real")
+    target = tmp_path / "report.json"
+    assert main(["bergman", spec, "--p1", "1e200i,0", "--p2", "1e200i,0", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "not a finite number" in captured.err
+    assert not target.exists()
+    with pytest.raises(NonFiniteValue):
+        cli.emit({"value": [float("inf"), 0.0]}, None)
 
 
 def test_bergman_mc_reports_identical_across_thread_counts(tmp_path):

@@ -9,7 +9,10 @@ at most 3 so that a draw runs fast, except that one spec in ten asks for a
 size far above the cap of ``validate_spec``, which must reject it before
 building anything.  Fixed examples pin kernel overflow, and sample and point
 counts above ``MAX_SAMPLES`` and ``MAX_POINTS`` (a Bergman MC of 1e9 samples,
-about 32 GB, and a 100000 x 100000 Gram matrix), to a one-line error.
+about 32 GB, and a 100000 x 100000 Gram matrix), to a one-line error.  A run
+that exits 0 prints strict JSON: a NaN or an infinity in it is a failure, and
+fixed examples pin the closed-form Bergman kernel at Im z of 1e200 and 1e150,
+where it overflows, to a one-line error.
 """
 import contextlib
 import io
@@ -39,6 +42,10 @@ NUMBER_JUNK = st.one_of(st.floats(), st.integers(-(10**400), 10**400))
 
 FLAG_NUMBERS = ["1", "0", "-1", "0.5", "2", "1e-3", "nan", "inf", "1e300", "abc", ""]
 POINT_ENTRIES = ["i", "2i", "1+2i", "0", "0.1", "0.3-0.2i", "1+", "nan", "infj", "x"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
 
 
 def _containers(obj):
@@ -114,6 +121,8 @@ def requests(draw):
 
 
 RANK1_IMAGINARY_LINE = {"algebra": {"kind": "rank1", "param": 1}, "W": {"basis": [[0.0, 1.0]]}}
+DIAG2_ZERO = {"algebra": {"kind": "diagonal", "param": 2}, "W": {"basis": []}}
+SYM2_ZERO = {"algebra": {"kind": "sym_real", "param": 2}, "W": {"basis": []}}
 HERM3_ZERO = {"algebra": {"kind": "herm_complex", "param": 3}, "W": {"basis": []}}
 DIAG2_LOW_RESIDUALS = {
     "algebra": {"kind": "diagonal", "param": 2},
@@ -131,6 +140,11 @@ DIAG2_LOW_RESIDUALS = {
 # once turned the sampled certifiers to True and not Im Q: exit 2
 @example((HERM3_ZERO, "check", ["--no-scale", "--samples", "2", "--tol", "2"]))
 @example((DIAG2_LOW_RESIDUALS, "check", ["--samples", "2", "--tol", "0.5"]))
+# the closed-form Bergman kernel far out in the domain overflowed to NaN and
+# was printed with exit 0
+@example((RANK1_IMAGINARY_LINE, "bergman", ["--p1", "1e200i,0", "--p2", "1e200i,0"]))
+@example((DIAG2_ZERO, "bergman", ["--p1", "1e150i,1e150i,0,0", "--p2", "1e150i,1e150i,0,0"]))
+@example((SYM2_ZERO, "bergman", ["--p1", "1e150i,1e150i,1e150i,0,0", "--p2", "1e150i,1e150i,1e150i,0,0"]))
 # counts above their bounds are rejected before anything is allocated
 @example((RANK1_IMAGINARY_LINE, "kernels", ["--x", "1", "--points", "100000"]))
 @example((RANK1_IMAGINARY_LINE, "bergman", ["--p1", "1.5i,0.1", "--p2", "1.5i,0.1", "--method", "mc",
@@ -140,9 +154,11 @@ def test_cli_ends_in_an_exit_code_never_an_exception(tmp_path_factory, case):
     spec, command, argv = case
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(spec))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, str(path), *argv])
     assert code in (0, 1)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
     if code == 1:
         assert err.getvalue().count("\n") == 1

@@ -17,7 +17,7 @@ from qsiegel import (
     frame_scalar_check,
     kernel_matrix,
 )
-from conftest import conj_matrix
+from conftest import conj_matrix, sample_points, unstack
 from qsiegel import creal
 from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.errors import (
@@ -33,18 +33,6 @@ def rank1_params(rank1, x=1.0, chi=None):
     _, _, q_map = rank1
     w = RealSubspace(np.array([[1.0], [0.0]]))
     return build_kernel_params(q_map, w, np.array([x]), chi=chi)
-
-
-def sample_points(q_map, alg, count, seed):
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(count):
-        v = rng.uniform(-2.0, 2.0, size=2 * q_map.n) / np.sqrt(2 * q_map.n)
-        vc = creal.re_to_cx(v)
-        t = rng.uniform(0.2, 5.0)
-        y = np.real(q_map.q_eval(vc, vc)) + t * alg.unit
-        pts.append(SiegelPoint(rng.standard_normal(alg.dim) + 1j * y, vc))
-    return pts
 
 
 # -- classification ------------------------------------------------------------
@@ -114,7 +102,7 @@ def test_full_w_kernel_reduces_to_invariant_factor(diag2):
     alg, _, q_map = diag2
     w = RealSubspace.full(4)
     params = build_kernel_params(q_map, w, np.array([1.0, 2.0]))
-    pts = sample_points(q_map, alg, 6, seed=0)
+    pts = unstack(sample_points(q_map, alg, 6, seed=0))
     for p1 in pts[:3]:
         for p2 in pts[3:]:
             assert eval_kernel(params, p1, p2) == pytest.approx(
@@ -198,8 +186,8 @@ def test_eval_agrees_with_adapted_coordinate_route():
                 )
                 return np.exp(expo)
 
-            for p1 in sample_points(q_map, alg, 3, seed=2):
-                for p2 in sample_points(q_map, alg, 3, seed=3):
+            for p1 in unstack(sample_points(q_map, alg, 3, seed=2)):
+                for p2 in unstack(sample_points(q_map, alg, 3, seed=3)):
                     expected = adapted(p1, p2)
                     assert eval_kernel(params, p1, p2) == pytest.approx(expected, rel=1e-9)
 
@@ -228,7 +216,7 @@ def test_hermitian_symmetry_random(models):
     for kind, (alg, _, q_map) in models.items():
         w = RealSubspace.full(2 * q_map.n)
         params = build_kernel_params(q_map, w, alg.exp(0.3 * alg.unit))
-        pts = sample_points(q_map, alg, 6, seed=4)
+        pts = unstack(sample_points(q_map, alg, 6, seed=4))
         for p1 in pts:
             for p2 in pts:
                 assert eval_kernel(params, p1, p2) == pytest.approx(
@@ -244,7 +232,7 @@ def test_group_invariance():
         rng = np.random.default_rng(5)
         x = alg.exp(0.4 * rng.standard_normal(alg.dim))
         params = build_kernel_params(q_map, w, x, chi=0.5 * np.ones(params_sdim(q_map, w)))
-        pts = sample_points(q_map, alg, 4, seed=6)
+        pts = unstack(sample_points(q_map, alg, 4, seed=6))
         for _ in range(100):
             wv = w.basis @ rng.standard_normal(w.dim) if w.dim else np.zeros(2 * q_map.n)
             g = GroupElement(rng.standard_normal(alg.dim), creal.re_to_cx(wv))
@@ -284,8 +272,8 @@ def test_sx_choice_does_not_affect_values():
             a_x = 2.0 * pxc.conj().T @ q_map.rep.r_op(x) @ pxc
             params2 = dataclasses.replace(params, a_x=a_x)
             compared += 1
-            for p1 in sample_points(q_map, alg, 3, seed=8):
-                for p2 in sample_points(q_map, alg, 3, seed=9):
+            for p1 in unstack(sample_points(q_map, alg, 3, seed=8)):
+                for p2 in unstack(sample_points(q_map, alg, 3, seed=9)):
                     assert eval_kernel(params, p1, p2) == pytest.approx(
                         eval_kernel(params2, p1, p2), rel=1e-10, abs=1e-13
                     )
@@ -382,17 +370,20 @@ def test_kernel_matrix_matches_per_pair_reference(source, a, b):
             assert np.any(params.chi != 0.0)
         for rows, cols in ((pts_a, pts_b), (pts_a, pts_a)):
             got = kernel_matrix(params, rows, cols)
-            assert got.shape == (len(rows), len(cols))
-            want = np.array([[reference_kernel(params, a, b) for b in cols] for a in rows])
+            assert got.shape == (rows.z.shape[0], cols.z.shape[0])
+            want = np.array([[reference_kernel(params, a, b) for b in unstack(cols)] for a in unstack(rows)])
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_eval_kernel_is_the_one_by_one_kernel_matrix(sym2):
+    # a single unstacked SiegelPoint is a stack of one
     alg, _, q_map = sym2
     w = catalog_get("sym2").variant("frame").subspace(q_map.n)
     params = build_kernel_params(q_map, w, alg.unit, chi=np.array([0.8]))
-    p1, p2 = sample_points(q_map, alg, 2, seed=23)
-    assert eval_kernel(params, p1, p2) == kernel_matrix(params, [p1], [p2])[0, 0]
+    p1, p2 = unstack(sample_points(q_map, alg, 2, seed=23))
+    assert p1.z.shape == (alg.dim,) and p1.v.shape == (q_map.n,)
+    assert kernel_matrix(params, p1, p2).shape == (1, 1)
+    assert eval_kernel(params, p1, p2) == kernel_matrix(params, p1, p2)[0, 0]
 
 
 def test_gram_matrix_is_exactly_hermitian():
@@ -403,7 +394,7 @@ def test_gram_matrix_is_exactly_hermitian():
     pts = sample_points(q_map, alg, 15, seed=24)
     gram = gram_psd_report(params, pts, keep_matrix=True).gram
     assert np.array_equal(gram, gram.conj().T)
-    upper = np.triu_indices(len(pts))
+    upper = np.triu_indices(15)
     assert np.allclose(gram[upper], kernel_matrix(params, pts, pts)[upper], rtol=1e-13, atol=0.0)
 
 
@@ -411,7 +402,7 @@ def test_batched_split_matches_single_splits_and_checks_every_row(sym2):
     alg, _, q_map = sym2
     w = catalog_get("sym2").variant("frame").subspace(q_map.n)
     spaces = build_kernel_params(q_map, w, alg.unit).spaces
-    vs = np.array([p.v for p in sample_points(q_map, alg, 5, seed=25)])
+    vs = sample_points(q_map, alg, 5, seed=25).v
     q, c = spaces.split_p_s(vs)
     # the coordinates c of s are complex over the basis of the real form S
     assert np.allclose(q + c @ creal.re_to_cx(spaces.s.basis.T), vs, atol=1e-14)
@@ -447,7 +438,7 @@ def test_gram_reports_psd_on_mf_entries():
 
 def test_single_point_gram(rank1):
     params = rank1_params(rank1)
-    rep = gram_psd_report(params, [SiegelPoint([1j], [0j])])
+    rep = gram_psd_report(params, SiegelPoint([1j], [0j]))
     assert rep.n_points == 1 and rep.psd
 
 
@@ -459,7 +450,7 @@ def test_negative_control_inadmissible_x_defeats_positivity(diag2):
     rng = np.random.default_rng(11)
     found = False
     for trial in range(100):
-        pts = sample_points(q_map, alg, 5, seed=100 + trial)
+        pts = unstack(sample_points(q_map, alg, 5, seed=100 + trial))
         g = np.array([[invariant_kernel_raw(q_map, x, a, b) for b in pts] for a in pts])
         if np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0] < -1e-8 * max(1, np.linalg.norm(g, 2)):
             found = True

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import creal
 from .errors import HypothesisViolated, NotPSD
-from .integrals import base_measure_moments
+from .integrals import base_measure_moments, measure_shape
 from .representation import SiegelPoint
 from .subspaces import RealSubspace, complement_bases, complement_wrt, kernel_bases, span_bases
 from .tolerances import TOL_PSD, TOL_SUB, TOL_ZERO
@@ -134,11 +134,11 @@ def base_metric(alg, q_map):
 
     e' is the cone point with <e', x> = 2(tr T_x + tr R_x), where
     tr T_x = (N / r) tr x and tr R_x = tr(X) / 2 = tr(x) / 2, so
-    e' = s e with s = 2N / r + 1.  U-part: (a + ib, a' + ib') ->
-    <e', a o a' + b o b'> / 4, so H = T_{e'} / 4 = s / 4 I.  V-part: the form
+    e' = s e with s = 2N / r + 1, the measure's shape.  U-part: (a + ib, a' + ib')
+    -> <e', a o a' + b o b'> / 4, so H = T_{e'} / 4 = s / 4 I.  V-part: the form
     of e', s I.  Mixed block zero.  s > 0, so the metric is positive definite.
     """
-    s = 2.0 * alg.dim / alg.rank + 1.0
+    s = measure_shape(alg)
     diagonal = np.repeat([0.25 * s, s], [2 * alg.dim, 2 * q_map.n])
     return BaseMetric(np.diag(diagonal), s * alg.unit, 0.25 * s * np.eye(alg.dim), s * np.eye(2 * q_map.n))
 
@@ -169,9 +169,9 @@ def exact_metric_scale(alg, q_map, seed=0):
 
 def exact_measure_moments(alg):
     """Mean s Y and covariance s P(Y) of the invariant measure at the base
-    point, Y = (2e)^-1 and s = 2N/r + 1: the cone's Gamma family of shape s
-    and scale Y has Var <u, a> = s tr((A Y)^2) (Faraut-Koranyi, ch. VII)."""
-    s = 2.0 * alg.dim / alg.rank + 1.0
+    point, Y = (2e)^-1 and s = ``measure_shape``: the cone's Gamma family of
+    shape s and scale Y has Var <u, a> = s tr((A Y)^2) (Faraut-Koranyi, ch. VII)."""
+    s = measure_shape(alg)
     y_inv = alg.invert(2.0 * alg.unit)
     return s * y_inv, s * alg.quad_rep(y_inv)
 
@@ -258,7 +258,7 @@ def _coisotropic_points(q_map, seed, count):
 def _coisotropic_residuals(q_map, s, points):
     """Per-point |C|_2, C, G^(-1/2) and Y for a stack of points, H over the rows
     ``s`` of S = (jW)-perp = j W-perp; G > 0 for y in the cone, dim S = 0 reads 0."""
-    y = q_map.algebra.to_matrix(q_map.cone_part(points))
+    y = q_map.rep.two_r(q_map.cone_part(points))
     h = s.conj() @ y @ s.T
     vals, vecs = np.linalg.eigh(h.real)
     root = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
@@ -292,11 +292,7 @@ def check_orthocomplement_identity(alg, q_map, w, n_samples=20, seed=0):
     rng = np.random.default_rng([seed, 0x0C11])
     dists = []
     for _ in range(max(1, n_samples)):
-        if s_space.dim:
-            s_vec = creal.re_to_cx(s_space.basis @ rng.standard_normal(s_space.dim))
-        else:
-            s_vec = np.zeros(q_map.n, dtype=complex)
-        v_c = 1j * s_vec
+        v_c = 1j * creal.re_to_cx(s_space.basis @ rng.standard_normal(s_space.dim))
         cone = alg.exp(0.7 * rng.standard_normal(alg.dim))
         y = np.real(q_map.q_eval(v_c, v_c)) + cone
         c = SiegelPoint(1j * y.astype(complex), v_c)

@@ -22,8 +22,8 @@ a few directions a contracts the form with them first, so u itself is never
 formed: the Bergman MC needs one phase a sample, the metric moments a dozen
 projections.  A consumer that needs only Delta(u), the Bergman MC at
 coincident points, draws only the r Gamma rows.  All sampling is
-counter-based, keyed by (seed, stream, block index), so results do not
-depend on scheduling.
+counter-based, keyed by (seed, stream, block index), and runs on one thread
+(``rng`` says why).
 """
 import math
 from dataclasses import dataclass
@@ -72,14 +72,10 @@ def gaussian_iq(q_map, u):
 
 
 def _inv_i_iq(alg, dets):
-    """1 / (I(u) I_Q(u)) from the determinants Delta(u) of cone points.
-
-    For the standard representation the Gaussian determinant of I_Q
-    collapses to I_Q(u) = (pi/2)^r / Delta(u), so the product is
-    2^N (2/pi)^r Delta(u)^(N/r + 1) / Gamma_Omega(N/r).
-    """
+    """1 / (I(u) I_Q(u)) = 2^N (2/pi)^r Delta(u)^(N/r + 1) / Gamma_Omega(N/r) from the
+    determinants Delta(u) of cone points; N/r + 1 is ``measure_shape`` less N/r."""
     r, s = alg.rank, alg.dim / alg.rank
-    return 2.0 ** alg.dim * (2.0 / math.pi) ** r / gindikin_gamma(alg, s) * dets ** (s + 1.0)
+    return 2.0 ** alg.dim * (2.0 / math.pi) ** r / gindikin_gamma(alg, s) * dets ** (measure_shape(alg) - s)
 
 
 @dataclass
@@ -99,19 +95,19 @@ def cone_integrals(alg, q_map, u):
 # -- the invariant base measure and the exact samplers ------------------------
 
 
-def measure_mass(alg, y):
-    """Closed-form mass of the measure exp(-2<u,y>) / (I(u) I_Q(u)) mu_U.
+def measure_shape(alg):
+    """Shape 2N/r + 1 of the invariant measure, the Bergman exponent and the base metric's scalar: the
+    standard representation has I_Q(u) = (pi/2)^r / Delta(u), so 1/(I I_Q) ~ Delta(u)^(2N/r + 1 - N/r)."""
+    return 2.0 * alg.dim / alg.rank + 1.0
 
-    The density is 2^N (2/pi)^r Delta(u)^(N/r + 1) exp(-2<u,y>) / Gamma_Omega(N/r),
-    so the mass is 2^N (2/pi)^r Gamma_Omega(2N/r + 1) / Gamma_Omega(N/r)
-    times Delta(2y)^(-(2N/r + 1)).
-    """
-    r, s = alg.rank, alg.dim / alg.rank
-    const = (
-        2.0 ** alg.dim * (2.0 / math.pi) ** r
-        * gindikin_gamma(alg, 2.0 * s + 1.0) / gindikin_gamma(alg, s)
-    )
-    return float(const * math.exp(-(2.0 * s + 1.0) * _log_det_2u(alg, y, "measure mass")))
+
+def measure_mass(alg, y):
+    """Closed-form mass 2^N (2/pi)^r Gamma_Omega(s) / Gamma_Omega(N/r) Delta(2y)^(-s) of the
+    measure exp(-2<u,y>) / (I(u) I_Q(u)) mu_U, s = ``measure_shape``."""
+    shape = measure_shape(alg)
+    const = 2.0 ** alg.dim * (2.0 / math.pi) ** alg.rank * gindikin_gamma(alg, shape)
+    const /= gindikin_gamma(alg, alg.dim / alg.rank)
+    return float(const * math.exp(-shape * _log_det_2u(alg, y, "measure mass")))
 
 
 # a chunk of samples holds about this many pair products (128 kB), and at
@@ -210,7 +206,7 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None):
 def sample_invariant_measure(alg, y, count, seed, stream=4, directions=None):
     """Exact samples from the normalized measure exp(-2<u,y>)/(I I_Q) mu_U (shape 2N/r + 1),
     or their projections <u, a> on the columns of ``directions``."""
-    return _sample_cone_gamma(alg, y, 2.0 * alg.dim / alg.rank + 1.0, count, seed, stream, directions)[0]
+    return _sample_cone_gamma(alg, y, measure_shape(alg), count, seed, stream, directions)[0]
 
 
 def sample_cone_exponential(alg, y0, count, seed, stream=3, directions=None):
@@ -255,10 +251,13 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
     n, r, s = alg.dim, alg.rank, alg.dim / alg.rank
 
     if method == "closed":
-        power = 2 * n // r + 1
+        power = measure_shape(alg)
         const = math.pi ** -n * (2.0 / math.pi) ** r * gindikin_gamma(alg, power) / gindikin_gamma(alg, s)
-        det = complex(np.linalg.det(alg.to_matrix(-1j * w)))
-        return BergmanEstimate(const * det ** -power, 0.0, "closed")
+        # Delta(-i w)^-power in log scale: it underflows to 0.0 and overflows to inf
+        sign, log_det = np.linalg.slogdet(alg.to_matrix(-1j * w))
+        with np.errstate(over="ignore"):
+            size = float(np.exp(-power * log_det))
+        return BergmanEstimate(const * complex(sign) ** -power * size, 0.0, "closed")
     if method != "mc":
         raise ValueError("method must be 'closed' or 'mc'")
 

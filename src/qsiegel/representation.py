@@ -1,14 +1,12 @@
 """The standard representation of a Jordan algebra on (V, h) and the Siegel-domain geometry.
 
-The representation supplies the family x -> R_x of self-adjoint operators;
-everything downstream (the Hermitian map Q, the forms g_x and omega_x, the
-domain, the generalized Heisenberg group and its orbits) is derived from it.
-For the built-in algebras of n x n matrices, V = C^n, R_x = X / 2 and
-Q(v, v')_k = v'^H B_k v: both are the algebra's own ``to_matrix`` and
-``from_matrix``, extended C-linearly, so nothing here stores a matrix per
-basis element.  The transport of a point to the base point (ie, 0) is in
-closed form: one eigh of Y = ``to_matrix(Im z - Q(v, v))`` gives the scaling
-P(y^(-1/2)) on U_C and Y^(-1/2) on V.
+``JordanRepresentation`` is the one place that decides V: ``n`` = dim_C V,
+``two_r`` gives 2R_x on V and ``q_coords`` the Q it defines by
+<x, Q(v, v')> = v'^H (2R_x) v; everything downstream reads them.  For the
+built-in algebras V = C^n, 2R_x = X and Q(v, v')_k = v'^H B_k v, the algebra's
+own ``to_matrix`` and ``from_matrix`` extended C-linearly.  One eigh of
+Y = 2R_y, y = Im z - Q(v, v), transports a point to the base point (ie, 0) in
+closed form: it gives P(y^(-1/2)) on U_C and Y^(-1/2) on V.
 
 Real coordinates on V follow creal's convention (Re v, Im v); tangent
 vectors to the domain live in R^{2N + 2n} ordered as (Re z, Im z, Re v, Im v).
@@ -27,18 +25,23 @@ from .tolerances import TOL_CONE
 
 
 class JordanRepresentation:
-    """The standard representation R_x v = (1/2) X v on V = C^rank.
-
-    x -> 2 R_x = X is a unital Jordan algebra homomorphism into the
-    Hermitian operators on V, and R_e = Id/2.
-    """
+    """The standard representation R_x v = X v / 2 on V = C^rank: x -> 2R_x = X is a
+    unital Jordan algebra homomorphism into the Hermitian operators on V."""
 
     def __init__(self, algebra):
         self.algebra = algebra
         self.n = algebra.rank
 
+    def two_r(self, x):
+        """The matrix of 2R_x on V, for one x or each one of a stack: X itself."""
+        return self.algebra.to_matrix(x)
+
+    def q_coords(self, v, vp):
+        """Coordinates v'^H B_k v of Q(v, v'), read off <x, Q(v, v')> = v'^H (2R_x) v; leading axes broadcast."""
+        return self.algebra.outer_coords(v, vp)
+
     def r_op(self, x):
-        return self.algebra.to_matrix(x) / 2.0
+        return self.two_r(x) / 2.0
 
 
 class HermitianMapQ:
@@ -51,25 +54,21 @@ class HermitianMapQ:
         self.dim_u = rep.algebra.dim
 
     def q_eval(self, v, vp):
-        """Q(v, v')_k = v'^H B_k v, the coordinates of v v'^H extended C-linearly.
-
-        Leading axes of v and v' broadcast, so one call covers a stack of pairs.
-        """
-        return self.algebra.outer_coords(np.asarray(v, dtype=complex), vp)
+        """Q(v, v') from the representation's ``q_coords``; leading axes broadcast over a stack of pairs."""
+        return self.rep.q_coords(np.asarray(v, dtype=complex), vp)
 
     def g_matrix(self, x):
         """Real symmetric 2n x 2n matrix of g_x(v, v') = <x, Re Q(v, v')>."""
-        return 2.0 * creal.realify(self.rep.r_op(x))
+        return creal.realify(self.rep.two_r(x))
 
     def g_eigh(self, x):
-        """Eigenvalues (ascending) and complex eigenvectors of 2 R_x = X, or of
-        each one in a stack.
+        """Eigenvalues (ascending) and complex eigenvectors of 2R_x, for one x or a stack.
 
-        g_x = realify(X), so each eigenpair (lam, u) of X gives g_x the double
-        eigenvalue lam with real eigenvectors (Re u, Im u) and j (Re u, Im u):
-        one n x n eigh holds the spectrum, |g_x|_2 = max |lam| and ker g_x.
+        g_x = realify(2R_x), so each eigenpair (lam, u) gives g_x the double eigenvalue
+        lam with real eigenvectors (Re u, Im u) and j (Re u, Im u): one n x n eigh
+        holds the spectrum, |g_x|_2 = max |lam| and ker g_x.
         """
-        return np.linalg.eigh(self.algebra.to_matrix(x))
+        return np.linalg.eigh(self.rep.two_r(x))
 
     def omega_matrix(self, x):
         """Alternating matrix of omega_x(v, v') = g_x(v, j v')."""
@@ -148,10 +147,9 @@ class HermitianMapQ:
         u = log y.  One eigh of Y gives both, and every point must lie in
         the domain.
         """
-        alg = self.algebra
-        nu = self.dim_u
+        alg, nu = self.algebra, self.dim_u
         y = self.cone_part(point)
-        vals, vecs = np.linalg.eigh(alg.to_matrix(y))
+        vals, vecs = np.linalg.eigh(self.rep.two_r(y))
         if np.any(vals[..., 0] <= TOL_CONE):
             raise NotInDomain("point is not in the Siegel domain")
         m = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)

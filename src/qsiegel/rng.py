@@ -3,9 +3,16 @@
 Monte Carlo estimators draw samples in fixed-size blocks; the generator for
 block b of stream s under seed q is Philox keyed by (q, s, b).  Sample i is
 produced by block i // BLOCK inside a run of exactly BLOCK draws, so the value
-of sample i depends only on (seed, stream, i) and never on how work is
-scheduled.  ``blocks`` serves one call with one generator, re-keyed for each
-block.
+of sample i depends only on (seed, stream, i).  ``blocks`` serves one call
+with one generator, re-keyed for each block.
+
+The keys would let blocks run on threads with the same results, but sampling
+stays on one: each draw is a short numpy call that releases the GIL, and beside
+any other busy Python thread it waits out the 5 ms switch interval to take it
+back.  ``standard_exponential((4, 1024))`` on a re-keyed generator made about
+21 000 calls/s alone and 190 beside a pure-Python counter thread, and a
+2-worker pool over 4096- and 8192-row blocks ran the ``mc`` benchmark's Bergman
+requests 18-28% slower than one thread (4 interleaved rounds, 2-core x86-64).
 """
 import numpy as np
 

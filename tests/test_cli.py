@@ -475,16 +475,30 @@ def test_kernels_points_are_the_three_documented_draws(tmp_path, capsys):
 
 
 def test_non_finite_report_is_a_one_line_error(tmp_path, capsys):
-    # the closed-form Bergman kernel at Im z = 1e200 overflows to NaN, which
-    # JSON cannot hold: exit 1 with one line, and no report is written
-    spec = write_spec(tmp_path, "heisenberg-rank1", "real")
+    # on diagonal 64 at z = 1e-9 i e, Delta(-i w) is about 1e-551, below the
+    # smallest double, and the closed-form Bergman kernel about 1e1645, above
+    # the largest, which JSON cannot hold: exit 1 with one line, and no report
+    # is written
+    spec = tmp_path / "diag64.json"
+    spec.write_text(json.dumps({"algebra": {"kind": "diagonal", "param": 64}, "W": {"basis": []}}))
+    point = ",".join(["1e-9i"] * 64 + ["0"] * 64)
     target = tmp_path / "report.json"
-    assert main(["bergman", spec, "--p1", "1e200i,0", "--p2", "1e200i,0", "--out", str(target)]) == 1
+    assert main(["bergman", str(spec), "--p1", point, "--p2", point, "--out", str(target)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1 and "not a finite number" in captured.err
     assert not target.exists()
     with pytest.raises(NonFiniteValue):
         cli.emit({"value": [float("inf"), 0.0]}, None)
+
+
+def test_bergman_far_out_reports_zero_on_both_routes(tmp_path, capsys):
+    # the kernel is about 1e-601 at Im z = 1e200: both routes report it
+    # rounded to 0.0, and neither overflows on the way
+    spec = write_spec(tmp_path, "heisenberg-rank1", "real")
+    for method in ("closed", "mc"):
+        code, out = run_cli(["bergman", spec, "--p1", "1e200i,0", "--p2", "1e200i,0", "--method", method,
+                             "--samples", "1000"], capsys)
+        assert code == 0 and json.loads(out)["value"] == [0.0, 0.0]
 
 
 def test_bergman_mc_reports_identical_across_thread_counts(tmp_path):

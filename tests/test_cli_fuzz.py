@@ -12,7 +12,7 @@ counts above ``MAX_SAMPLES`` and ``MAX_POINTS`` (a Bergman MC of 1e9 samples,
 about 32 GB, and a 100000 x 100000 Gram matrix), to a one-line error.  A run
 that exits 0 prints strict JSON: a NaN or an infinity in it is a failure, and
 fixed examples pin the closed-form Bergman kernel at Im z of 1e200 and 1e150,
-where it overflows, to a one-line error.
+where its value underflows, to exit 0 with a report of 0.0.
 """
 import contextlib
 import io
@@ -140,8 +140,8 @@ DIAG2_LOW_RESIDUALS = {
 # once turned the sampled certifiers to True and not Im Q: exit 2
 @example((HERM3_ZERO, "check", ["--no-scale", "--samples", "2", "--tol", "2"]))
 @example((DIAG2_LOW_RESIDUALS, "check", ["--samples", "2", "--tol", "0.5"]))
-# the closed-form Bergman kernel far out in the domain overflowed to NaN and
-# was printed with exit 0
+# far out in the domain the closed-form Bergman kernel underflows: it must
+# report 0.0, not overflow to NaN
 @example((RANK1_IMAGINARY_LINE, "bergman", ["--p1", "1e200i,0", "--p2", "1e200i,0"]))
 @example((DIAG2_ZERO, "bergman", ["--p1", "1e150i,1e150i,0,0", "--p2", "1e150i,1e150i,0,0"]))
 @example((SYM2_ZERO, "bergman", ["--p1", "1e150i,1e150i,1e150i,0,0", "--p2", "1e150i,1e150i,1e150i,0,0"]))

@@ -388,6 +388,31 @@ def test_bergman_closed_invariant_and_hermitian(kind, param):
     assert bergman_kernel(alg, q_map, p2, p1, method="closed").value == pytest.approx(np.conj(k12), rel=1e-10)
 
 
+@pytest.mark.parametrize("kind,param", MODEL_SIZES, ids=lambda v: str(v))
+def test_bergman_closed_is_homogeneous(kind, param):
+    # with delta_t(z, v) = (t z, sqrt(t) v), w scales by t and Delta(-i w) by
+    # t^r, so K(delta_t p, delta_t q) = t^(-(2N + r)) K(p, q).  t = 2^k with k
+    # even scales the points exactly, and k runs over the whole range where
+    # the scaled value stays a normal double and the points stay clear of
+    # the cone's absolute membership slack
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(28)
+    p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
+    k12 = bergman_kernel(alg, q_map, p1, p2, method="closed").value
+    degree = 2 * alg.dim + alg.rank
+    log2_k = math.log2(abs(k12))
+    lowest = min(np.linalg.eigvalsh(alg.to_matrix(q_map.cone_part(p)))[0] for p in (p1, p2))
+    lo = max(math.ceil((log2_k - 1000) / degree), math.ceil(math.log2(1e-8 / lowest)))
+    hi = math.floor((log2_k + 1000) / degree)
+    assert hi - lo > 20
+    for k in range(lo + lo % 2, hi + 1, 2 * max(1, (hi - lo) // 16)):
+        t, root = 2.0**k, 2.0 ** (k // 2)
+        scaled = [SiegelPoint(t * p.z, root * p.v) for p in (p1, p2)]
+        value = bergman_kernel(alg, q_map, *scaled, method="closed").value
+        expected = complex(math.ldexp(k12.real, -k * degree), math.ldexp(k12.imag, -k * degree))
+        assert abs(value - expected) <= 1e-12 * abs(expected), k
+
+
 CALIBRATION_SIZES = [("rank1", None), ("diagonal", 2), ("sym_real", 2), ("herm_complex", 2), ("sym_real", 3)]
 
 

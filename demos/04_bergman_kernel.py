@@ -2,8 +2,10 @@
 
 Covers: I(u) and I_Q(u) in closed form against exact values, the Bergman
 kernel in closed form (the Gindikin integral) against its importance-sampled
-MC estimate, at the base point and at diagonal and off-diagonal pairs, and
-the closed-form invariant metric against its MC moment oracle.
+MC estimate, at the base point and at diagonal and off-diagonal pairs (off
+the diagonal the MC draws only the Gamma rows of its Bartlett samples and
+integrates the normals below them out in closed form), and the closed-form
+invariant metric against its MC moment oracle.
 """
 import math
 
@@ -46,7 +48,7 @@ print(f"Bergman kernel at a diagonal pair: closed {closed.value.real:.6e}   MC {
 pt2 = SiegelPoint(0.3 + 1j * (y + 0.2 * alg.unit), 0.5 * v)
 closed = bergman_kernel(alg, q_map, pt, pt2)
 est = bergman_kernel(alg, q_map, pt, pt2, samples=200_000, seed=3, method="mc")
-print(f"Bergman kernel off the diagonal: closed {closed.value:.6e}   MC {est.value:.6e} +- {est.se:.1e}")
+print(f"Bergman kernel off the diagonal: closed {closed.value:.6e}   MC (normals integrated out) {est.value:.6e} +- {est.se:.1e}")
 
 print()
 print("=== invariant metric at the base point ===")

@@ -359,12 +359,12 @@ def _orbit_residuals(q_map, w, xs):
     some g_x is not positive semi-definite; a sample with jW' = 0 has
     residual 0.
     """
-    vals, vecs = q_map.g_eigh(xs)
+    gx, vals, vecs = q_map.g_matrix_eigh(xs)
     gx_norm = np.max(np.abs(vals), axis=-1)
     if np.any(vals[..., 0] < -TOL_PSD * np.maximum(1.0, gx_norm)):
         raise NotPSD("g_x must be positive semi-definite on V")
     # j is orthogonal, so it keeps the complement's columns orthonormal or zero
-    jwp = creal.j_matrix(q_map.n) @ complement_bases(q_map.g_matrix(xs), w.basis, gx_norm)
+    jwp = creal.j_matrix(q_map.n) @ complement_bases(gx, w.basis, gx_norm)
     kernel = kernel_bases(vals, vecs, gx_norm)
     target = w.basis
     if kernel.shape[-1]:

@@ -19,12 +19,16 @@ parts in each entry below the diagonal.  So a sample costs r Gamma draws and
 N - r normals, every coordinate of u is a quadratic form in them, and
 Delta(u) = prod_j T_jj^2 / Delta(2y).  A consumer that needs only <u, a> for
 a few directions a contracts the form with them first, so u itself is never
-formed: the Bergman MC needs one phase a sample, the metric moments a dozen
-projections.  A consumer that needs only Delta(u), the Bergman MC at
-coincident points, draws only the r Gamma rows.  All sampling is
-counter-based, keyed by (seed, stream, block index), and runs on one thread
-(``rng`` says why).
+formed: the metric moments take a dozen projections.  The Bergman MC needs
+only the mean of e^(i<u, a>) against a weight in Delta(u).  Given the Gamma
+rows the columns of T separate and <u, a> is a Gaussian quadratic form in
+each column's normals, so their average is c0 exp(sum_j kappa_j T_jj^2) in
+closed form (``_conditional_phase``), and the Bergman MC draws only the r
+Gamma rows, at coincident points (where it needs Delta(u) alone) and apart.
+All sampling is counter-based, keyed by (seed, stream, block index), and
+runs on one thread (``rng`` says why).
 """
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -144,10 +148,49 @@ def _bartlett_form(alg, y):
     c = alg.outer_coords(a.T[row[j]], a.T[row[i]])
     # a pair i < j also stands for the equal term (j, i)
     factor = np.where(i == j, 1.0, 2.0) * unit[i] * unit[j].conj()
-    return i, j, np.real(factor[:, None] * c.conj()), float(np.real(np.linalg.det(two_y)))
+    return i, j, np.real(factor[:, None] * c.conj()), _det_2y(alg, y)
 
 
-def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None):
+def _det_2y(alg, y):
+    """Delta(2y), by which Delta(T T^H) divides to give Delta(u)."""
+    return float(np.real(np.linalg.det(2.0 * alg.to_matrix(y))))
+
+
+def _conditional_phase(alg, y, a):
+    """(kappa, c0) with E[e^(i<u, a>) | g] = c0 exp(sum_j kappa_j g_j), the normals
+    of the Bartlett decomposition integrated out given its Gamma rows g_j = T_jj^2.
+
+    Contracted with a, the Bartlett form is sum_j g_j a_j + sum_j sqrt(g_j) b_j^T z
+    + z^T M z in the standard normals z, where b_j lives on the normals of column
+    j of T and M is block diagonal by column.  With M = O diag(lam) O^T and
+    beta = O^T [b_0 .. b_(r-1)], the Gaussian integral gives
+    kappa_j = i a_j - 1/2 sum_k beta_kj^2 / (1 - 2i lam_k) and
+    c0 = prod_k (1 - 2i lam_k)^(-1/2), each factor's principal root.  Returned as
+    the (r, 2) real array [Re kappa | Im kappa], Re kappa <= 0, and the complex c0.
+    """
+    r = alg.rank
+    i, j, weights, _ = _bartlett_form(alg, y)
+    coef = weights @ a
+    phase = coef[:r]
+    # past the r pairs (j, j), a pair is T_jj with a normal below it, or two normals
+    i, j, coef = i[r:], j[r:] - r, coef[r:]
+    cross = i < r
+    b = np.zeros((alg.dim - r, r))
+    b[j[cross], i[cross]] = coef[cross]
+    m = np.zeros((alg.dim - r, alg.dim - r))
+    rows, cols, half = i[~cross] - r, j[~cross], 0.5 * coef[~cross]
+    m[rows, cols] += half
+    m[cols, rows] += half
+    lam, vecs = np.linalg.eigh(m)
+    beta2 = (vecs.T @ b) ** 2
+    # 1 / (1 - 2i lam) = (1 + 2i lam) / (1 + 4 lam^2)
+    damp = beta2 / (1.0 + 4.0 * lam**2)[:, None]
+    kappa = np.column_stack([-0.5 * damp.sum(axis=0), phase - (lam[:, None] * damp).sum(axis=0)])
+    c0 = cmath.exp(complex(-0.25 * np.sum(np.log1p(4.0 * lam**2)), 0.5 * np.sum(np.arctan(2.0 * lam))))
+    return kappa, c0
+
+
+def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None, gamma_weights=None):
     """Exact samples u of the density ~ Delta(u)^(s - N/r) exp(-2<u, y>), and Delta(u).
 
     This is the cone's Gamma family of shape s and scale (2y)^-1, with mean
@@ -160,21 +203,26 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None):
     With ``directions`` an (N, k) array, the Bartlett weights are contracted
     with it once, and the first return value is the (count, k) array of
     <u, a> for the columns a: the same draws, and u itself is never formed.
-    With k = 0 only Delta(u) is wanted, so each block draws its r Gamma rows
-    and stops: its normals come after them, and the next block is re-keyed,
-    so every determinant is the one the full draw gives.
+    With ``gamma_weights`` an (r, k) array, each block draws its r Gamma rows
+    g_j = T_jj^2 and stops: its normals come after them, and the next block
+    is re-keyed, so every g is the one the full draw gives.  The first return
+    value is then the (count, k) array g @ gamma_weights; with k = 0 only
+    Delta(u) is wanted.
     """
     r, n = alg.rank, alg.dim
-    i, j, weights, det_2y = _bartlett_form(alg, y)
-    if directions is not None:
-        weights = weights @ directions
-    full = weights.shape[1] > 0
+    if gamma_weights is None:
+        i, j, weights, det_2y = _bartlett_form(alg, y)
+        if directions is not None:
+            weights = weights @ directions
+    else:
+        # the r pairs (j, j) alone: their products are the Gamma draws
+        i, weights, det_2y = np.arange(r), gamma_weights, _det_2y(alg, y)
+    # normals enter only through the pairs past the r Gamma rows
+    normals = len(i) > r
     shapes = s - 0.5 * alg.d * np.arange(r)
     # rows of one shape (all r when d = 0) draw in one call, in the same order
     cuts = [0, *(np.flatnonzero(np.diff(shapes)) + 1).tolist(), r]
     runs = [(a, b, float(shapes[a])) for a, b in zip(cuts[:-1], cuts[1:])]
-    # T_jj meets another variable only when normals lie below it (j < r - 1)
-    roots = r - 1 if n > r else 0
     step = max(1, _CHUNK_VALUES // (len(i) * BLOCK)) * BLOCK
     out = np.empty((count, weights.shape[1]))
     dets = np.empty(count)
@@ -182,9 +230,9 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None):
     for lo in range(0, count, step):
         hi = min(lo + step, count)
         # pairs[p] = theta_i theta_j; its first r rows, T_jj^2, are the Gamma
-        # draws themselves.  theta holds T_jj for j < roots, then the normals.
-        pairs = np.empty((len(i) if full else r, hi - lo))
-        theta = np.empty((n, hi - lo))
+        # draws themselves.  theta holds T_jj for j < r - 1, then the normals.
+        pairs = np.empty((len(i), hi - lo))
+        theta = np.empty((n, hi - lo)) if normals else None
         for g, rows in islice(draws, step // BLOCK):  # the chunk's blocks
             cols = slice(rows.start - lo, rows.stop - lo)
             nb = rows.stop - rows.start
@@ -192,13 +240,14 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None):
                 size = (b - a, BLOCK)
                 draw = g.standard_exponential(size) if shape == 1.0 else g.gamma(shape, size=size)
                 pairs[a:b, cols] = draw[:, :nb]
-            if full and n > r:  # an empty draw still costs a call per block
+            if normals:
                 theta[r:, cols] = g.standard_normal((n - r, BLOCK))[:, :nb]
         np.prod(pairs[:r], axis=0, out=dets[lo:hi])
-        if full:
-            np.sqrt(pairs[:roots], out=theta[:roots])
+        if normals:
+            # T_jj meets another variable only when normals lie below it (j < r - 1)
+            np.sqrt(pairs[: r - 1], out=theta[: r - 1])
             np.multiply(theta[i[r:]], theta[j[r:]], out=pairs[r:])
-            np.dot(pairs.T, weights, out=out[lo:hi])
+        np.dot(pairs.T, weights, out=out[lo:hi])
     dets /= det_2y
     return out, dets
 
@@ -209,11 +258,11 @@ def sample_invariant_measure(alg, y, count, seed, stream=4, directions=None):
     return _sample_cone_gamma(alg, y, measure_shape(alg), count, seed, stream, directions)[0]
 
 
-def sample_cone_exponential(alg, y0, count, seed, stream=3, directions=None):
+def sample_cone_exponential(alg, y0, count, seed, stream=3, directions=None, gamma_weights=None):
     """Samples u from the density exp(-2<u, y0>) / I(y0) on the cone (shape N/r),
-    or their projections on the columns of ``directions``, with their
-    determinants Delta(u)."""
-    return _sample_cone_gamma(alg, y0, alg.dim / alg.rank, count, seed, stream, directions)
+    or their projections on the columns of ``directions``, or the contractions
+    of their Gamma rows with ``gamma_weights``, with their determinants Delta(u)."""
+    return _sample_cone_gamma(alg, y0, alg.dim / alg.rank, count, seed, stream, directions, gamma_weights)
 
 
 # -- Bergman kernel ----------------------------------------------------------
@@ -236,13 +285,18 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
     (the default) evaluates it by the Gindikin integral,
     pi^-N (2/pi)^r Gamma_Omega(2N/r + 1) / Gamma_Omega(N/r) Delta(-i w)^-(2N/r + 1),
     where the exponent is an integer.  'mc' importance-samples it with the
-    exact exponential-weight proposal at the cone midpoint Im w / 2.  The
-    sampler yields only the phases <u, Re w> and Delta(u), and the weight
-    e^{i<u, Re w>} / (I I_Q) is summed as its cosine and sine parts.  At
-    p1 = p2 the point w = 2i (Im z - Q(v, v)) is imaginary (its computed real
-    part is the rounding of Im Q(v, v)) and K(p, p) is real: the sampler
-    yields Delta(u) alone, the estimate is the mean of the real weight
-    1 / (I I_Q), and its imaginary part is exactly 0.
+    exact exponential-weight proposal at the cone midpoint Im w / 2, with the
+    normals of its Bartlett decomposition integrated out: given the Gamma
+    rows g_j = T_jj^2, E[e^{i<u, Re w>} | g] = c0 e^{g kappa}
+    (``_conditional_phase``).  The sampler draws only g and yields g Re kappa,
+    g Im kappa and Delta(u); the weight e^{g Re kappa} / (I I_Q) is summed as
+    its cosine and sine parts at g Im kappa, and c0 multiplies the mean and
+    |c0| the se.  The mean is unchanged and the variance can only drop; with
+    d = 0 there are no normals, Re kappa = 0, c0 = 1, and the estimate is the
+    phase one.  At p1 = p2 the point w = 2i (Im z - Q(v, v)) is imaginary
+    (its computed real part is the rounding of Im Q(v, v)) and K(p, p) is
+    real: the sampler yields Delta(u) alone, the estimate is the mean of the
+    real weight 1 / (I I_Q), and its imaginary part is exactly 0.
     """
     for p in (p1, p2):
         if not q_map.domain_contains(p):
@@ -266,12 +320,21 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
         raise NotInDomain("midpoint cone part left the open cone")
     if np.array_equal(p1.z, p2.z) and np.array_equal(p1.v, p2.v):
         # K(p, p) is real: the weight is its one part, from Delta(u) alone
-        _, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, directions=np.empty((n, 0)))
-        parts = [_inv_i_iq(alg, dets)]
+        _, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, gamma_weights=np.empty((r, 0)))
+        parts, c0 = [_inv_i_iq(alg, dets)], 1.0
     else:
-        phase, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, directions=np.real(w)[:, None])
-        phase = phase[:, 0]
+        # the normals integrated out: the weight is e^(g kappa) / (I I_Q), times c0
+        kappa, c0 = _conditional_phase(alg, y0, np.real(w))
+        # with no normals below the diagonal (d = 0) Re kappa = 0 and nothing damps
+        damped = kappa[:, 0].any()
+        exponents, dets = sample_cone_exponential(
+            alg, y0, samples, seed, stream=3, gamma_weights=kappa if damped else kappa[:, 1:]
+        )
         weight = _inv_i_iq(alg, dets)
+        del dets  # freed before cos and sin allocate
+        if damped:
+            weight *= np.exp(exponents[:, 0], out=exponents[:, 0])
+        phase = exponents[:, -1]
         re = np.cos(phase)
         re *= weight
         im = np.sin(phase, out=phase)
@@ -286,7 +349,7 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
         parts[0] += part
     se = math.sqrt(np.mean(parts[0]) / samples)
     scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** n
-    return BergmanEstimate(scale * mean, float(scale * se), "mc", samples, seed)
+    return BergmanEstimate(scale * c0 * mean, float(scale * abs(c0) * se), "mc", samples, seed)
 
 
 # -- moments of the base measure for the metric oracle -----------------------

@@ -61,14 +61,16 @@ class HermitianMapQ:
         """Real symmetric 2n x 2n matrix of g_x(v, v') = <x, Re Q(v, v')>."""
         return creal.realify(self.rep.two_r(x))
 
-    def g_eigh(self, x):
-        """Eigenvalues (ascending) and complex eigenvectors of 2R_x, for one x or a stack.
+    def g_matrix_eigh(self, x):
+        """g_x, and the eigenvalues (ascending) and complex eigenvectors of 2R_x, for
+        one x or a stack, from one 2R_x.
 
         g_x = realify(2R_x), so each eigenpair (lam, u) gives g_x the double eigenvalue
         lam with real eigenvectors (Re u, Im u) and j (Re u, Im u): one n x n eigh
         holds the spectrum, |g_x|_2 = max |lam| and ker g_x.
         """
-        return np.linalg.eigh(self.rep.two_r(x))
+        two_r = self.rep.two_r(x)
+        return (creal.realify(two_r), *np.linalg.eigh(two_r))
 
     def omega_matrix(self, x):
         """Alternating matrix of omega_x(v, v') = g_x(v, j v')."""

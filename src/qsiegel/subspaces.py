@@ -245,8 +245,7 @@ def basic_spaces(q_map, w, x):
     """
     jw = w.j_image(q_map.n)
     p = w.intersect(jw)
-    gx = q_map.g_matrix(x)
-    vals, vecs = q_map.g_eigh(x)
+    gx, vals, vecs = q_map.g_matrix_eigh(x)
     gx_norm = float(np.max(np.abs(vals)))
     ker = RealSubspace(kernel_bases(vals, vecs, gx_norm))
     return DerivedSpaces(w=w, jw=jw, p=p, g_x=gx, g_x_norm=gx_norm, ker_gx=ker)

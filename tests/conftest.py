@@ -7,8 +7,14 @@ import pytest
 from qsiegel import GroupElement, RealSubspace, SiegelPoint, creal, standard_model
 from qsiegel.certify import base_metric, phase_space_j
 from qsiegel.errors import DecompositionFailure, NotInCone, NotInDomain, NotPSD
-from qsiegel.integrals import _inv_i_iq, cone_laplace, sample_cone_exponential, sample_invariant_measure
-from qsiegel.rng import BLOCK, blocks
+from qsiegel.integrals import (
+    _conditional_phase,
+    _inv_i_iq,
+    cone_laplace,
+    sample_cone_exponential,
+    sample_invariant_measure,
+)
+from qsiegel.rng import BLOCK, block_generator, blocks
 from qsiegel.subspaces import complement_wrt, kernel_of_form
 from qsiegel.tolerances import TOL_EIG, TOL_PSD, TOL_RANK
 
@@ -387,6 +393,31 @@ def bergman_mc_oracle(alg, q_map, p1, p2, samples, seed):
     se = math.sqrt(np.mean(np.abs(f - mean) ** 2) / samples)
     scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** alg.dim
     return complex(scale * mean), float(scale * se)
+
+
+def bergman_gamma_row_oracle(alg, q_map, p1, p2, samples, seed):
+    """(value, se) of the off-diagonal MC Bergman kernel from the materialized Gamma rows.
+
+    Each block's own generator draws its r rows Gamma(N/r - j d/2) into the
+    whole (samples, r) array g; the weight is the complex
+    e^(g kappa) / (I I_Q) with (kappa, c0) from ``_conditional_phase``, and c0
+    multiplies its mean and |c0| the se of that mean.
+    """
+    w = p1.z - np.conj(p2.z) - 2j * q_map.q_eval(p1.v, p2.v)
+    y0 = np.imag(w) / 2.0
+    r, d, s = alg.rank, alg.d, alg.dim / alg.rank
+    g = np.empty((samples, r))
+    for b in range(0, samples, BLOCK):
+        gen = block_generator(seed, 3, b // BLOCK)
+        rows = np.array([gen.gamma(s - j * d / 2.0, size=BLOCK) for j in range(r)])
+        g[b : b + BLOCK] = rows.T[: samples - b]
+    kappa, c0 = _conditional_phase(alg, y0, np.real(w))
+    dets = np.prod(g, axis=1) / np.real(np.linalg.det(2.0 * alg.to_matrix(y0)))
+    f = np.exp(g @ (kappa[:, 0] + 1j * kappa[:, 1])) * _inv_i_iq(alg, dets)
+    mean = np.mean(f)
+    se = math.sqrt(np.mean(np.abs(f - mean) ** 2) / samples)
+    scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** alg.dim
+    return complex(scale * c0 * mean), float(scale * abs(c0) * se)
 
 
 def base_moments_oracle(alg, q_map, directions_u, directions_v, samples, seed):

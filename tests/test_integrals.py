@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import base_moments_oracle, bergman_mc_oracle, cone_box_mc, iq_box_mc
-from qsiegel import SiegelPoint, bergman_kernel, cone_integrals, standard_model
+from conftest import base_moments_oracle, bergman_gamma_row_oracle, bergman_mc_oracle, cone_box_mc, iq_box_mc
+from qsiegel import SiegelPoint, bergman_kernel, cone_integrals, integrals, standard_model
 from qsiegel.errors import NotInCone, NotInDomain
 from qsiegel.integrals import (
     _bartlett_form,
+    _conditional_phase,
     _inv_i_iq,
     _sample_cone_gamma,
     base_measure_moments,
@@ -209,9 +210,10 @@ def test_sampler_prefix_is_stable(models, kind):
 def test_determinants_match_the_per_block_gamma_reference(models, kind, shape):
     # Delta(u) bit for bit against a reference that builds each block's own
     # generator and draws every row by gamma(shape), whatever the mode: with
-    # zero directions the sampler draws only the Gamma rows, one generator
-    # serves the call, and a shape-1 row comes from standard_exponential.
-    # Counts cross block and chunk boundaries and end inside a block
+    # zero Gamma-row weights the sampler draws only the Gamma rows, in chunks
+    # sized by those r rows, one generator serves the call, and a shape-1 row
+    # comes from standard_exponential.  Counts cross block and chunk
+    # boundaries and end inside a block
     alg = models[kind][0]
     r, d = alg.rank, alg.d
     s = SHAPES[shape](alg)
@@ -219,7 +221,7 @@ def test_determinants_match_the_per_block_gamma_reference(models, kind, shape):
     det_2y = _bartlett_form(alg, y)[3]
     for count in (700, 1500, 40_000):
         _, dets = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4)
-        out, only = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4, directions=np.empty((alg.dim, 0)))
+        out, only = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4, gamma_weights=np.empty((r, 0)))
         assert out.shape == (count, 0) and np.array_equal(only, dets)
         expected = np.empty(count)
         for b in range(0, count, BLOCK):
@@ -228,6 +230,27 @@ def test_determinants_match_the_per_block_gamma_reference(models, kind, shape):
             expected[b : b + BLOCK] = np.prod(rows, axis=0)[: count - b]
         expected /= det_2y
         assert np.array_equal(dets, expected)
+
+
+@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
+def test_gamma_row_contractions_match_the_per_block_reference(models, kind):
+    # with (r, k) Gamma-row weights the (count, k) output is the materialized
+    # Gamma rows times the weights, to rounding, with the same determinants
+    alg = models[kind][0]
+    r, d = alg.rank, alg.d
+    s = SHAPES["exponential"](alg)
+    y = _sampler_y(alg)
+    weights = np.random.default_rng(11).standard_normal((r, 3))
+    for count in (700, 40_000):
+        _, dets = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4)
+        out, only = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4, gamma_weights=weights)
+        gammas = np.empty((count, r))
+        for b in range(0, count, BLOCK):
+            g = block_generator(2, 4, b // BLOCK)
+            gammas[b : b + BLOCK] = np.array([g.gamma(s - j * d / 2.0, size=BLOCK) for j in range(r)]).T[: count - b]
+        expected = gammas @ weights
+        assert np.array_equal(only, dets)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
@@ -443,11 +466,18 @@ def test_bergman_mc_calibrated_against_closed_form(kind, param, diagonal):
 PROJECTED_SIZES = [("diagonal", 4), ("sym_real", 3), ("herm_complex", 3), ("herm_complex", 4)]
 
 
-@pytest.mark.parametrize("diagonal", [True, False], ids=["on", "off"])
-@pytest.mark.parametrize("kind,param", PROJECTED_SIZES, ids=lambda v: str(v))
+def _on_off(value):
+    return ("on" if value else "off") if isinstance(value, bool) else str(value)
+
+
+# where no normals are integrated out: on the diagonal, and off it where d = 0
+MATERIALIZED_CASES = [(kind, param, True) for kind, param in PROJECTED_SIZES] + [("diagonal", 4, False)]
+
+
+@pytest.mark.parametrize("kind,param,diagonal", MATERIALIZED_CASES, ids=_on_off)
 def test_bergman_mc_matches_materialized_samples(kind, param, diagonal):
-    # the sampler's phases and the real-arithmetic weight give the value and
-    # se of the complex weight over the whole sample matrix u, to rounding;
+    # the real-arithmetic weight gives the value and se of the complex weight
+    # e^(i<u, Re w>) / (I I_Q) over the whole sample matrix u, to rounding;
     # 60 000 samples span several chunks and end inside a block
     alg, _, q_map = standard_model(kind, param)
     rng = np.random.default_rng(26)
@@ -459,9 +489,87 @@ def test_bergman_mc_matches_materialized_samples(kind, param, diagonal):
     assert abs(mc.se - se) <= 1e-12 * se
 
 
+@pytest.mark.parametrize("kind,param", PROJECTED_SIZES, ids=lambda v: str(v))
+def test_bergman_mc_matches_the_gamma_row_oracle(kind, param):
+    # off the diagonal the streamed estimate is the mean of c0 e^(g kappa) / (I I_Q)
+    # over the whole (samples, r) array of Gamma rows, to rounding
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(26)
+    p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
+    value, se = bergman_gamma_row_oracle(alg, q_map, p1, p2, 60_000, seed=27)
+    mc = bergman_kernel(alg, q_map, p1, p2, samples=60_000, seed=27, method="mc")
+    assert abs(mc.value - value) <= 1e-12 * abs(value)
+    assert abs(mc.se - se) <= 1e-12 * se
+
+
+def _bartlett_phases(alg, y, a, gammas, samples, seed):
+    """<u, a> for u = A T T^H A^H, A = cholesky((2y)^-1), over ``samples`` draws of
+    the normals below the diagonal of T, whose diagonal is fixed at sqrt(gammas)."""
+    r, d = alg.rank, alg.d
+    a_chol = np.linalg.cholesky(np.linalg.inv(2.0 * alg.to_matrix(y)))
+    low_rows, low_cols = np.tril_indices(r, -1)
+    units = np.array([1.0, 1.0j])[:d] / math.sqrt(2.0)
+    rng = np.random.default_rng(seed)
+    phases = []
+    for lo in range(0, samples, 25_000):
+        m = min(25_000, samples - lo)
+        t = np.zeros((m, r, r), dtype=complex)
+        t[:, np.arange(r), np.arange(r)] = np.sqrt(gammas)
+        t[:, low_rows, low_cols] = rng.standard_normal((m, len(low_rows), d)) @ units
+        u = a_chol @ t @ np.swapaxes(t.conj(), 1, 2) @ a_chol.conj().T
+        phases.append(alg.from_matrix(u) @ a)
+    return np.concatenate(phases)
+
+
+@pytest.mark.parametrize("kind,param", [("sym_real", 3), ("herm_complex", 3), ("herm_complex", 4)], ids=lambda v: str(v))
+def test_conditional_phase_integrates_the_bartlett_normals(kind, param):
+    # for one fixed diagonal of T, the mean of e^(i<u, a>) over 200 000 draws of
+    # the normals below it is c0 exp(g kappa) within 4 se, and tells it apart
+    # from e^(i g a_diag), the phase with the normals set to 0
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(33)
+    p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
+    w = _w(q_map, p1, p2)
+    y, a = np.imag(w) / 2.0, np.real(w)
+    gammas = rng.gamma(alg.dim / alg.rank - 0.5 * alg.d * np.arange(alg.rank))
+    kappa, c0 = _conditional_phase(alg, y, a)
+    assert np.all(kappa[:, 0] <= 0.0)
+    expected = c0 * np.exp(gammas @ (kappa[:, 0] + 1j * kappa[:, 1]))
+    f = np.exp(1j * _bartlett_phases(alg, y, a, gammas, 200_000, seed=34))
+    mean = np.mean(f)
+    se = math.sqrt(np.mean(np.abs(f - mean) ** 2) / len(f))
+    assert abs(mean - expected) <= 4.0 * se
+    assert abs(np.exp(1j * gammas @ kappa[:, 1]) - expected) > 40.0 * se
+
+
+@pytest.mark.parametrize("kind,param", MODEL_SIZES + [("herm_complex", 4)], ids=lambda v: str(v))
+def test_conditional_phase_over_the_gamma_rows_is_the_closed_form(kind, param):
+    # the Gamma rows integrate out too: with g_j ~ Gamma(s_j), s_j = N/r - j d/2,
+    # and the weight C Delta(u)^p, p = N/r + 1, E[g_j^p e^(kappa_j g_j)] is
+    # Gamma(s_j + p) / Gamma(s_j) (1 - kappa_j)^-(s_j + p), so c0 times their
+    # product is the Gindikin closed form of K(p1, p2), to rounding
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(38)
+    r, n = alg.rank, alg.dim
+    power = 2.0 * n / r + 1.0 - n / r
+    shapes = n / r - 0.5 * alg.d * np.arange(r)
+    for _ in range(3):
+        p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
+        w = _w(q_map, p1, p2)
+        y0 = np.imag(w) / 2.0
+        kappa, c0 = _conditional_phase(alg, y0, np.real(w))
+        det_2y = np.real(np.linalg.det(2.0 * alg.to_matrix(y0)))
+        value = c0 * _inv_i_iq(alg, np.array([1.0 / det_2y]))[0] * cone_laplace(alg, y0) / (2.0 * math.pi) ** n
+        for s_j, k_j in zip(shapes, kappa[:, 0] + 1j * kappa[:, 1]):
+            value *= math.gamma(s_j + power) / math.gamma(s_j) * (1.0 - k_j) ** -(s_j + power)
+        closed = bergman_kernel(alg, q_map, p1, p2, method="closed").value
+        assert abs(value - closed) <= 1e-12 * abs(closed)
+
+
 def _phase_route(alg, q_map, p1, p2, samples, seed):
     """(value, se) of the MC Bergman kernel by the cosine and sine of the
-    sampler's phases <u, Re w>, the route taken at every pair of points."""
+    sampler's phases <u, Re w>, with the normals drawn: the phase estimator
+    over the same Gamma rows, which the library's estimate is held against."""
     w = _w(q_map, p1, p2)
     y0 = np.imag(w) / 2.0
     phase, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, directions=np.real(w)[:, None])
@@ -487,10 +595,59 @@ def test_bergman_mc_on_the_diagonal_is_real(kind, param):
     assert abs(mc.se - se) <= 1e-15 * se
 
 
+BERGMAN_MC_SIZES = list(dict.fromkeys(CALIBRATION_SIZES + PROJECTED_SIZES))
+
+
+@pytest.mark.parametrize("kind,param", BERGMAN_MC_SIZES, ids=lambda v: str(v))
+def test_bergman_mc_off_the_diagonal_has_at_most_the_phase_route_se(kind, param):
+    # integrating the normals out cannot raise the se over the same Gamma rows;
+    # where d = 0 there are no normals, and value and se are the phase route's
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(35)
+    p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
+    value, se = _phase_route(alg, q_map, p1, p2, 60_000, seed=36)
+    mc = bergman_kernel(alg, q_map, p1, p2, samples=60_000, seed=36, method="mc")
+    assert 0.0 < mc.se <= se
+    if alg.d == 0:
+        assert abs(mc.value - value) <= 1e-14 * abs(value)
+        assert abs(mc.se - se) <= 1e-15 * se
+
+
+class _RecordingGenerator:
+    """A generator that records the name of every method it is asked for."""
+
+    def __init__(self, gen, calls):
+        self._gen, self._calls = gen, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._gen, name)
+
+
+@pytest.mark.parametrize("kind,param", BERGMAN_MC_SIZES, ids=lambda v: str(v))
+def test_bergman_mc_draws_no_normals(monkeypatch, kind, param):
+    # on the diagonal and off it, the Bergman MC draws the r Gamma rows alone
+    calls = []
+    original = integrals.blocks
+
+    def recording(*args):
+        return ((_RecordingGenerator(g, calls), rows) for g, rows in original(*args))
+
+    monkeypatch.setattr(integrals, "blocks", recording)
+    alg, _, q_map = standard_model(kind, param)
+    rng = np.random.default_rng(37)
+    p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
+    for other in (p1, p2):
+        calls.clear()
+        bergman_kernel(alg, q_map, p1, other, samples=3_000, seed=1, method="mc")
+        assert calls and "standard_normal" not in calls
+        assert set(calls) <= {"gamma", "standard_exponential"}
+
+
 @pytest.mark.parametrize("kind,param", [("sym_real", 3), ("herm_complex", 3), ("herm_complex", 4)], ids=lambda v: str(v))
 def test_bergman_mc_memory_is_bounded_by_the_sample_count(kind, param):
-    # the sampler yields one phase and one determinant per sample, never the
-    # (samples, N) array u: 200 000 samples peak within 8 MB at every size,
+    # the sampler yields at most two exponents and one determinant per sample,
+    # never the (samples, N) array u: 200 000 samples peak within 8 MB at every size,
     # off the diagonal and on it, where the materialized u and five complex
     # temporaries held 18 MB at sym_real 3 and 23 MB at herm_complex 3
     alg, _, q_map = standard_model(kind, param)

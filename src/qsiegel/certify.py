@@ -18,13 +18,15 @@ test conjugate conditions by different numerical routes, and their agreement
 checks the numerics.  The theory says the three verdicts agree;
 disagreement is an alarm and maps to a dedicated exit code in the CLI.
 
-The two sampled certifiers work on stacks of samples, in blocks that keep
-one 2n x 2n float64 stack within STACK_BYTES.  The coisotropic residual
-decides no rank.  The orbit certifier takes, per block, one stacked eigh of
-2R_x, whose realification is g_x: its eigenvalues give the PSD test and
-|g_x|_2, and ``subspaces.kernel_bases`` reads ker g_x off them.  The
-g_x-complement of W is one stacked ``subspaces.complement_bases``; only a
-block in which some g_x has a kernel (a boundary x) spans ker g_x + W with
+The two sampled certifiers draw nothing: they take the stacks of cone
+points y and x that they certify, which ``certify_all`` draws with
+``_cone_points``, in blocks that keep one 2n x 2n float64 stack within
+STACK_BYTES.  The coisotropic residual decides no rank.  The orbit
+certifier takes, per block, one stacked eigh of 2R_x, whose realification is
+g_x: its eigenvalues give the PSD test and |g_x|_2, and
+``subspaces.kernel_bases`` reads ker g_x off them.  The g_x-complement of W
+is one stacked ``subspaces.complement_bases``; only a block in which some
+g_x has a kernel (a boundary x) spans ker g_x + W with
 ``subspaces.span_bases``, and every other block tests against W itself.
 These decide every rank of a stack at once, with masked zero columns where a
 sample's rank is lower than the stack's width.  The witness is the first
@@ -203,62 +205,45 @@ def _metric_scale(alg, q_map, seed, moments):
 # -- condition: coisotropic orbits ---------------------------------------------
 
 
-def check_coisotropic(alg, q_map, w, n_samples=20, seed=0, tol=TOL_SUB):
-    """W_y-perp inside j W_y, W_y = Y^(-1/2) W, at sampled points y, in closed form on S.
+def check_coisotropic(q_map, w, ys, tol=TOL_SUB):
+    """W_y-perp inside j W_y, W_y = Y^(-1/2) W, at cone points y, in closed form on S.
 
-    Y commutes with j, so W_y-perp = Y^(1/2) jS and (j W_y)-perp = Y^(1/2) S:
-    the test is <y, Im Q(S, S)> = 0, and |O - P_{jW_y} O|_2 is the cosine of
-    the smallest principal angle between Y^(1/2) S and Y^(1/2) jS, |C|_2 for
+    The translations n(x0, v0) move any point to (iy, 0), y = Im z - Q(v, v),
+    so the condition at a point depends on y alone.  Y commutes with j, so
+    W_y-perp = Y^(1/2) jS and (j W_y)-perp = Y^(1/2) S: the test is
+    <y, Im Q(S, S)> = 0, and |O - P_{jW_y} O|_2 is the cosine of the smallest
+    principal angle between Y^(1/2) S and Y^(1/2) jS, |C|_2 for
     C = G^(-1/2) Im H G^(-1/2), H = S^H Y S over complex S and G = Re H.
 
-    Samples are certified as stacks, in blocks of ``block_size``; the residual
-    is the worst over the samples and ``sample_residuals`` keeps each one.  The
-    witness tangent vector is Y^(1/2) jS G^(-1/2) u at the base point, u the
-    top eigenvector of C^T C; moved back by the inverse derivative of
-    ``transport_to_base`` it is affine_derivative(v) (0, 0, Y jS G^(-1/2) u)."""
-    count = max(1, n_samples)
+    ``ys`` is one cone point (N,) or a stack (S, N), certified in blocks of
+    ``block_size``; the residual is the worst and ``sample_residuals`` keeps
+    each one.  The witness is the point (iy, 0) with tangent vector
+    (0, 0, Y jS G^(-1/2) u), u the top eigenvector of C^T C."""
+    ys = np.asarray(ys, dtype=float)
+    stack = np.atleast_2d(ys)
     s_rows = creal.re_to_cx((creal.j_matrix(q_map.n) @ w.perp().basis).T)
-    resid = np.concatenate(
-        [_coisotropic_residuals(q_map, s_rows, p)[0] for _, p in _coisotropic_points(q_map, seed, count)]
-    )
+    resid = _blockwise(q_map, lambda block: _coisotropic_residuals(q_map, s_rows, block), stack)
     worst = float(np.max(resid))
     verdict = worst <= tol
     witness = None
     if not verdict:
-        # the points are drawn again up to the witness's block, so that no
-        # more than one block of them is ever held
         k = _witness_index(resid, tol)
-        start, p = next((s, p) for s, p in _coisotropic_points(q_map, seed, count) if k < s + len(p.v))
-        z, v = p.z[k - start], p.v[k - start]
-        _, c, root, y = _coisotropic_residuals(q_map, s_rows, SiegelPoint(z[None], v[None]))
+        _, c, root, y = _coisotropic_residuals(q_map, s_rows, stack[k : k + 1])
         u = np.linalg.eigh(c[0].T @ c[0])[1][:, -1]
         gamma = y[0] @ (1j * ((root[0] @ u) @ s_rows))
-        back = q_map.affine_derivative(v) @ np.concatenate([np.zeros(2 * alg.dim), creal.cx_to_re(gamma)])
-        witness = {"tangent_vector": [float(t) for t in back], "point": {"z": creal.pairs(z), "v": creal.pairs(v)}}
-    return Certificate(
-        "coisotropic",
-        verdict,
-        worst,
-        tol,
-        witness,
-        seed=seed,
-        samples=n_samples,
-        sample_residuals=resid,
-    )
+        tangent = np.concatenate([np.zeros(2 * q_map.dim_u), creal.cx_to_re(gamma)])
+        witness = {
+            "tangent_vector": [float(t) for t in tangent],
+            "point": {"z": [[0.0, float(t)] for t in stack[k]], "v": creal.pairs(np.zeros(q_map.n))},
+        }
+    samples = None if ys.ndim == 1 else len(stack)
+    return Certificate("coisotropic", verdict, worst, tol, witness, samples=samples, sample_residuals=resid)
 
 
-def _coisotropic_points(q_map, seed, count):
-    """The certifier's ``count`` sample points, as (index of the first, stack) per block."""
-    rng = np.random.default_rng([seed, 0xC015])
-    block = block_size(q_map)
-    for start in range(0, count, block):
-        yield start, q_map.sample_domain_point(rng, size=min(block, count - start))
-
-
-def _coisotropic_residuals(q_map, s, points):
-    """Per-point |C|_2, C, G^(-1/2) and Y for a stack of points, H over the rows
-    ``s`` of S = (jW)-perp = j W-perp; G > 0 for y in the cone, dim S = 0 reads 0."""
-    y = q_map.rep.two_r(q_map.cone_part(points))
+def _coisotropic_residuals(q_map, s, ys):
+    """Per-point |C|_2, C, G^(-1/2) and Y for a stack of cone points, H over the
+    rows ``s`` of S = (jW)-perp = j W-perp; G > 0 for y in the cone, dim S = 0 reads 0."""
+    y = q_map.rep.two_r(ys)
     h = s.conj() @ y @ s.T
     vals, vecs = np.linalg.eigh(h.real)
     root = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
@@ -321,10 +306,7 @@ def check_orbit_multiplicity(q_map, w, x, tol=TOL_SUB):
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
-    block = block_size(q_map)
-    resid = np.concatenate(
-        [_orbit_residuals(q_map, w, xs[start : start + block])[0] for start in range(0, len(xs), block)]
-    )
+    resid = _blockwise(q_map, lambda block: _orbit_residuals(q_map, w, block), xs)
     worst = float(np.max(resid))
     verdict = worst <= tol
     witness = None
@@ -383,6 +365,12 @@ def block_size(q_map):
     return max(1, STACK_BYTES // (8 * m * m))
 
 
+def _blockwise(q_map, residuals, stack):
+    """The per-point residuals, ``residuals(block)[0]``, of ``stack`` in blocks of ``block_size``."""
+    block = block_size(q_map)
+    return np.concatenate([residuals(stack[start : start + block])[0] for start in range(0, len(stack), block)])
+
+
 def _witness_index(resid, tol):
     """First sample above ``tol`` whose residual is within TOL_ZERO of the worst,
     so that rounding noise among tied samples does not pick the witness."""
@@ -411,23 +399,30 @@ class CombinedReport:
 def certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=0, compute_scale=False, tol=TOL_SUB):
     """Run the three certifiers and compare their verdicts.
 
-    Orbit multiplicity is sampled at ``n_orbit`` interior cone points; its
-    certificate verdict is the conjunction, with per-sample verdicts kept for
-    diagnosis.  ``consistent`` is True when all three conditions agree.  With
-    ``compute_scale`` the coisotropic certificate carries the exact metric scale.
+    Coisotropy is certified at ``n_coiso`` cone points y and orbit
+    multiplicity at ``n_orbit`` cone parameters x, both from ``_cone_points``;
+    each verdict is the conjunction, with the orbit's per-sample verdicts kept
+    for diagnosis.  ``consistent`` is True when all three conditions agree.
+    With ``compute_scale`` the coisotropic certificate carries the exact metric scale.
     """
     c_imq = check_imq_vanishes(q_map, w)
-    c_coiso = check_coisotropic(alg, q_map, w, n_samples=n_coiso, seed=seed, tol=tol)
+    ys = _cone_points(q_map, [seed, 0xC015], max(1, n_coiso))
+    c_coiso = replace(check_coisotropic(q_map, w, ys, tol=tol), seed=seed, samples=n_coiso)
     if compute_scale:
         c_coiso = replace(c_coiso, metric_scale=exact_metric_scale(alg, q_map, seed=seed)[0])
-
-    rng = np.random.default_rng([seed, 0x0B17])
-    count, block = max(1, n_orbit), block_size(q_map)
-    xs = np.concatenate(
-        [alg.exp(0.7 * rng.standard_normal((min(block, count - s), alg.dim))) for s in range(0, count, block)]
-    )
+    xs = _cone_points(q_map, [seed, 0x0B17], max(1, n_orbit))
     c_orbit = replace(check_orbit_multiplicity(q_map, w, xs, tol=tol), seed=seed, samples=n_orbit)
     verdicts = [bool(r <= tol) for r in c_orbit.sample_residuals]
     consistent = c_imq.verdict == c_coiso.verdict == c_orbit.verdict
     mf = c_imq.verdict if consistent else None
     return CombinedReport([c_imq, c_coiso, c_orbit], consistent, mf, verdicts)
+
+
+def _cone_points(q_map, key, count):
+    """``count`` interior cone points exp(0.7 g), g standard normal, drawn a
+    block of ``block_size`` at a time from ``default_rng(key)``."""
+    alg, block = q_map.algebra, block_size(q_map)
+    rng = np.random.default_rng(key)
+    return np.concatenate(
+        [alg.exp(0.7 * rng.standard_normal((min(block, count - s), alg.dim))) for s in range(0, count, block)]
+    )

@@ -124,8 +124,11 @@ def validate_spec(spec):
             if not test(value):
                 raise SpecFileError(f"invalid spec: {section}.{key} must be {what}, got {reprlib.repr(value)}")
     algebra = spec["algebra"]
-    if algebra["kind"] != "rank1" and not any(key in algebra for key in ("param", "n", "r")):
+    sizes = {algebra[key] for key in ("param", "n", "r") if key in algebra}
+    if algebra["kind"] != "rank1" and not sizes:
         raise SpecFileError("invalid spec: algebra needs a size parameter (param / n / r)")
+    if len(sizes) > 1:
+        raise SpecFileError(f"invalid spec: algebra size keys param / n / r disagree: {reprlib.repr(sorted(sizes))}")
     dim = algebra_dim(algebra["kind"], _size_param(algebra))
     if dim > MAX_ALGEBRA_DIM:
         raise SpecFileError(
@@ -231,7 +234,7 @@ def cmd_check(args):
         alg,
         q_map,
         w,
-        n_coiso=max(1, samples),
+        n_coiso=samples,
         n_orbit=max(50, samples),
         seed=seed,
         compute_scale=not args.no_scale,
@@ -305,6 +308,8 @@ def cmd_orbit(args):
 
 
 def cmd_catalog(args):
+    if args.variant is not None and not args.export:
+        raise UsageError("catalog: --variant needs --export")
     if args.export:
         entry = _catalog.catalog_get(args.export)
         if args.variant:

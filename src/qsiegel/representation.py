@@ -163,21 +163,14 @@ class HermitianMapQ:
         image = SiegelPoint(1j * (p @ y[..., None])[..., 0], np.zeros(y.shape[:-1] + (self.n,)))
         return image, scaling @ self.affine_derivative(-point.v)
 
-    def sample_domain_point(self, rng, size=None):
-        """In-domain point by construction: z = x0 + i(Q(v,v) + exp(0.7 g)).
-
-        With ``size`` S it returns a stack of S points from one (S, 2n + 2N)
-        normal draw, the same points as S draws of one point each.
-        """
+    def sample_domain_point(self, rng):
+        """In-domain point by construction: z = x0 + i(Q(v,v) + exp(0.7 g))."""
         alg, nn, nu = self.algebra, self.n, self.dim_u
-        g = rng.standard_normal((1 if size is None else size, 2 * (nn + nu)))
-        v = g[:, :nn] + 1j * g[:, nn : 2 * nn]
-        x0 = g[:, 2 * nn : 2 * nn + nu]
-        cone = alg.exp(0.7 * g[:, 2 * nn + nu :])
-        y = np.real(self.q_eval(v, v)) + cone
-        if size is None:
-            return SiegelPoint(x0[0] + 1j * y[0], v[0])
-        return SiegelPoint(x0 + 1j * y, v)
+        g = rng.standard_normal(2 * (nn + nu))
+        v = g[:nn] + 1j * g[nn : 2 * nn]
+        x0 = g[2 * nn : 2 * nn + nu]
+        cone = alg.exp(0.7 * g[2 * nn + nu :])
+        return SiegelPoint(x0 + 1j * (np.real(self.q_eval(v, v)) + cone), v)
 
 
 @dataclass(frozen=True)

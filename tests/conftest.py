@@ -303,27 +303,27 @@ def base_metric_u_block_oracle(alg, q_map):
     return h
 
 
-def coisotropic_loop_oracle(alg, q_map, w, n_samples, seed, metric=None):
-    """Per-sample residuals of the coisotropic certifier, one sample at a time,
-    in the phase space R^(2N + 2n).
+def coisotropic_loop_oracle(alg, q_map, w, ys, metric=None):
+    """Per-point residuals of the coisotropic certifier at the cone points
+    ``ys``, one point at a time, in the phase space R^(2N + 2n).
 
-    Each point is drawn on its own (v, x0, then the cone part), its orbit
-    tangent is transported to the base point, and the tangent's complement
-    for ``metric`` (the base metric by default) is tested against J of the
-    tangent through the one-matrix ``RealSubspace`` calls: the definition that
-    the stacked certifier in V reduces.  A sample whose complement is zero
-    reads 0.
+    Each y is lifted to a general point (x0 + i(Q(v, v) + y), v) with the
+    oracle's own v and x0, which the certifier's reduction to (iy, 0) drops;
+    its orbit tangent is transported to the base point, and the tangent's
+    complement for ``metric`` (the base metric by default) is tested against
+    J of the tangent through the one-matrix ``RealSubspace`` calls: the
+    definition that the stacked certifier in V reduces.  A point whose
+    complement is zero reads 0.
     """
     if metric is None:
         metric = base_metric(alg, q_map)
     jmat = phase_space_j(alg.dim, q_map.n)
-    rng = np.random.default_rng([seed, 0xC015])
+    rng = np.random.default_rng(0xC015)
     resid = []
-    for _ in range(max(1, n_samples)):
+    for y in np.atleast_2d(ys):
         v = rng.standard_normal(q_map.n) + 1j * rng.standard_normal(q_map.n)
         x0 = rng.standard_normal(alg.dim)
-        cone = alg.exp(0.7 * rng.standard_normal(alg.dim))
-        p = SiegelPoint(x0 + 1j * (np.real(q_map.q_eval(v, v)) + cone), v)
+        p = SiegelPoint(x0 + 1j * (np.real(q_map.q_eval(v, v)) + y), v)
         tangent = q_map.orbit_tangent(w, p)
         _, deriv = q_map.transport_to_base(p)
         timg = tangent.apply(deriv)

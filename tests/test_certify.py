@@ -41,6 +41,11 @@ def w_real(rank1):
     return RealSubspace(np.array([[1.0], [0.0]]))
 
 
+def coiso_points(q_map, seed, count):
+    """The ``count`` cone points at which ``certify_all`` certifies coisotropy for ``seed``."""
+    return certify._cone_points(q_map, [seed, 0xC015], count)
+
+
 # -- Im Q vanishing -----------------------------------------------------------
 
 
@@ -221,12 +226,15 @@ def test_certify_all_metric_scale_is_one_on_the_catalog():
 
 
 def test_coisotropic_rank1_cases(rank1):
-    alg, _, q_map = rank1
-    assert check_coisotropic(alg, q_map, RealSubspace(np.array([[1.0], [0.0]])), 10, seed=0).verdict
-    zero = check_coisotropic(alg, q_map, RealSubspace.zero(2), 10, seed=0)
+    _, _, q_map = rank1
+    ys = coiso_points(q_map, 0, 10)
+    assert check_coisotropic(q_map, RealSubspace(np.array([[1.0], [0.0]])), ys).verdict
+    zero = check_coisotropic(q_map, RealSubspace.zero(2), ys)
     assert not zero.verdict
     assert zero.witness is not None and "point" in zero.witness
-    assert check_coisotropic(alg, q_map, RealSubspace.full(2), 10, seed=0).verdict
+    single = check_coisotropic(q_map, RealSubspace.zero(2), ys[3])
+    assert (single.samples, single.sample_residuals[0]) == (None, zero.sample_residuals[3])
+    assert check_coisotropic(q_map, RealSubspace.full(2), ys).verdict
 
 
 def test_coisotropic_scale_invariance(sym2):
@@ -235,12 +243,13 @@ def test_coisotropic_scale_invariance(sym2):
     alg, _, q_map = sym2
     entry = catalog_get("sym2")
     bm = base_metric(alg, q_map)
+    ys = coiso_points(q_map, 1, 6)
     for var in ("frame", "skew"):
         w = entry.variant(var).subspace(2)
-        verdicts = {check_coisotropic(alg, q_map, w, n_samples=6, seed=1).verdict}
+        verdicts = {check_coisotropic(q_map, w, ys).verdict}
         for t in (0.5, 1.0, 2.0):
             scaled = BaseMetric(t * bm.matrix, bm.e_prime, bm.u_block, bm.v_block)
-            verdicts.add(max(coisotropic_loop_oracle(alg, q_map, w, 6, 1, metric=scaled)) <= TOL_SUB)
+            verdicts.add(max(coisotropic_loop_oracle(alg, q_map, w, ys, metric=scaled)) <= TOL_SUB)
         assert len(verdicts) == 1
 
 
@@ -352,14 +361,15 @@ def test_stacked_certifiers_match_per_sample_loops(kind, param, monkeypatch):
         boundary,
         np.concatenate([xs[:3], boundary[:1], xs[3:], boundary[1:]]),
     ]
+    ys = coiso_points(q_map, 4, 7)
 
     def certify_all_stacks(w):
         orbit = [check_orbit_multiplicity(q_map, w, stack) for stack in stacks]
-        return [check_coisotropic(alg, q_map, w, n_samples=7, seed=4)] + orbit
+        return [check_coisotropic(q_map, w, ys)] + orbit
 
     subspaces = _oracle_subspaces(alg, q_map)
     for name, w in subspaces.items():
-        oracles = [coisotropic_loop_oracle(alg, q_map, w, 7, 4)] + [orbit_loop_oracle(q_map, w, x) for x in stacks]
+        oracles = [coisotropic_loop_oracle(alg, q_map, w, ys)] + [orbit_loop_oracle(q_map, w, x) for x in stacks]
         for cert, want in zip(certify_all_stacks(w), oracles):
             got = cert.sample_residuals
             assert got.shape == (len(want),), name
@@ -367,7 +377,7 @@ def test_stacked_certifiers_match_per_sample_loops(kind, param, monkeypatch):
             assert list(got <= TOL_SUB) == [r <= TOL_SUB for r in want], name
     # in blocks of 3 samples, blocks end inside every stack, and the mixed
     # stack has a block with no kernel (K = W as it is) beside blocks that
-    # span ker g_x + W; the witness is drawn again from its own block
+    # span ker g_x + W; the witness is certified again on its own
     whole = certify_all_stacks(subspaces["random"])
     m = 2 * q_map.n
     monkeypatch.setattr(certify, "STACK_BYTES", 3 * 8 * m * m)
@@ -390,9 +400,10 @@ def test_coisotropic_closed_form_matches_the_phase_space_definition(kind, param)
     subspaces = {"realform": RealSubspace(np.vstack([np.eye(n), np.zeros((n, n))]))}
     for d in sorted({0, 1, n - 1, n, n + 1, 2 * n - 1, 2 * n}):
         subspaces[d] = RealSubspace.from_spanning(rng.standard_normal((2 * n, d))) if d else RealSubspace.zero(2 * n)
+    ys = coiso_points(q_map, 6, 3)
     for name, w in subspaces.items():
-        got = check_coisotropic(alg, q_map, w, n_samples=3, seed=6).sample_residuals
-        want = coisotropic_loop_oracle(alg, q_map, w, 3, 6)
+        got = check_coisotropic(q_map, w, ys).sample_residuals
+        want = coisotropic_loop_oracle(alg, q_map, w, ys)
         assert np.max(np.abs(got - want)) <= 1e-12, name
 
 
@@ -420,11 +431,11 @@ def test_coisotropic_at_y_is_orbit_condition_at_y_inverse(kind, param):
     alg, _, q_map = standard_model(kind, param)
     n = q_map.n
     rng = np.random.default_rng(33)
-    points = q_map.sample_domain_point(np.random.default_rng([5, 0xC015]), size=7)
-    xs = np.array([alg.invert(y) for y in q_map.cone_part(points)])
+    ys = coiso_points(q_map, 5, 7)
+    xs = np.array([alg.invert(y) for y in ys])
     for d in range(2 * n + 1):
         w = RealSubspace.from_spanning(rng.standard_normal((2 * n, d))) if d else RealSubspace.zero(2 * n)
-        coiso = check_coisotropic(alg, q_map, w, n_samples=7, seed=5).sample_residuals
+        coiso = check_coisotropic(q_map, w, ys).sample_residuals
         orbit = check_orbit_multiplicity(q_map, w, xs).sample_residuals
         assert list(coiso <= TOL_SUB) == list(orbit <= TOL_SUB), d
 
@@ -442,7 +453,7 @@ def test_coisotropic_witness_is_a_violating_complement_vector(name, variant):
     entry = catalog_get(name)
     alg, _, q_map = entry.model()
     w = entry.variant(variant).subspace(q_map.n)
-    cert = check_coisotropic(alg, q_map, w, n_samples=20, seed=3)
+    cert = check_coisotropic(q_map, w, coiso_points(q_map, 3, 20))
     assert not cert.verdict
     point = SiegelPoint(*(np.array([complex(*t) for t in cert.witness["point"][key]]) for key in ("z", "v")))
     _, deriv = q_map.transport_to_base(point)
@@ -502,12 +513,9 @@ def test_witness_is_first_of_the_tied_worst_samples():
         assert np.max(cert.sample_residuals) - np.min(cert.sample_residuals) <= TOL_ZERO
         assert cert.residual == np.max(cert.sample_residuals)
         assert np.argmax(cert.sample_residuals) != 0
-    first = q_map.sample_domain_point(np.random.default_rng([3, 0xC015]))
-    assert coiso.witness["point"] == {
-        "z": [[z.real, z.imag] for z in first.z],
-        "v": [[v.real, v.imag] for v in first.v],
-    }
-    x = alg.exp(0.7 * np.random.default_rng([3, 0x0B17]).standard_normal(alg.dim))
+    y = coiso_points(q_map, 3, 1)[0]
+    assert coiso.witness["point"] == {"z": [[0.0, float(t)] for t in y], "v": [[0.0, 0.0]] * q_map.n}
+    x = certify._cone_points(q_map, [3, 0x0B17], 1)[0]
     assert orbit.witness["x"] == [float(t) for t in x]
 
 

@@ -160,6 +160,12 @@ def test_catalog_cli(tmp_path, capsys):
     assert spec["algebra"]["kind"] == "sym_real"
 
 
+def test_catalog_variant_without_export_is_a_usage_error(capsys):
+    assert main(["catalog", "--variant", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: catalog: --variant needs --export\n"
+
+
 @pytest.mark.parametrize("command,samples", [("bergman", "0"), ("bergman", "-3"), ("check", "-5")])
 def test_nonpositive_samples_rejected(tmp_path, capsys, command, samples):
     spec = write_spec(tmp_path, "sym2", "frame")
@@ -305,6 +311,7 @@ def _set(spec, path, value):
         ("sampling", 5, "sampling"),
         ("extra", {}, "extra"),
         ("algebra.size", 2, "size"),
+        ("algebra.n", 5, "algebra size keys param / n / r disagree"),
         ("tolerances.subspace", 1.0, "tolerances.subspace must be a number in (0, 0.001]"),
         ("tolerances.subspace", 0.5, "tolerances.subspace must be a number in (0, 0.001]"),
         ("sampling.samples", cli.MAX_SAMPLES + 1, f"sampling.samples must be an integer in [1, {cli.MAX_SAMPLES}]"),

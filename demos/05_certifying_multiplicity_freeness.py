@@ -10,7 +10,9 @@ independent procedures are run and compared:
 The three conditions are provably equivalent; any
 disagreement would be an alarm (exit code 2 in the CLI).
 """
-from qsiegel import certify_all, check_orthocomplement_identity
+import numpy as np
+
+from qsiegel import SiegelPoint, certify_all, check_orthocomplement_identity
 from qsiegel.catalog import catalog_get, catalog_list
 
 print(f"{'entry':20s} {'variant':12s} {'imq':>6s} {'coiso':>6s} {'orbit':>6s} {'mf':>6s}")
@@ -29,13 +31,18 @@ for name in catalog_list():
         )
 
 print()
-print("orthocomplement identity at distinguished points (multiplicity-free entries):")
+print("orthocomplement identity at 10 domain points (multiplicity-free entries):")
+rng = np.random.default_rng(1)
 for name, var in [("heisenberg-rank1", "real"), ("diag2", "phase"), ("sym2", "frame"), ("herm2", "frame")]:
     entry = catalog_get(name)
     alg, rep, q_map = entry.model()
     w = entry.variant(var).subspace(q_map.n)
-    report_oc = check_orthocomplement_identity(alg, q_map, w, n_samples=10, seed=1)
-    print(f"  {name}/{var}: max subspace distance {report_oc.max_distance:.2e}")
+    # (x0 + i(Q(v, v) + y), v) with y in the cone lies in the domain
+    v = rng.standard_normal((10, q_map.n)) + 1j * rng.standard_normal((10, q_map.n))
+    y = np.real(q_map.q_eval(v, v)) + alg.exp(0.7 * rng.standard_normal((10, alg.dim)))
+    points = SiegelPoint(rng.standard_normal((10, alg.dim)) + 1j * y, v)
+    cert = check_orthocomplement_identity(alg, q_map, w, points)
+    print(f"  {name}/{var}: max subspace distance {cert.residual:.2e}")
 
 print()
 print("witness for a failing entry (herm2, real form):")

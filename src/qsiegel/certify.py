@@ -18,13 +18,18 @@ test conjugate conditions by different numerical routes, and their agreement
 checks the numerics.  The theory says the three verdicts agree;
 disagreement is an alarm and maps to a dedicated exit code in the CLI.
 
-The two sampled certifiers draw nothing: they take the stacks of cone
-points y and x that they certify, which ``certify_all`` draws with
-``_cone_points``, in blocks that keep one 2n x 2n float64 stack within
-STACK_BYTES.  The coisotropic residual decides no rank.  The orbit
-certifier takes, per block, one stacked eigh of 2R_x, whose realification is
-g_x: its eigenvalues give the PSD test and |g_x|_2, and
-``subspaces.kernel_bases`` reads ker g_x off them.  The g_x-complement of W
+No point check draws: each takes the points it checks and returns a
+Certificate whose ``sample_residuals`` keep one residual a point.  The two
+sampled certifiers take stacks of cone points y and x, which ``certify_all``
+draws with ``_cone_points``, in blocks that keep one 2n x 2n float64 stack
+within STACK_BYTES.  ``check_orthocomplement_identity``, which feeds no
+verdict of ``certify_all``, takes domain points (a SiegelPoint stack) and
+checks them in one stacked pass through the phase-space subspaces.
+
+The coisotropic residual decides no rank.  The orbit certifier takes, per
+block, one stacked eigh of 2R_x, whose realification is g_x: its
+eigenvalues give the PSD test and |g_x|_2, and ``subspaces.kernel_bases``
+reads ker g_x off them.  The g_x-complement of W
 is one stacked ``subspaces.complement_bases``; only a block in which some
 g_x has a kernel (a boundary x) spans ker g_x + W with
 ``subspaces.span_bases``, and every other block tests against W itself.
@@ -41,7 +46,7 @@ from . import creal
 from .errors import HypothesisViolated, NotPSD
 from .integrals import base_measure_moments, measure_shape
 from .representation import SiegelPoint
-from .subspaces import RealSubspace, complement_bases, complement_wrt, kernel_bases, span_bases
+from .subspaces import complement_bases, kernel_bases, span_bases
 from .tolerances import TOL_PSD, TOL_SUB, TOL_ZERO
 
 # byte budget of one stack of 2n x 2n float64 matrices in the sampled
@@ -251,47 +256,46 @@ def _coisotropic_residuals(q_map, s, ys):
     return np.linalg.norm(c, ord=2, axis=(-2, -1)), c, root, y
 
 
-# -- orthocomplement identity over the distinguished submanifold ----------------
+# -- orthocomplement identity ------------------------------------------------------
 
 
-@dataclass
-class OrthocomplementReport:
-    max_distance: float
-    distances: List[float]
-    seed: int
-    samples: int
-
-
-def check_orthocomplement_identity(alg, q_map, w, n_samples=20, seed=0):
+def check_orthocomplement_identity(alg, q_map, w, points):
     """Equality of the transported orthocomplement of an orbit tangent with
-    J applied to the explicit tangent family at points c = (iy, js).
+    J applied to the explicit tangent family, at the domain points ``points``.
+
+    At a point with y = Im z - Q(v, v) the left side pulls back, along the
+    transport to (ie, 0), the base-metric complement of the transported
+    tangent of the orbit of the group over W; the right side is J of the
+    orbit tangent of the group over realify(R_y) S', S' = j(W-complement for
+    g_e').  The translations n(x0, v0) normalize the group over W and permute
+    its orbits, so the identity holds at every domain point, not only at
+    (iy, js); a point outside the domain raises NotInDomain.
+
+    ``points`` is one SiegelPoint or a stack, checked in one stacked pass,
+    so memory grows with the number of points, about five (2N + 2n)^2
+    float64 matrices a point.  A point's residual is the Frobenius distance
+    of the two projectors; the residual is the worst and
+    ``sample_residuals`` keeps each one.
 
     Requires Im Q(S, S) = {0}; raises HypothesisViolated otherwise.
     """
     if not check_imq_vanishes(q_map, w).verdict:
         raise HypothesisViolated("the orthocomplement identity assumes Im Q(S,S) = 0")
     metric = base_metric(alg, q_map)
-    jmat = phase_space_j(alg.dim, q_map.n)
-    s_space = w.j_image(q_map.n).perp()
-    sprime = complement_wrt(q_map.g_matrix(metric.e_prime), w).j_image(q_map.n)
-    rng = np.random.default_rng([seed, 0x0C11])
-    dists = []
-    for _ in range(max(1, n_samples)):
-        v_c = 1j * creal.re_to_cx(s_space.basis @ rng.standard_normal(s_space.dim))
-        cone = alg.exp(0.7 * rng.standard_normal(alg.dim))
-        y = np.real(q_map.q_eval(v_c, v_c)) + cone
-        c = SiegelPoint(1j * y.astype(complex), v_c)
-
-        tangent = q_map.orbit_tangent(w, c)
-        _, deriv = q_map.transport_to_base(c)
-        orth = complement_wrt(metric.matrix, tangent.apply(deriv))
-        lhs = orth.apply(np.linalg.inv(deriv))
-
-        # the tangent family is the orbit tangent at c of the group over R_cone S'
-        r_sprime = RealSubspace.from_spanning(creal.realify(q_map.rep.r_op(cone)) @ sprime.basis)
-        rhs = q_map.orbit_tangent(r_sprime, c).apply(jmat)
-        dists.append(lhs.distance(rhs))
-    return OrthocomplementReport(float(max(dists)), [float(d) for d in dists], seed, n_samples)
+    stack = SiegelPoint(np.atleast_2d(points.z), np.atleast_2d(points.v))
+    # j is orthogonal, so it keeps the complement's columns orthonormal
+    sprime = creal.j_matrix(q_map.n) @ complement_bases(q_map.g_matrix(metric.e_prime), w.basis)
+    _, deriv = q_map.transport_to_base(stack)
+    orth = complement_bases(metric.matrix, deriv @ q_map.orbit_tangent(w, stack))
+    lhs = span_bases(np.linalg.solve(deriv, orth))
+    r_sprime = span_bases(creal.realify(q_map.rep.r_op(q_map.cone_part(stack))) @ sprime)
+    rhs = phase_space_j(alg.dim, q_map.n) @ q_map.orbit_tangent(r_sprime, stack)
+    resid = np.linalg.norm(lhs @ np.swapaxes(lhs, -1, -2) - rhs @ np.swapaxes(rhs, -1, -2), axis=(-2, -1))
+    worst = float(np.max(resid))
+    samples = None if points.z.ndim == 1 else len(resid)
+    return Certificate(
+        "orthocomplement_identity", worst <= TOL_SUB, worst, TOL_SUB, samples=samples, sample_residuals=resid
+    )
 
 
 # -- condition: orbit multiplicity one ------------------------------------------
@@ -386,7 +390,6 @@ class CombinedReport:
     certificates: List[Certificate]
     consistent: bool
     mf: Optional[bool]
-    orbit_sample_verdicts: List[bool]
 
     def to_dict(self):
         return {
@@ -400,22 +403,22 @@ def certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=0, compute_scale=Fal
     """Run the three certifiers and compare their verdicts.
 
     Coisotropy is certified at ``n_coiso`` cone points y and orbit
-    multiplicity at ``n_orbit`` cone parameters x, both from ``_cone_points``;
-    each verdict is the conjunction, with the orbit's per-sample verdicts kept
-    for diagnosis.  ``consistent`` is True when all three conditions agree.
-    With ``compute_scale`` the coisotropic certificate carries the exact metric scale.
+    multiplicity at ``n_orbit`` cone parameters x, at least one each, both
+    from ``_cone_points``; each verdict is the conjunction, and ``samples``
+    counts the points certified.  ``consistent`` is True when all three
+    conditions agree.  With ``compute_scale`` the coisotropic certificate
+    carries the exact metric scale.
     """
     c_imq = check_imq_vanishes(q_map, w)
     ys = _cone_points(q_map, [seed, 0xC015], max(1, n_coiso))
-    c_coiso = replace(check_coisotropic(q_map, w, ys, tol=tol), seed=seed, samples=n_coiso)
+    c_coiso = replace(check_coisotropic(q_map, w, ys, tol=tol), seed=seed)
     if compute_scale:
         c_coiso = replace(c_coiso, metric_scale=exact_metric_scale(alg, q_map, seed=seed)[0])
     xs = _cone_points(q_map, [seed, 0x0B17], max(1, n_orbit))
-    c_orbit = replace(check_orbit_multiplicity(q_map, w, xs, tol=tol), seed=seed, samples=n_orbit)
-    verdicts = [bool(r <= tol) for r in c_orbit.sample_residuals]
+    c_orbit = replace(check_orbit_multiplicity(q_map, w, xs, tol=tol), seed=seed)
     consistent = c_imq.verdict == c_coiso.verdict == c_orbit.verdict
     mf = c_imq.verdict if consistent else None
-    return CombinedReport([c_imq, c_coiso, c_orbit], consistent, mf, verdicts)
+    return CombinedReport([c_imq, c_coiso, c_orbit], consistent, mf)
 
 
 def _cone_points(q_map, key, count):

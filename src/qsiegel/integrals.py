@@ -252,17 +252,17 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None, gamma_we
     return out, dets
 
 
-def sample_invariant_measure(alg, y, count, seed, stream=4, directions=None):
+def sample_invariant_measure(alg, y, count, seed, directions=None):
     """Exact samples from the normalized measure exp(-2<u,y>)/(I I_Q) mu_U (shape 2N/r + 1),
-    or their projections <u, a> on the columns of ``directions``."""
-    return _sample_cone_gamma(alg, y, measure_shape(alg), count, seed, stream, directions)[0]
+    or their projections <u, a> on the columns of ``directions``; stream 4."""
+    return _sample_cone_gamma(alg, y, measure_shape(alg), count, seed, 4, directions)[0]
 
 
-def sample_cone_exponential(alg, y0, count, seed, stream=3, directions=None, gamma_weights=None):
+def sample_cone_exponential(alg, y0, count, seed, directions=None, gamma_weights=None):
     """Samples u from the density exp(-2<u, y0>) / I(y0) on the cone (shape N/r),
     or their projections on the columns of ``directions``, or the contractions
-    of their Gamma rows with ``gamma_weights``, with their determinants Delta(u)."""
-    return _sample_cone_gamma(alg, y0, alg.dim / alg.rank, count, seed, stream, directions, gamma_weights)
+    of their Gamma rows with ``gamma_weights``, with their determinants Delta(u); stream 3."""
+    return _sample_cone_gamma(alg, y0, alg.dim / alg.rank, count, seed, 3, directions, gamma_weights)
 
 
 # -- Bergman kernel ----------------------------------------------------------
@@ -320,7 +320,7 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
         raise NotInDomain("midpoint cone part left the open cone")
     if np.array_equal(p1.z, p2.z) and np.array_equal(p1.v, p2.v):
         # K(p, p) is real: the weight is its one part, from Delta(u) alone
-        _, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3, gamma_weights=np.empty((r, 0)))
+        _, dets = sample_cone_exponential(alg, y0, samples, seed, gamma_weights=np.empty((r, 0)))
         parts, c0 = [_inv_i_iq(alg, dets)], 1.0
     else:
         # the normals integrated out: the weight is e^(g kappa) / (I I_Q), times c0
@@ -328,7 +328,7 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
         # with no normals below the diagonal (d = 0) Re kappa = 0 and nothing damps
         damped = kappa[:, 0].any()
         exponents, dets = sample_cone_exponential(
-            alg, y0, samples, seed, stream=3, gamma_weights=kappa if damped else kappa[:, 1:]
+            alg, y0, samples, seed, gamma_weights=kappa if damped else kappa[:, 1:]
         )
         weight = _inv_i_iq(alg, dets)
         del dets  # freed before cos and sin allocate
@@ -371,8 +371,6 @@ def base_measure_moments(alg, q_map, directions_u, directions_v, samples=200_000
     gammas = np.array(directions_v, dtype=complex).reshape(-1, q_map.n)
     qgs = np.real(q_map.q_eval(gammas, gammas))
     k = len(zetas)
-    proj = sample_invariant_measure(
-        alg, e, samples, seed, stream=4, directions=np.concatenate([zetas.real, zetas.imag, qgs]).T
-    )
+    proj = sample_invariant_measure(alg, e, samples, seed, directions=np.concatenate([zetas.real, zetas.imag, qgs]).T)
     vals = proj[:, :k] + 1j * proj[:, k : 2 * k]
     return delta, np.mean(vals, axis=0), np.mean(np.abs(vals) ** 2, axis=0), np.mean(proj[:, 2 * k :], axis=0)

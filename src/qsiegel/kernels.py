@@ -262,14 +262,12 @@ def frame_scalar_check(alg, q_map, e1, x, n_samples=100, seed=0):
     span = np.hstack([b, creal.j_matrix(q_map.n) @ b])
     # s = S a + jS b has the conjugate S a - jS b over the real form S
     flip = np.repeat([1.0, -1.0], params.spaces.s.dim)
-    dev = 0.0
-    for _ in range(n_samples):
-        coeffs = rng.standard_normal(2 * params.spaces.s.dim)
-        s = creal.re_to_cx(span @ coeffs)
-        sbar = creal.re_to_cx(span @ (flip * coeffs))
-        lhs = np.vdot(params.a_x @ sbar, s)
-        rhs = c * np.vdot(sbar, s)
-        dev = max(dev, abs(lhs - rhs))
+    coeffs = rng.standard_normal((n_samples, 2 * params.spaces.s.dim))
+    s = creal.re_to_cx(coeffs @ span.T)
+    sbar = creal.re_to_cx((flip * coeffs) @ span.T)
+    lhs = np.sum(np.conj(sbar @ params.a_x.T) * s, axis=-1)
+    rhs = c * np.sum(np.conj(sbar) * s, axis=-1)
+    dev = np.max(np.abs(lhs - rhs), initial=0.0)
     return FrameScalarReport(scalar=c, solve_residual=resid, scalar_deviation=float(dev), y=y)
 
 

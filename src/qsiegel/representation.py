@@ -114,15 +114,17 @@ class HermitianMapQ:
 
         Spanned by (x0, 0) for x0 in U and (2i Q(v, w), w) for w in a basis
         of the subspace; returned in (Re z, Im z, Re v, Im v) coordinates.
-        For a stack of points it returns the stack of bases from ``span_bases``.
+        ``w`` is a ``RealSubspace`` or a stack of 2n x d bases, one per point.
+        For a stack it returns the stack of bases from ``span_bases``.
         """
         nn, nu = self.n, self.dim_u
         v = np.asarray(point.v)
-        zeta = 2j * self.q_eval(v[..., None, :], creal.re_to_cx(w.basis.T))
-        span = np.zeros(v.shape[:-1] + (2 * (nu + nn), nu + w.dim))
+        basis = w.basis if isinstance(w, RealSubspace) else np.asarray(w, dtype=float)
+        zeta = 2j * self.q_eval(v[..., None, :], creal.re_to_cx(np.swapaxes(basis, -1, -2)))
+        span = np.zeros(zeta.shape[:-2] + (2 * (nu + nn), nu + zeta.shape[-2]))
         span[..., :nu, :nu] = np.eye(nu)
         span[..., : 2 * nu, nu:] = np.swapaxes(creal.cx_to_re(zeta), -1, -2)
-        span[..., 2 * nu :, nu:] = w.basis
+        span[..., 2 * nu :, nu:] = basis
         if span.ndim == 2:
             return RealSubspace.from_spanning(span)
         return span_bases(span)
@@ -162,15 +164,6 @@ class HermitianMapQ:
         scaling[..., 2 * nu :, 2 * nu :] = creal.realify(m)
         image = SiegelPoint(1j * (p @ y[..., None])[..., 0], np.zeros(y.shape[:-1] + (self.n,)))
         return image, scaling @ self.affine_derivative(-point.v)
-
-    def sample_domain_point(self, rng):
-        """In-domain point by construction: z = x0 + i(Q(v,v) + exp(0.7 g))."""
-        alg, nn, nu = self.algebra, self.n, self.dim_u
-        g = rng.standard_normal(2 * (nn + nu))
-        v = g[:nn] + 1j * g[nn : 2 * nn]
-        x0 = g[2 * nn : 2 * nn + nu]
-        cone = alg.exp(0.7 * g[2 * nn + nu :])
-        return SiegelPoint(x0 + 1j * (np.real(self.q_eval(v, v)) + cone), v)
 
 
 @dataclass(frozen=True)

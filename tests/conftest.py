@@ -336,6 +336,38 @@ def coisotropic_loop_oracle(alg, q_map, w, ys, metric=None):
     return resid
 
 
+def distinguished_points(alg, q_map, w, count, seed):
+    """A stack of ``count`` points c = (iy, js) of the distinguished submanifold,
+    from ``default_rng(seed)``: s = S a for S = (jW)-perp and a standard normal
+    a, and y = Q(js, js) + exp(0.7 g) for a standard normal g."""
+    s_basis = w.j_image(q_map.n).perp().basis
+    rng = np.random.default_rng(seed)
+    v = 1j * creal.re_to_cx(rng.standard_normal((count, s_basis.shape[1])) @ s_basis.T)
+    cone = alg.exp(0.7 * rng.standard_normal((count, alg.dim)))
+    return SiegelPoint(1j * (np.real(q_map.q_eval(v, v)) + cone), v)
+
+
+def orthocomplement_loop_oracle(alg, q_map, w, points):
+    """Per-point distances of the orthocomplement identity at ``points`` (one
+    SiegelPoint or a stack), one point at a time through the one-matrix
+    ``RealSubspace`` calls: the loop that the stacked
+    ``check_orthocomplement_identity`` replaced."""
+    metric = base_metric(alg, q_map)
+    jmat = phase_space_j(alg.dim, q_map.n)
+    sprime = complement_wrt(q_map.g_matrix(metric.e_prime), w).j_image(q_map.n)
+    dists = []
+    for c in unstack(SiegelPoint(np.atleast_2d(points.z), np.atleast_2d(points.v))):
+        tangent = q_map.orbit_tangent(w, c)
+        _, deriv = q_map.transport_to_base(c)
+        orth = complement_wrt(metric.matrix, tangent.apply(deriv))
+        lhs = orth.apply(np.linalg.inv(deriv))
+        # the tangent family is the orbit tangent at c of the group over R_y S'
+        r_sprime = RealSubspace.from_spanning(creal.realify(q_map.rep.r_op(q_map.cone_part(c))) @ sprime.basis)
+        rhs = q_map.orbit_tangent(r_sprime, c).apply(jmat)
+        dists.append(lhs.distance(rhs))
+    return dists
+
+
 def orbit_loop_oracle(q_map, w, xs):
     """Per-sample residuals of the orbit certifier, one cone parameter at a time.
 
@@ -387,7 +419,7 @@ def bergman_mc_oracle(alg, q_map, p1, p2, samples, seed):
     """
     w = p1.z - np.conj(p2.z) - 2j * q_map.q_eval(p1.v, p2.v)
     y0 = np.imag(w) / 2.0
-    us, dets = sample_cone_exponential(alg, y0, samples, seed, stream=3)
+    us, dets = sample_cone_exponential(alg, y0, samples, seed)
     f = np.exp(1j * (us @ np.real(w))) * _inv_i_iq(alg, dets)
     mean = np.mean(f)
     se = math.sqrt(np.mean(np.abs(f - mean) ** 2) / samples)
@@ -423,7 +455,7 @@ def bergman_gamma_row_oracle(alg, q_map, p1, p2, samples, seed):
 def base_moments_oracle(alg, q_map, directions_u, directions_v, samples, seed):
     """(m1, m2, qv) of ``base_measure_moments`` from the materialized samples u
     of the invariant measure, each direction applied to u on its own."""
-    us = sample_invariant_measure(alg, alg.unit, samples, seed, stream=4)
+    us = sample_invariant_measure(alg, alg.unit, samples, seed)
     zetas = np.array(directions_u, dtype=complex).reshape(-1, alg.dim)
     vals = us @ zetas.real.T + 1j * (us @ zetas.imag.T)
     gammas = np.array(directions_v, dtype=complex).reshape(-1, q_map.n)

@@ -28,7 +28,7 @@ from qsiegel import creal
 from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.kernels import frame_w_subspace
 
-from conftest import sample_points, unstack
+from conftest import distinguished_points, sample_points, unstack
 
 ALGS = [("diagonal", 2), ("diagonal", 3), ("sym_real", 2), ("sym_real", 3), ("herm_complex", 2)]
 
@@ -161,8 +161,7 @@ def test_criterion_5_inconsistency_raises_alarm_exit_code(tmp_path, capsys, monk
     from qsiegel.certify import Certificate, CombinedReport
 
     fake = CombinedReport(
-        [Certificate("imq_vanishes", True, 0.0, 1e-10)], consistent=False, mf=None,
-        orbit_sample_verdicts=[],
+        [Certificate("imq_vanishes", True, 0.0, 1e-10)], consistent=False, mf=None
     )
     monkeypatch.setattr(cli, "certify_all", lambda *a, **k: fake)
     spec = tmp_path / "s.json"
@@ -175,9 +174,10 @@ def test_criterion_5_inconsistency_raises_alarm_exit_code(tmp_path, capsys, monk
 def test_criterion_6_orthocomplement_identity():
     for name, var in MF_VARIANTS:
         alg, q_map, w = _model_and_w(name, var)
-        report = check_orthocomplement_identity(alg, q_map, w, n_samples=20, seed=6)
-        assert report.max_distance <= 1e-7, f"{name}/{var}: {report.max_distance:.2e}"
-    _report(6, "orthocomplement equality at 20 sampled points per MF entry at 1e-7")
+        for points in (distinguished_points(alg, q_map, w, 20, 6), sample_points(q_map, alg, 20, 6)):
+            cert = check_orthocomplement_identity(alg, q_map, w, points)
+            assert cert.residual <= 1e-7, f"{name}/{var}: {cert.residual:.2e}"
+    _report(6, "orthocomplement equality at 20 distinguished and 20 general points per MF entry at 1e-7")
 
 
 def _sample_admissible(alg, q_map, w, rng, count):

@@ -1,10 +1,11 @@
-"""The sampled certifiers take the points they certify and draw none.
+"""The point checks take the points they check and draw none.
 
-``check_coisotropic`` certifies given cone points y and
-``check_orbit_multiplicity`` given cone parameters x; only ``certify_all``
-draws them.  This scans the syntax tree of ``certify.py``: a certifier must
-not use a generator, a normal draw or a point sampler, itself or through any
-function of the module that it names, directly or through each other.
+``check_coisotropic`` certifies given cone points y,
+``check_orbit_multiplicity`` given cone parameters x and
+``check_orthocomplement_identity`` given domain points; only ``certify_all``
+draws points.  This scans the syntax tree of ``certify.py``: a point check
+must not use a generator, a normal draw or a point sampler, itself or through
+any function of the module that it names, directly or through each other.
 """
 import ast
 from pathlib import Path
@@ -52,3 +53,4 @@ def test_the_sampled_certifiers_draw_nothing():
     source = (SRC / "certify.py").read_text()
     assert draws(source, "check_coisotropic") == []
     assert draws(source, "check_orbit_multiplicity") == []
+    assert draws(source, "check_orthocomplement_identity") == []

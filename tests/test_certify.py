@@ -31,9 +31,13 @@ from conftest import (
     SVDCounter,
     base_metric_u_block_oracle,
     coisotropic_loop_oracle,
+    distinguished_points,
     oracle_expected_mf,
     orbit_loop_oracle,
     orbit_qr_oracle,
+    orthocomplement_loop_oracle,
+    sample_points,
+    unstack,
 )
 
 
@@ -188,7 +192,7 @@ def test_exact_measure_moments_match_the_sampler(kind, param):
     gammas = rng.standard_normal((3, q_map.n)) + 1j * rng.standard_normal((3, q_map.n))
     samples = 100_000
     _, m1, m2, qv = base_measure_moments(alg, q_map, zetas, gammas, samples, seed=6)
-    us = sample_invariant_measure(alg, alg.unit, samples, seed=6, stream=4)
+    us = sample_invariant_measure(alg, alg.unit, samples, seed=6)
     for zeta, first, second in zip(zetas, m1, m2):
         var = zeta.real @ cov @ zeta.real + zeta.imag @ cov @ zeta.imag
         assert abs(first - zeta @ mean) <= 4.0 * np.sqrt(var / samples)
@@ -256,6 +260,11 @@ def test_coisotropic_scale_invariance(sym2):
 # -- orthocomplement identity -------------------------------------------------------
 
 
+def both_kinds_of_point(alg, q_map, w, count, seed):
+    """The distinguished points (iy, js) and general domain points, ``count`` of each."""
+    return distinguished_points(alg, q_map, w, count, seed), sample_points(q_map, alg, count, seed)
+
+
 def test_orthocomplement_mf_entries():
     for name, var in [
         ("heisenberg-rank1", "real"),
@@ -268,27 +277,61 @@ def test_orthocomplement_mf_entries():
         entry = catalog_get(name)
         alg, _, q_map = entry.model()
         w = entry.variant(var).subspace(q_map.n)
-        report = check_orthocomplement_identity(alg, q_map, w, n_samples=10, seed=2)
-        assert report.max_distance <= 1e-7, f"{name}/{var}: {report.max_distance}"
+        for points in both_kinds_of_point(alg, q_map, w, 10, 2):
+            cert = check_orthocomplement_identity(alg, q_map, w, points)
+            assert cert.residual <= 1e-7, f"{name}/{var}: {cert.residual}"
 
 
 def test_orthocomplement_base_example_rank1(rank1):
     alg, _, q_map = rank1
-    report = check_orthocomplement_identity(alg, q_map, RealSubspace(np.array([[1.0], [0.0]])), n_samples=5, seed=3)
-    assert report.max_distance <= 1e-7
+    w = RealSubspace(np.array([[1.0], [0.0]]))
+    for points in both_kinds_of_point(alg, q_map, w, 5, 3):
+        assert check_orthocomplement_identity(alg, q_map, w, points).residual <= 1e-7
 
 
 def test_orthocomplement_trivial_full_w(rank1):
     alg, _, q_map = rank1
-    report = check_orthocomplement_identity(alg, q_map, RealSubspace.full(2), n_samples=4, seed=4)
-    assert report.max_distance <= 1e-7
+    w = RealSubspace.full(2)
+    for points in both_kinds_of_point(alg, q_map, w, 4, 4):
+        assert check_orthocomplement_identity(alg, q_map, w, points).residual <= 1e-7
 
 
 def test_orthocomplement_requires_hypothesis(herm2):
     alg, _, q_map = herm2
     w = catalog_get("herm2").variant("realform").subspace(2)
     with pytest.raises(HypothesisViolated):
-        check_orthocomplement_identity(alg, q_map, w, n_samples=2, seed=0)
+        check_orthocomplement_identity(alg, q_map, w, sample_points(q_map, alg, 2, 0))
+
+
+def _orthocomplement_cases():
+    for name in catalog_list():
+        entry = catalog_get(name)
+        alg, _, q_map = entry.model()
+        for var in entry.variants:
+            if var.expected_mf:
+                yield f"{name}/{var.name}", alg, q_map, var.subspace(q_map.n)
+    for kind in ("sym_real", "herm_complex"):
+        alg, _, q_map = standard_model(kind, 4)
+        yield f"{kind} 4 frame", alg, q_map, frame_w_subspace(alg, q_map, alg.standard_frame()[0])[0]
+        yield f"{kind} 4 W = V", alg, q_map, RealSubspace.full(2 * q_map.n)
+
+
+def test_stacked_orthocomplement_matches_the_loop_oracle():
+    # the stacked check against the per-point loop it replaced, at the
+    # distinguished points and at general ones, and at one unstacked point
+    cases = list(_orthocomplement_cases())
+    assert len(cases) == 13 + 4  # the multiplicity-free catalog variants, then frame and W = V at sym4 and herm4
+    for label, alg, q_map, w in cases:
+        for points in both_kinds_of_point(alg, q_map, w, 6, 5):
+            cert = check_orthocomplement_identity(alg, q_map, w, points)
+            assert cert.condition == "orthocomplement_identity" and cert.samples == 6
+            assert cert.verdict and cert.tol == TOL_SUB and cert.residual == np.max(cert.sample_residuals)
+            gap = np.max(np.abs(cert.sample_residuals - orthocomplement_loop_oracle(alg, q_map, w, points)))
+            assert gap <= 1e-12, (label, gap)
+            single = unstack(points)[2]
+            one = check_orthocomplement_identity(alg, q_map, w, single)
+            assert one.samples is None and len(one.sample_residuals) == 1
+            assert abs(one.residual - orthocomplement_loop_oracle(alg, q_map, w, single)[0]) <= 1e-12, label
 
 
 # -- orbit multiplicity ----------------------------------------------------------------
@@ -553,7 +596,7 @@ def test_certify_all_catalog_agreement():
             assert report.consistent, f"{name}/{var.name}"
             assert report.mf == var.expected_mf, f"{name}/{var.name}"
             assert oracle_expected_mf(q_map, w) == var.expected_mf
-            assert all(v == report.orbit_sample_verdicts[0] for v in report.orbit_sample_verdicts)
+            assert report.certificates[2].extra["sample_agreement"]
 
 
 def test_certificate_serialization(rank1):
@@ -566,6 +609,15 @@ def test_certificate_serialization(rank1):
     for c in d["certificates"]:
         assert set(c) >= {"condition", "verdict", "residual", "tol", "witness"}
         assert (c["witness"] is not None) == (not c["verdict"])
+
+
+def test_certify_all_counts_the_points_it_certifies(rank1):
+    # zero points asked for still certifies one per sampled certifier, and reports it
+    alg, _, q_map = rank1
+    report = certify_all(alg, q_map, RealSubspace.zero(2), n_coiso=0, n_orbit=0, seed=3)
+    for cert in report.certificates[1:]:
+        assert cert.samples == len(cert.sample_residuals) == 1
+        assert cert.to_dict()["samples"] == 1 and cert.seed == 3
 
 
 def test_certifiers_agree_on_random_subspaces(models):

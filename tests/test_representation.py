@@ -21,6 +21,8 @@ from conftest import (
     composite_transport,
     dense_basis,
     r_stack,
+    sample_points,
+    unstack,
     validate_representation,
 )
 
@@ -173,8 +175,7 @@ def test_group_inverse_and_bracket_properties(models):
 def test_group_action_preserves_cone_part(models):
     for alg, _, q_map in models.values():
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            p = q_map.sample_domain_point(rng)
+        for p in unstack(sample_points(q_map, alg, 100, 6)):
             g = GroupElement(
                 rng.standard_normal(alg.dim),
                 rng.standard_normal(q_map.n) + 1j * rng.standard_normal(q_map.n),
@@ -185,9 +186,9 @@ def test_group_action_preserves_cone_part(models):
 
 
 def test_group_associativity(sym2):
-    _, _, q_map = sym2
+    alg, _, q_map = sym2
     rng = np.random.default_rng(7)
-    for _ in range(20):
+    for p in unstack(sample_points(q_map, alg, 20, 7)):
         gs = [
             GroupElement(rng.standard_normal(3), rng.standard_normal(2) + 1j * rng.standard_normal(2))
             for _ in range(3)
@@ -197,7 +198,6 @@ def test_group_associativity(sym2):
         assert np.allclose(left.x0, right.x0, atol=1e-10)
         assert np.allclose(left.v0, right.v0, atol=1e-10)
         # the group law reproduces composition of the affine actions
-        p = q_map.sample_domain_point(rng)
         via_mul = q_map.group_act(q_map.group_mul(gs[0], gs[1]), p)
         via_act = q_map.group_act(gs[0], q_map.group_act(gs[1], p))
         assert np.allclose(via_mul.z, via_act.z, atol=1e-10)
@@ -228,7 +228,7 @@ def test_orbit_tangent_rank1(rank1):
 def test_orbit_tangent_dimension(models):
     for alg, _, q_map in models.values():
         rng = np.random.default_rng(8)
-        p = q_map.sample_domain_point(rng)
+        p = unstack(sample_points(q_map, alg, 1, 8))[0]
         w = RealSubspace.from_spanning(rng.standard_normal((2 * q_map.n, q_map.n)))
         tangent = q_map.orbit_tangent(w, p)
         assert tangent.dim == alg.dim + w.dim
@@ -262,9 +262,7 @@ def test_transport_diag2_blocks(diag2):
 
 def test_transport_random_points_land_on_base(models):
     for alg, _, q_map in models.values():
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            p = q_map.sample_domain_point(rng)
+        for p in unstack(sample_points(q_map, alg, 20, 9)):
             image, deriv = q_map.transport_to_base(p)
             assert np.linalg.norm(image.z - 1j * alg.unit) <= 1e-8
             assert np.linalg.norm(image.v) <= 1e-12
@@ -360,20 +358,19 @@ def test_model_matches_dense_tensor_oracle(kind, param):
         assert _rel(q_map.g_matrix(x), oracle.g_matrix(x)) <= 1e-12
     for v0 in vectors(3):
         assert _rel(q_map.affine_derivative(v0), oracle.affine_derivative(v0)) <= 1e-12
-    for dim_w in (0, 1, n, 2 * n):
+    points = unstack(sample_points(q_map, alg, 7, 16))
+    for dim_w, p in zip((0, 1, n, 2 * n), points):
         w = RealSubspace.from_spanning(rng.standard_normal((2 * n, dim_w)))
-        p = q_map.sample_domain_point(rng)
         got, want = q_map.orbit_tangent(w, p), oracle.orbit_tangent(w, p)
         assert got.dim == want.dim == alg.dim + dim_w
         assert _rel(got.projector(), want.projector()) <= 1e-12
-    for _ in range(3):
-        p = q_map.sample_domain_point(rng)
+    for p in points[4:]:
         (image, deriv), (want_image, want_deriv) = q_map.transport_to_base(p), composite_transport(q_map, p)
         assert _rel(image.coords(), want_image.coords()) <= 1e-12
         assert _rel(deriv, want_deriv) <= 1e-12
     # a stack of points: each member of the stacked maps matches the oracles
-    singles = [q_map.sample_domain_point(rng) for _ in range(3)]
-    stack = SiegelPoint(np.array([p.z for p in singles]), np.array([p.v for p in singles]))
+    stack = sample_points(q_map, alg, 3, 17)
+    singles = unstack(stack)
     w = RealSubspace.from_spanning(rng.standard_normal((2 * n, n)))
     tangents = q_map.orbit_tangent(w, stack)
     images, derivs = q_map.transport_to_base(stack)

@@ -9,22 +9,22 @@ gamma function
     Gamma_Omega(s) = (2 pi)^((N - r)/2) prod_{j < r} Gamma(s - j d / 2),
 
 through  int exp(-2<u, y>) Delta(u)^(s - N/r) du = Gamma_Omega(s) Delta(2y)^(-s)
-(Faraut-Koranyi, Analysis on Symmetric Cones, ch. VII), so I(u),
-1/(I(u) I_Q(u)), the mass of the base measure and the Bergman kernel are
-written once for every built-in kind; I_Q is a Gaussian.  The same
-factorization is the Bartlett decomposition of the normalized densities
-Delta(u)^(s - N/r) exp(-2<u, y>): u = A T T^H A^H with A A^H = (2y)^-1 and T
-lower triangular, T_jj^2 ~ Gamma(s - j d/2) and d independent N(0, 1/2) real
-parts in each entry below the diagonal.  So a sample costs r Gamma draws and
-N - r normals, every coordinate of u is a quadratic form in them, and
-Delta(u) = prod_j T_jj^2 / Delta(2y).  A consumer that needs only <u, a> for
-a few directions a contracts the form with them first, so u itself is never
-formed: the metric moments take a dozen projections.  The Bergman MC needs
-only the mean of e^(i<u, a>) against a weight in Delta(u).  Given the Gamma
-rows the columns of T separate and <u, a> is a Gaussian quadratic form in
-each column's normals, so their average is c0 exp(sum_j kappa_j T_jj^2) in
-closed form (``_conditional_phase``), and the Bergman MC draws only the r
-Gamma rows, at coincident points (where it needs Delta(u) alone) and apart.
+(Faraut-Koranyi, Analysis on Symmetric Cones, ch. VII), so I(u), the mass of
+the base measure and the Bergman kernel are written once for every built-in
+kind, in log scale and with one prefactor (``_log_prefactor``); I_Q is a
+Gaussian.  The same factorization is the Bartlett decomposition of the
+normalized densities Delta(u)^(s - N/r) exp(-2<u, y>): u = A T T^H A^H with
+A A^H = (2y)^-1 and T lower triangular, T_jj^2 ~ Gamma(s - j d/2) and d
+independent N(0, 1/2) real parts in each entry below the diagonal.  So a
+sample costs r Gamma draws and N - r normals, every coordinate of u is a
+quadratic form in them, and prod_j T_jj^2 = Delta(u) Delta(2y).  A consumer
+that needs only <u, a> for a few directions a contracts the form with them
+first, so u itself is never formed: the metric moments take a dozen
+projections.  The Bergman MC needs only the mean of e^(i<u, a>) against the
+weight (prod_j T_jj^2)^(N/r + 1).  Given the Gamma rows the columns of T
+separate and <u, a> is a Gaussian quadratic form in each column's normals,
+so their average is c0 exp(sum_j kappa_j T_jj^2) in closed form
+(``_conditional_phase``), and the Bergman MC draws only the r Gamma rows.
 All sampling is counter-based, keyed by (seed, stream, block index), and
 runs on one thread (``rng`` says why).
 """
@@ -36,33 +36,50 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotInCone, NotInDomain
+from .errors import NonFiniteValue, NotInCone, NotInDomain
 from .rng import BLOCK, blocks
 
 
 # -- closed forms -----------------------------------------------------------
 
 
-def gindikin_gamma(alg, s):
-    """Gindikin gamma function Gamma_Omega(s) of the cone of ``alg``."""
+def log_gindikin_gamma(alg, s):
+    """log Gamma_Omega(s) of the cone of ``alg``, by ``math.lgamma``; s > (r - 1) d / 2."""
     r, d = alg.rank, alg.d
-    return (2.0 * math.pi) ** ((alg.dim - r) / 2.0) * math.prod(
-        math.gamma(s - j * d / 2.0) for j in range(r)
-    )
+    return (alg.dim - r) / 2.0 * math.log(2.0 * math.pi) + sum(math.lgamma(s - j * d / 2.0) for j in range(r))
+
+
+def _log_prefactor(alg, log_det):
+    """L(a) = log[pi^-N (2/pi)^r Delta(a)^-s] from log Delta(a), s = ``measure_shape``: the Gindikin
+    normalization of the Bergman kernel (a = -i w), the measure mass (a = 2y) and the MC (a = 2 y0)."""
+    return alg.rank * math.log(2.0 / math.pi) - alg.dim * math.log(math.pi) - measure_shape(alg) * log_det
+
+
+def _log_gamma_ratio(alg):
+    """log Gamma_Omega(s) / Gamma_Omega(N/r), s = ``measure_shape``: the closed forms' Gamma_Omega terms."""
+    return log_gindikin_gamma(alg, measure_shape(alg)) - log_gindikin_gamma(alg, alg.dim / alg.rank)
+
+
+def _exp(log_value, x=1.0):
+    """x e^log_value, with log_value added to log |x| so that e^log_value alone may lie outside the
+    doubles: inf past the largest double and 0.0 below the smallest, never ``OverflowError``."""
+    size = abs(x)
+    with np.errstate(over="ignore"):
+        return x / size * float(np.exp(log_value + math.log(size))) if size else x
 
 
 def _log_det_2u(alg, u, what):
-    """log Delta(2u), raising NotInCone unless u lies in the open cone."""
-    mat = alg.to_matrix(u)
-    if np.linalg.eigvalsh(mat)[0] <= 0.0:
+    """log Delta(2u) from one ``eigvalsh``, raising NotInCone unless u lies in the open cone."""
+    vals = np.linalg.eigvalsh(alg.to_matrix(u))
+    if vals[0] <= 0.0:
         raise NotInCone(f"{what} requires its argument in the open cone")
-    return np.linalg.slogdet(2.0 * mat)[1]
+    return float(np.sum(np.log(2.0 * vals)))
 
 
 def cone_laplace(alg, u):
     """Closed form of I(u) = Gamma_Omega(N/r) Delta(2u)^(-N/r)."""
     s = alg.dim / alg.rank
-    return float(gindikin_gamma(alg, s) * math.exp(-s * _log_det_2u(alg, u, "I(u)")))
+    return _exp(log_gindikin_gamma(alg, s) - s * _log_det_2u(alg, u, "I(u)"))
 
 
 def gaussian_iq(q_map, u):
@@ -71,15 +88,7 @@ def gaussian_iq(q_map, u):
     vals = np.linalg.eigvalsh(0.5 * (m_u + m_u.T))
     if vals[0] <= 0.0:
         raise NotInCone("the quadratic form of I_Q(u) is not positive definite")
-    n_r = m_u.shape[0]
-    return float(math.pi ** (n_r / 2.0) * math.exp(-0.5 * np.sum(np.log(vals))))
-
-
-def _inv_i_iq(alg, dets):
-    """1 / (I(u) I_Q(u)) = 2^N (2/pi)^r Delta(u)^(N/r + 1) / Gamma_Omega(N/r) from the
-    determinants Delta(u) of cone points; N/r + 1 is ``measure_shape`` less N/r."""
-    r, s = alg.rank, alg.dim / alg.rank
-    return 2.0 ** alg.dim * (2.0 / math.pi) ** r / gindikin_gamma(alg, s) * dets ** (measure_shape(alg) - s)
+    return _exp(0.5 * (m_u.shape[0] * math.log(math.pi) - np.sum(np.log(vals))))
 
 
 @dataclass
@@ -106,12 +115,10 @@ def measure_shape(alg):
 
 
 def measure_mass(alg, y):
-    """Closed-form mass 2^N (2/pi)^r Gamma_Omega(s) / Gamma_Omega(N/r) Delta(2y)^(-s) of the
-    measure exp(-2<u,y>) / (I(u) I_Q(u)) mu_U, s = ``measure_shape``."""
-    shape = measure_shape(alg)
-    const = 2.0 ** alg.dim * (2.0 / math.pi) ** alg.rank * gindikin_gamma(alg, shape)
-    const /= gindikin_gamma(alg, alg.dim / alg.rank)
-    return float(const * math.exp(-shape * _log_det_2u(alg, y, "measure mass")))
+    """Closed-form mass of exp(-2<u,y>) / (I(u) I_Q(u)) mu_U: (2 pi)^N times the closed Bergman kernel
+    at -i w = 2y, 2^N (2/pi)^r Gamma_Omega(s) / Gamma_Omega(N/r) Delta(2y)^(-s), s = ``measure_shape``."""
+    log_det = _log_det_2u(alg, y, "measure mass")
+    return _exp(alg.dim * math.log(2.0 * math.pi) + _log_prefactor(alg, log_det) + _log_gamma_ratio(alg))
 
 
 # a chunk of samples holds about this many pair products (128 kB), and at
@@ -131,12 +138,11 @@ def _bartlett_form(alg, y):
         u_k = Re<T T^H, C_k> = sum_(col_i = col_j) theta_i theta_j Re(unit_i conj(unit_j) conj(C_k[row_i, row_j])),
 
     so only variables of one column of T meet.  Returns those pairs (i <= j),
-    the r pairs (j, j) of the diagonal first, the weights w with
-    u = sum_pairs theta_i theta_j w, and Delta(2y).
+    the r pairs (j, j) of the diagonal first, and the weights w with
+    u = sum_pairs theta_i theta_j w.
     """
     r, d = alg.rank, alg.d
-    two_y = 2.0 * alg.to_matrix(y)
-    a = np.linalg.cholesky(np.linalg.inv(two_y))
+    a = np.linalg.cholesky(np.linalg.inv(2.0 * alg.to_matrix(y)))
     low_rows, low_cols = np.tril_indices(r, -1)
     row = np.concatenate([np.arange(r), np.repeat(low_rows, d)])
     col = np.concatenate([np.arange(r), np.repeat(low_cols, d)])
@@ -148,12 +154,7 @@ def _bartlett_form(alg, y):
     c = alg.outer_coords(a.T[row[j]], a.T[row[i]])
     # a pair i < j also stands for the equal term (j, i)
     factor = np.where(i == j, 1.0, 2.0) * unit[i] * unit[j].conj()
-    return i, j, np.real(factor[:, None] * c.conj()), _det_2y(alg, y)
-
-
-def _det_2y(alg, y):
-    """Delta(2y), by which Delta(T T^H) divides to give Delta(u)."""
-    return float(np.real(np.linalg.det(2.0 * alg.to_matrix(y))))
+    return i, j, np.real(factor[:, None] * c.conj())
 
 
 def _conditional_phase(alg, y, a):
@@ -169,7 +170,7 @@ def _conditional_phase(alg, y, a):
     the (r, 2) real array [Re kappa | Im kappa], Re kappa <= 0, and the complex c0.
     """
     r = alg.rank
-    i, j, weights, _ = _bartlett_form(alg, y)
+    i, j, weights = _bartlett_form(alg, y)
     coef = weights @ a
     phase = coef[:r]
     # past the r pairs (j, j), a pair is T_jj with a normal below it, or two normals
@@ -191,7 +192,7 @@ def _conditional_phase(alg, y, a):
 
 
 def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None, gamma_weights=None):
-    """Exact samples u of the density ~ Delta(u)^(s - N/r) exp(-2<u, y>), and Delta(u).
+    """Exact samples u of the density ~ Delta(u)^(s - N/r) exp(-2<u, y>), and prod_j T_jj^2.
 
     This is the cone's Gamma family of shape s and scale (2y)^-1, with mean
     s (2y)^-1, drawn by its Bartlett decomposition (see the module
@@ -206,17 +207,17 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None, gamma_we
     With ``gamma_weights`` an (r, k) array, each block draws its r Gamma rows
     g_j = T_jj^2 and stops: its normals come after them, and the next block
     is re-keyed, so every g is the one the full draw gives.  The first return
-    value is then the (count, k) array g @ gamma_weights; with k = 0 only
-    Delta(u) is wanted.
+    value is then the (count, k) array g @ gamma_weights; with k = 0 only the
+    second is wanted, the Bartlett determinant prod_j T_jj^2 = Delta(u) Delta(2y).
     """
     r, n = alg.rank, alg.dim
     if gamma_weights is None:
-        i, j, weights, det_2y = _bartlett_form(alg, y)
+        i, j, weights = _bartlett_form(alg, y)
         if directions is not None:
             weights = weights @ directions
     else:
         # the r pairs (j, j) alone: their products are the Gamma draws
-        i, weights, det_2y = np.arange(r), gamma_weights, _det_2y(alg, y)
+        i, weights = np.arange(r), gamma_weights
     # normals enter only through the pairs past the r Gamma rows
     normals = len(i) > r
     shapes = s - 0.5 * alg.d * np.arange(r)
@@ -248,7 +249,6 @@ def _sample_cone_gamma(alg, y, s, count, seed, stream, directions=None, gamma_we
             np.sqrt(pairs[: r - 1], out=theta[: r - 1])
             np.multiply(theta[i[r:]], theta[j[r:]], out=pairs[r:])
         np.dot(pairs.T, weights, out=out[lo:hi])
-    dets /= det_2y
     return out, dets
 
 
@@ -261,7 +261,7 @@ def sample_invariant_measure(alg, y, count, seed, directions=None):
 def sample_cone_exponential(alg, y0, count, seed, directions=None, gamma_weights=None):
     """Samples u from the density exp(-2<u, y0>) / I(y0) on the cone (shape N/r),
     or their projections on the columns of ``directions``, or the contractions
-    of their Gamma rows with ``gamma_weights``, with their determinants Delta(u); stream 3."""
+    of their Gamma rows with ``gamma_weights``, with prod_j T_jj^2; stream 3."""
     return _sample_cone_gamma(alg, y0, alg.dim / alg.rank, count, seed, 3, directions, gamma_weights)
 
 
@@ -281,57 +281,55 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
     """Reproducing kernel of the square-integrable holomorphic functions.
 
     With w = z1 - conj(z2) - 2i Q(v1, v2) the kernel is
-    (2 pi)^-N int e^{i<u, w>} / (I(u) I_Q(u)) du over the cone.  'closed'
-    (the default) evaluates it by the Gindikin integral,
-    pi^-N (2/pi)^r Gamma_Omega(2N/r + 1) / Gamma_Omega(N/r) Delta(-i w)^-(2N/r + 1),
-    where the exponent is an integer.  'mc' importance-samples it with the
-    exact exponential-weight proposal at the cone midpoint Im w / 2, with the
-    normals of its Bartlett decomposition integrated out: given the Gamma
-    rows g_j = T_jj^2, E[e^{i<u, Re w>} | g] = c0 e^{g kappa}
-    (``_conditional_phase``).  The sampler draws only g and yields g Re kappa,
-    g Im kappa and Delta(u); the weight e^{g Re kappa} / (I I_Q) is summed as
-    its cosine and sine parts at g Im kappa, and c0 multiplies the mean and
-    |c0| the se.  The mean is unchanged and the variance can only drop; with
-    d = 0 there are no normals, Re kappa = 0, c0 = 1, and the estimate is the
-    phase one.  At p1 = p2 the point w = 2i (Im z - Q(v, v)) is imaginary
-    (its computed real part is the rounding of Im Q(v, v)) and K(p, p) is
-    real: the sampler yields Delta(u) alone, the estimate is the mean of the
-    real weight 1 / (I I_Q), and its imaginary part is exactly 0.
+    (2 pi)^-N int e^{i<u, w>} / (I(u) I_Q(u)) du over the cone.  'closed' (the default)
+    evaluates it by the Gindikin integral e^L(-i w) Gamma_Omega(2N/r + 1) / Gamma_Omega(N/r),
+    L = ``_log_prefactor`` at the ``slogdet`` of -i w.  'mc' importance-samples it with the
+    exact exponential-weight proposal at the cone midpoint y0 = Im w / 2, where
+    (2 pi)^-N I(y0) / (I(u) I_Q(u)) = e^L(2 y0) (prod_j g_j)^(N/r + 1) in its Gamma rows
+    g_j = T_jj^2: the weight does not depend on y0, and e^L is added to the log of the mean
+    and of the se.  The Bartlett normals are integrated out, E[e^{i<u, Re w>} | g] =
+    c0 e^{g kappa} (``_conditional_phase``): the sampler yields g Re kappa, g Im kappa and
+    prod_j g_j, the weight times e^{g Re kappa} is summed as its cosine and sine parts at
+    g Im kappa, and c0 multiplies the mean and |c0| the se.  The mean is unchanged and the
+    variance can only drop; with d = 0, Re kappa = 0 and c0 = 1.  At p1 = p2,
+    w = 2i (Im z - Q(v, v)) is imaginary (up to the rounding of Im Q(v, v)) and K(p, p) is
+    real: the sampler yields prod_j g_j alone and the imaginary part is exactly 0.  A value
+    past the largest double reads inf, one below the smallest 0.0.
     """
     for p in (p1, p2):
         if not q_map.domain_contains(p):
             raise NotInDomain("Bergman kernel arguments must lie in the domain")
-    w = p1.z - np.conj(p2.z) - 2j * q_map.q_eval(p1.v, p2.v)
-    n, r, s = alg.dim, alg.rank, alg.dim / alg.rank
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = p1.z - np.conj(p2.z) - 2j * q_map.q_eval(p1.v, p2.v)
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteValue("w = z1 - conj(z2) - 2i Q(v1, v2) overflows")
+    r, power = alg.rank, measure_shape(alg)
 
     if method == "closed":
-        power = measure_shape(alg)
-        const = math.pi ** -n * (2.0 / math.pi) ** r * gindikin_gamma(alg, power) / gindikin_gamma(alg, s)
-        # Delta(-i w)^-power in log scale: it underflows to 0.0 and overflows to inf
         sign, log_det = np.linalg.slogdet(alg.to_matrix(-1j * w))
-        with np.errstate(over="ignore"):
-            size = float(np.exp(-power * log_det))
-        return BergmanEstimate(const * complex(sign) ** -power * size, 0.0, "closed")
+        size = _exp(_log_prefactor(alg, log_det) + _log_gamma_ratio(alg))
+        return BergmanEstimate(complex(sign) ** -power * size, 0.0, "closed")
     if method != "mc":
         raise ValueError("method must be 'closed' or 'mc'")
 
     y0 = np.imag(w) / 2.0
     if not alg.cone_contains(y0, mode="open"):
         raise NotInDomain("midpoint cone part left the open cone")
+    # the weight is (prod_j g_j)^(N/r + 1), the measure's shape less the proposal's
+    weight_power = power - alg.dim / r
     if np.array_equal(p1.z, p2.z) and np.array_equal(p1.v, p2.v):
-        # K(p, p) is real: the weight is its one part, from Delta(u) alone
+        # K(p, p) is real: the weight is its one part
         _, dets = sample_cone_exponential(alg, y0, samples, seed, gamma_weights=np.empty((r, 0)))
-        parts, c0 = [_inv_i_iq(alg, dets)], 1.0
+        parts, c0 = [np.power(dets, weight_power, out=dets)], 1.0
     else:
-        # the normals integrated out: the weight is e^(g kappa) / (I I_Q), times c0
+        # the normals integrated out: the weight times e^(g kappa), times c0
         kappa, c0 = _conditional_phase(alg, y0, np.real(w))
         # with no normals below the diagonal (d = 0) Re kappa = 0 and nothing damps
         damped = kappa[:, 0].any()
         exponents, dets = sample_cone_exponential(
             alg, y0, samples, seed, gamma_weights=kappa if damped else kappa[:, 1:]
         )
-        weight = _inv_i_iq(alg, dets)
-        del dets  # freed before cos and sin allocate
+        weight = np.power(dets, weight_power, out=dets)
         if damped:
             weight *= np.exp(exponents[:, 0], out=exponents[:, 0])
         phase = exponents[:, -1]
@@ -340,16 +338,14 @@ def bergman_kernel(alg, q_map, p1, p2, samples=200_000, seed=0, method="closed")
         im = np.sin(phase, out=phase)
         im *= weight
         parts = [re, im]
-    # the mean of each part of f, then |f - mean|^2 summed into the first part, in place
+    # the mean of each part of f, then |f - mean|^2 in place: its mean is the sum of the parts' means
     mean = complex(*(np.mean(part) for part in parts))
     for part, m in zip(parts, (mean.real, mean.imag)):
         part -= m
         part *= part
-    for part in parts[1:]:
-        parts[0] += part
-    se = math.sqrt(np.mean(parts[0]) / samples)
-    scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** n
-    return BergmanEstimate(scale * c0 * mean, float(scale * abs(c0) * se), "mc", samples, seed)
+    se = math.sqrt(sum(np.mean(part) for part in parts) / samples)
+    log_scale = _log_prefactor(alg, _log_det_2u(alg, y0, "the Bergman MC"))
+    return BergmanEstimate(c0 * _exp(log_scale, mean), abs(c0) * _exp(log_scale, se), "mc", samples, seed)
 
 
 # -- moments of the base measure for the metric oracle -----------------------

@@ -79,7 +79,10 @@ class HermitianMapQ:
     # -- Siegel domain -------------------------------------------------------
 
     def domain_contains(self, point):
-        return self.algebra.cone_contains(self.cone_part(point), mode="open")
+        # a cone part that overflowed is not in the cone
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = self.cone_part(point)
+        return bool(np.all(np.isfinite(y))) and self.algebra.cone_contains(y, mode="open")
 
     def cone_part(self, point):
         """Im z - Q(v, v), the cone-valued invariant of the group action."""

@@ -9,7 +9,6 @@ from qsiegel.certify import base_metric, phase_space_j
 from qsiegel.errors import DecompositionFailure, NotInCone, NotInDomain, NotPSD
 from qsiegel.integrals import (
     _conditional_phase,
-    _inv_i_iq,
     cone_laplace,
     sample_cone_exponential,
     sample_invariant_measure,
@@ -410,17 +409,27 @@ def orbit_qr_oracle(q_map, w, xs):
     return resid
 
 
+def inv_i_iq_oracle(alg, dets):
+    """1 / (I(u) I_Q(u)) = 2^N (2/pi)^r Delta(u)^(N/r + 1) / Gamma_Omega(N/r) at the
+    determinants Delta(u), from an lgamma constant of its own."""
+    r, d, k = alg.rank, alg.d, alg.dim / alg.rank
+    log_gamma = (alg.dim - r) / 2.0 * math.log(2.0 * math.pi) + sum(math.lgamma(k - j * d / 2.0) for j in range(r))
+    return math.exp(alg.dim * math.log(2.0) + r * math.log(2.0 / math.pi) - log_gamma) * dets ** (k + 1.0)
+
+
 def bergman_mc_oracle(alg, q_map, p1, p2, samples, seed):
     """(value, se) of the MC Bergman kernel from the materialized samples u.
 
     The estimator as it read before the sampler yielded only the phases:
     the whole (samples, N) array u, its product with Re w, and the complex
-    weight e^{i<u, Re w>} / (I I_Q) with its mean and the se of that mean.
+    weight e^{i<u, Re w>} / (I I_Q), with Delta(u) the determinant of each
+    materialized u, its mean and the se of that mean.
     """
     w = p1.z - np.conj(p2.z) - 2j * q_map.q_eval(p1.v, p2.v)
     y0 = np.imag(w) / 2.0
-    us, dets = sample_cone_exponential(alg, y0, samples, seed)
-    f = np.exp(1j * (us @ np.real(w))) * _inv_i_iq(alg, dets)
+    us, _ = sample_cone_exponential(alg, y0, samples, seed)
+    dets = np.real(np.linalg.det(alg.to_matrix(us)))
+    f = np.exp(1j * (us @ np.real(w))) * inv_i_iq_oracle(alg, dets)
     mean = np.mean(f)
     se = math.sqrt(np.mean(np.abs(f - mean) ** 2) / samples)
     scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** alg.dim
@@ -445,7 +454,7 @@ def bergman_gamma_row_oracle(alg, q_map, p1, p2, samples, seed):
         g[b : b + BLOCK] = rows.T[: samples - b]
     kappa, c0 = _conditional_phase(alg, y0, np.real(w))
     dets = np.prod(g, axis=1) / np.real(np.linalg.det(2.0 * alg.to_matrix(y0)))
-    f = np.exp(g @ (kappa[:, 0] + 1j * kappa[:, 1])) * _inv_i_iq(alg, dets)
+    f = np.exp(g @ (kappa[:, 0] + 1j * kappa[:, 1])) * inv_i_iq_oracle(alg, dets)
     mean = np.mean(f)
     se = math.sqrt(np.mean(np.abs(f - mean) ** 2) / samples)
     scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** alg.dim

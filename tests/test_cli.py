@@ -400,6 +400,11 @@ def test_integral_floats_count_as_integers(tmp_path, capsys):
         (["check", "--no-scale", "--tol", "1"], "(0, 0.001]"),
         (["check", "--no-scale", "--tol", "0.5"], "(0, 0.001]"),
         (["orbit", "--x", "1,0,1", "--tol", "2"], "(0, 0.001]"),
+        # finite points whose cone part Im z - Q(v, v) is -inf, or whose w = z1 - conj(z2) is inf
+        (["bergman", "--p1", "i,i,0,1e200,0", "--p2", "i,i,0,1e200,0"], "domain"),
+        (["bergman", "--p1=1e308+1e308i,1e308+1e308i,0,0,0", "--p2=-1e308+1e308i,-1e308+1e308i,0,0,0"], "overflows"),
+        (["bergman", "--p1=1e308+1e308i,1e308+1e308i,0,0,0", "--p2=-1e308+1e308i,-1e308+1e308i,0,0,0",
+          "--method", "mc", "--samples", "100"], "overflows"),
     ],
 )
 def test_bad_flags_rejected_in_one_line(tmp_path, capsys, argv, flag):
@@ -483,17 +488,19 @@ def test_kernels_points_are_the_three_documented_draws(tmp_path, capsys):
 
 def test_non_finite_report_is_a_one_line_error(tmp_path, capsys):
     # on diagonal 64 at z = 1e-9 i e, Delta(-i w) is about 1e-551, below the
-    # smallest double, and the closed-form Bergman kernel about 1e1645, above
-    # the largest, which JSON cannot hold: exit 1 with one line, and no report
-    # is written
+    # smallest double, and the Bergman kernel about 1e1645, above the largest,
+    # which JSON cannot hold: exit 1 with one line, and no report is written.
+    # The MC's prefactor e^L(2 y0) is past the largest double too; it reads
+    # inf, not an OverflowError
     spec = tmp_path / "diag64.json"
     spec.write_text(json.dumps({"algebra": {"kind": "diagonal", "param": 64}, "W": {"basis": []}}))
     point = ",".join(["1e-9i"] * 64 + ["0"] * 64)
     target = tmp_path / "report.json"
-    assert main(["bergman", str(spec), "--p1", point, "--p2", point, "--out", str(target)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1 and "not a finite number" in captured.err
-    assert not target.exists()
+    for method in ([], ["--method", "mc", "--samples", "1000"]):
+        assert main(["bergman", str(spec), "--p1", point, "--p2", point, "--out", str(target), *method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and "not a finite number" in captured.err
+        assert not target.exists()
     with pytest.raises(NonFiniteValue):
         cli.emit({"value": [float("inf"), 0.0]}, None)
 

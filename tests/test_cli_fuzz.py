@@ -12,7 +12,8 @@ counts above ``MAX_SAMPLES`` and ``MAX_POINTS`` (a Bergman MC of 1e9 samples,
 about 32 GB, and a 100000 x 100000 Gram matrix), to a one-line error.  A run
 that exits 0 prints strict JSON: a NaN or an infinity in it is a failure, and
 fixed examples pin the closed-form Bergman kernel at Im z of 1e200 and 1e150,
-where its value underflows, to exit 0 with a report of 0.0.
+where its value underflows, to exit 0 with a report of 0.0, and points whose
+cone part or w overflows, or whose MC prefactor does, to a one-line error.
 """
 import contextlib
 import io
@@ -121,7 +122,10 @@ def requests(draw):
 
 
 RANK1_IMAGINARY_LINE = {"algebra": {"kind": "rank1", "param": 1}, "W": {"basis": [[0.0, 1.0]]}}
+RANK1_ZERO = {"algebra": {"kind": "rank1"}, "W": {"basis": []}}
 DIAG2_ZERO = {"algebra": {"kind": "diagonal", "param": 2}, "W": {"basis": []}}
+DIAG64_ZERO = {"algebra": {"kind": "diagonal", "param": 64}, "W": {"basis": []}}
+DIAG64_LOW = ",".join(["1e-9i"] * 64 + ["0"] * 64)
 SYM2_ZERO = {"algebra": {"kind": "sym_real", "param": 2}, "W": {"basis": []}}
 HERM3_ZERO = {"algebra": {"kind": "herm_complex", "param": 3}, "W": {"basis": []}}
 DIAG2_LOW_RESIDUALS = {
@@ -145,6 +149,12 @@ DIAG2_LOW_RESIDUALS = {
 @example((RANK1_IMAGINARY_LINE, "bergman", ["--p1", "1e200i,0", "--p2", "1e200i,0"]))
 @example((DIAG2_ZERO, "bergman", ["--p1", "1e150i,1e150i,0,0", "--p2", "1e150i,1e150i,0,0"]))
 @example((SYM2_ZERO, "bergman", ["--p1", "1e150i,1e150i,1e150i,0,0", "--p2", "1e150i,1e150i,1e150i,0,0"]))
+# a cone part or a w that overflows is a one-line error, and so is a
+# Bergman MC whose prefactor lies past the largest double
+@example((RANK1_ZERO, "bergman", ["--p1", "1i,1e200", "--p2", "1i,1e200"]))
+@example((RANK1_ZERO, "bergman", ["--p1=1e308+1e308i,0", "--p2=-1e308+1e308i,0"]))
+@example((RANK1_ZERO, "bergman", ["--p1=1e308+1e308i,0", "--p2=-1e308+1e308i,0", "--method", "mc"]))
+@example((DIAG64_ZERO, "bergman", ["--p1", DIAG64_LOW, "--p2", DIAG64_LOW, "--method", "mc", "--samples", "1000"]))
 # counts above their bounds are rejected before anything is allocated
 @example((RANK1_IMAGINARY_LINE, "kernels", ["--x", "1", "--points", "100000"]))
 @example((RANK1_IMAGINARY_LINE, "bergman", ["--p1", "1.5i,0.1", "--p2", "1.5i,0.1", "--method", "mc",

@@ -5,18 +5,24 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import base_moments_oracle, bergman_gamma_row_oracle, bergman_mc_oracle, cone_box_mc, iq_box_mc
+from conftest import (
+    base_moments_oracle,
+    bergman_gamma_row_oracle,
+    bergman_mc_oracle,
+    cone_box_mc,
+    inv_i_iq_oracle,
+    iq_box_mc,
+)
 from qsiegel import SiegelPoint, bergman_kernel, cone_integrals, integrals, standard_model
 from qsiegel.errors import NotInCone, NotInDomain
 from qsiegel.integrals import (
-    _bartlett_form,
     _conditional_phase,
-    _inv_i_iq,
+    _log_prefactor,
     _sample_cone_gamma,
     base_measure_moments,
     cone_laplace,
     gaussian_iq,
-    gindikin_gamma,
+    log_gindikin_gamma,
     measure_mass,
     sample_cone_exponential,
     sample_invariant_measure,
@@ -73,6 +79,16 @@ def test_cone_integrals_requires_open_cone(diag2):
         cone_integrals(alg, q_map, np.array([1.0, 0.0]))
     with pytest.raises(NotInCone):
         cone_integrals(alg, q_map, np.array([1.0, -1.0]))
+
+
+def test_closed_forms_read_inf_past_the_largest_double():
+    # at diagonal 64 the closed forms at these small cone points lie past the
+    # largest double: each reads inf, as the closed Bergman kernel does, and
+    # none raises OverflowError
+    alg, _, q_map = standard_model("diagonal", 64)
+    assert measure_mass(alg, 1e-3 * alg.unit) == math.inf
+    assert cone_laplace(alg, 1e-8 * alg.unit) == math.inf
+    assert gaussian_iq(q_map, 1e-8 * alg.unit) == math.inf
 
 
 # -- Monte Carlo cross-checks -----------------------------------------------------
@@ -146,7 +162,7 @@ def test_bartlett_samples_match_explicit_reference(models, kind, shape):
     # reference: per sample, the lower-triangular T from the same draws (the
     # Gamma(s - j d/2) rows, then the normals, d per entry below the diagonal
     # in row-major order), then A T T^H A^H with A = cholesky((2y)^-1), then
-    # from_matrix; Delta(u) against np.linalg.det
+    # from_matrix; the Bartlett determinant prod_j T_jj^2 against np.linalg.det(T T^H)
     alg = models[kind][0]
     r, d, n = alg.rank, alg.d, alg.dim
     s = SHAPES[shape](alg)
@@ -167,7 +183,7 @@ def test_bartlett_samples_match_explicit_reference(models, kind, shape):
             u = a @ t @ t.conj().T @ a.conj().T
             expected = alg.from_matrix(u)
             assert np.allclose(got[b + k], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
-            assert dets[b + k] == pytest.approx(np.real(np.linalg.det(u)), rel=1e-9)
+            assert dets[b + k] == pytest.approx(np.real(np.linalg.det(t @ t.conj().T)), rel=1e-9)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -208,7 +224,7 @@ def test_sampler_prefix_is_stable(models, kind):
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
 def test_determinants_match_the_per_block_gamma_reference(models, kind, shape):
-    # Delta(u) bit for bit against a reference that builds each block's own
+    # prod_j T_jj^2 bit for bit against a reference that builds each block's own
     # generator and draws every row by gamma(shape), whatever the mode: with
     # zero Gamma-row weights the sampler draws only the Gamma rows, in chunks
     # sized by those r rows, one generator serves the call, and a shape-1 row
@@ -218,7 +234,6 @@ def test_determinants_match_the_per_block_gamma_reference(models, kind, shape):
     r, d = alg.rank, alg.d
     s = SHAPES[shape](alg)
     y = _sampler_y(alg)
-    det_2y = _bartlett_form(alg, y)[3]
     for count in (700, 1500, 40_000):
         _, dets = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4)
         out, only = _sample_cone_gamma(alg, y, s, count, seed=2, stream=4, gamma_weights=np.empty((r, 0)))
@@ -228,7 +243,6 @@ def test_determinants_match_the_per_block_gamma_reference(models, kind, shape):
             g = block_generator(2, 4, b // BLOCK)
             rows = np.array([g.gamma(s - j * d / 2.0, size=BLOCK) for j in range(r)])
             expected[b : b + BLOCK] = np.prod(rows, axis=0)[: count - b]
-        expected /= det_2y
         assert np.array_equal(dets, expected)
 
 
@@ -310,7 +324,10 @@ def _per_kind_mass(kind, n, mat):
 @pytest.mark.parametrize("kind,param", MODEL_SIZES, ids=lambda v: str(v))
 def test_gindikin_forms_match_per_kind_formulas(kind, param):
     # the classical per-kind gamma integrals of the three cone families, and
-    # the Gaussian I_Q, against the single Gamma_Omega / determinant-power forms
+    # the Gaussian I_Q, against the single Gamma_Omega / determinant-power forms;
+    # the Bergman MC's weight e^L(2y) (prod_j T_jj^2)^(N/r + 1) against
+    # (2 pi)^-N I(y) / (I(u) I_Q(u)) on materialized u, and the test oracles'
+    # own 1 / (I I_Q) against the two closed forms
     alg, _, q_map = standard_model(kind, param)
     family = "diagonal" if kind == "rank1" else kind
     rng = np.random.default_rng(12)
@@ -319,9 +336,14 @@ def test_gindikin_forms_match_per_kind_formulas(kind, param):
         mat = alg.to_matrix(u)
         assert cone_laplace(alg, u) == pytest.approx(_per_kind_laplace(family, alg.rank, mat), rel=1e-12)
         assert measure_mass(alg, u) == pytest.approx(_per_kind_mass(family, alg.rank, mat), rel=1e-12)
-    inv = _inv_i_iq(alg, np.array([np.real(np.linalg.det(alg.to_matrix(u))) for u in points]))
+    inv = inv_i_iq_oracle(alg, np.array([np.real(np.linalg.det(alg.to_matrix(u))) for u in points]))
     expected = [1.0 / (cone_laplace(alg, u) * gaussian_iq(q_map, u)) for u in points]
     assert inv == pytest.approx(expected, rel=1e-12)
+    y, s = points[1], alg.dim / alg.rank
+    us, bartlett = _sample_cone_gamma(alg, y, s, 5, seed=12, stream=3)
+    weight = math.exp(_log_prefactor(alg, np.linalg.slogdet(2.0 * alg.to_matrix(y))[1])) * bartlett ** (s + 1.0)
+    scale = cone_laplace(alg, y) / (2.0 * math.pi) ** alg.dim
+    assert weight == pytest.approx([scale / (cone_laplace(alg, u) * gaussian_iq(q_map, u)) for u in us], rel=1e-12)
 
 
 # -- Bergman kernel ------------------------------------------------------------------
@@ -411,29 +433,46 @@ def test_bergman_closed_invariant_and_hermitian(kind, param):
     assert bergman_kernel(alg, q_map, p2, p1, method="closed").value == pytest.approx(np.conj(k12), rel=1e-10)
 
 
-@pytest.mark.parametrize("kind,param", MODEL_SIZES, ids=lambda v: str(v))
-def test_bergman_closed_is_homogeneous(kind, param):
+HOMOGENEITY_SIZES = MODEL_SIZES + [("diagonal", 64), ("herm_complex", 8)]
+
+
+def _assert_homogeneous(kind, param, method):
     # with delta_t(z, v) = (t z, sqrt(t) v), w scales by t and Delta(-i w) by
     # t^r, so K(delta_t p, delta_t q) = t^(-(2N + r)) K(p, q).  t = 2^k with k
     # even scales the points exactly, and k runs over the whole range where
     # the scaled value stays a normal double and the points stay clear of
-    # the cone's absolute membership slack
+    # the cone's absolute membership slack: more than 20 steps of k, or more
+    # than all but two of the 2000 / (2N + r) steps in the binary range of the
+    # doubles.
+    # The MC draws the same Gamma rows at every t and its kappa and c0 are
+    # scale free, so its value and se scale as the closed form does
     alg, _, q_map = standard_model(kind, param)
     rng = np.random.default_rng(28)
     p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
-    k12 = bergman_kernel(alg, q_map, p1, p2, method="closed").value
+    options = {"method": method, "samples": 2_000, "seed": 1}
+    base = bergman_kernel(alg, q_map, p1, p2, **options)
     degree = 2 * alg.dim + alg.rank
-    log2_k = math.log2(abs(k12))
+    log2_k = math.log2(abs(base.value))
     lowest = min(np.linalg.eigvalsh(alg.to_matrix(q_map.cone_part(p)))[0] for p in (p1, p2))
     lo = max(math.ceil((log2_k - 1000) / degree), math.ceil(math.log2(1e-8 / lowest)))
     hi = math.floor((log2_k + 1000) / degree)
-    assert hi - lo > 20
+    assert hi - lo > min(20, 2000 // degree - 2)
     for k in range(lo + lo % 2, hi + 1, 2 * max(1, (hi - lo) // 16)):
         t, root = 2.0**k, 2.0 ** (k // 2)
-        scaled = [SiegelPoint(t * p.z, root * p.v) for p in (p1, p2)]
-        value = bergman_kernel(alg, q_map, *scaled, method="closed").value
-        expected = complex(math.ldexp(k12.real, -k * degree), math.ldexp(k12.imag, -k * degree))
-        assert abs(value - expected) <= 1e-12 * abs(expected), k
+        scaled = bergman_kernel(alg, q_map, *[SiegelPoint(t * p.z, root * p.v) for p in (p1, p2)], **options)
+        expected = complex(math.ldexp(base.value.real, -k * degree), math.ldexp(base.value.imag, -k * degree))
+        assert abs(scaled.value - expected) <= 1e-12 * abs(expected), k
+        assert abs(scaled.se - math.ldexp(base.se, -k * degree)) <= 1e-12 * math.ldexp(base.se, -k * degree), k
+
+
+@pytest.mark.parametrize("kind,param", HOMOGENEITY_SIZES, ids=lambda v: str(v))
+def test_bergman_closed_is_homogeneous(kind, param):
+    _assert_homogeneous(kind, param, "closed")
+
+
+@pytest.mark.parametrize("kind,param", HOMOGENEITY_SIZES, ids=lambda v: str(v))
+def test_bergman_mc_is_homogeneous(kind, param):
+    _assert_homogeneous(kind, param, "mc")
 
 
 CALIBRATION_SIZES = [("rank1", None), ("diagonal", 2), ("sym_real", 2), ("herm_complex", 2), ("sym_real", 3)]
@@ -452,7 +491,9 @@ def test_bergman_mc_calibrated_against_closed_form(kind, param, diagonal):
     p1 = _domain_point(alg, q_map, rng)
     p2 = p1 if diagonal else _domain_point(alg, q_map, rng)
     samples, k = 200_000, alg.dim / alg.rank
-    ratio = gindikin_gamma(alg, 3 * k + 2) * gindikin_gamma(alg, k) / gindikin_gamma(alg, 2 * k + 1) ** 2
+    ratio = math.exp(
+        log_gindikin_gamma(alg, 3 * k + 2) + log_gindikin_gamma(alg, k) - 2.0 * log_gindikin_gamma(alg, 2 * k + 1)
+    )
     closed = bergman_kernel(alg, q_map, p1, p2, method="closed").value
     if diagonal:
         se_closed = abs(closed) * math.sqrt((ratio - 1.0) / samples)
@@ -547,7 +588,8 @@ def test_conditional_phase_over_the_gamma_rows_is_the_closed_form(kind, param):
     # the Gamma rows integrate out too: with g_j ~ Gamma(s_j), s_j = N/r - j d/2,
     # and the weight C Delta(u)^p, p = N/r + 1, E[g_j^p e^(kappa_j g_j)] is
     # Gamma(s_j + p) / Gamma(s_j) (1 - kappa_j)^-(s_j + p), so c0 times their
-    # product is the Gindikin closed form of K(p1, p2), to rounding
+    # product is the Gindikin closed form of K(p1, p2), to rounding; C from
+    # the test oracles' own 1 / (I I_Q) constant at Delta(u) = 1 / Delta(2 y0)
     alg, _, q_map = standard_model(kind, param)
     rng = np.random.default_rng(38)
     r, n = alg.rank, alg.dim
@@ -559,7 +601,7 @@ def test_conditional_phase_over_the_gamma_rows_is_the_closed_form(kind, param):
         y0 = np.imag(w) / 2.0
         kappa, c0 = _conditional_phase(alg, y0, np.real(w))
         det_2y = np.real(np.linalg.det(2.0 * alg.to_matrix(y0)))
-        value = c0 * _inv_i_iq(alg, np.array([1.0 / det_2y]))[0] * cone_laplace(alg, y0) / (2.0 * math.pi) ** n
+        value = c0 * inv_i_iq_oracle(alg, 1.0 / det_2y) * cone_laplace(alg, y0) / (2.0 * math.pi) ** n
         for s_j, k_j in zip(shapes, kappa[:, 0] + 1j * kappa[:, 1]):
             value *= math.gamma(s_j + power) / math.gamma(s_j) * (1.0 - k_j) ** -(s_j + power)
         closed = bergman_kernel(alg, q_map, p1, p2, method="closed").value
@@ -569,16 +611,19 @@ def test_conditional_phase_over_the_gamma_rows_is_the_closed_form(kind, param):
 def _phase_route(alg, q_map, p1, p2, samples, seed):
     """(value, se) of the MC Bergman kernel by the cosine and sine of the
     sampler's phases <u, Re w>, with the normals drawn: the phase estimator
-    over the same Gamma rows, which the library's estimate is held against."""
+    over the same Gamma rows, which the library's estimate is held against.
+    Its weight is (prod_j T_jj^2)^(N/r + 1), and e^L(2 y0), with log Delta(2 y0)
+    from the eigenvalues, is added to the log of the mean and of the se, as the
+    library does."""
     w = _w(q_map, p1, p2)
     y0 = np.imag(w) / 2.0
-    phase, dets = sample_cone_exponential(alg, y0, samples, seed, directions=np.real(w)[:, None])
-    weight = _inv_i_iq(alg, dets)
+    phase, bartlett = sample_cone_exponential(alg, y0, samples, seed, directions=np.real(w)[:, None])
+    weight = bartlett ** (alg.dim / alg.rank + 1.0)
     re, im = np.cos(phase[:, 0]) * weight, np.sin(phase[:, 0]) * weight
     mean = complex(np.mean(re), np.mean(im))
     se = math.sqrt(np.mean((re - mean.real) ** 2 + (im - mean.imag) ** 2) / samples)
-    scale = cone_laplace(alg, y0) / (2.0 * math.pi) ** alg.dim
-    return scale * mean, scale * se
+    log_scale = _log_prefactor(alg, np.sum(np.log(2.0 * np.linalg.eigvalsh(alg.to_matrix(y0)))))
+    return mean / abs(mean) * math.exp(log_scale + math.log(abs(mean))), math.exp(log_scale + math.log(se))
 
 
 @pytest.mark.parametrize("kind,param", CALIBRATION_SIZES + PROJECTED_SIZES, ids=lambda v: str(v))

@@ -436,11 +436,24 @@ def bergman_mc_oracle(alg, q_map, p1, p2, samples, seed):
     return complex(scale * mean), float(scale * se)
 
 
+def gamma_rows_reference(gen, shapes):
+    """One block's Gamma rows Gamma(shape) for ``shapes`` in turn, BLOCK values each, stated
+    row by row: a row of integer shape k <= 3 is the sum of k rows of standard exponentials
+    (exactly Gamma(k)), any other row is ``gen.gamma(shape)``."""
+    rows = []
+    for shape in shapes:
+        if float(shape).is_integer() and shape <= 3:
+            rows.append(gen.standard_exponential((int(shape), BLOCK)).sum(axis=0))
+        else:
+            rows.append(gen.gamma(shape, size=BLOCK))
+    return np.array(rows)
+
+
 def bergman_gamma_row_oracle(alg, q_map, p1, p2, samples, seed):
     """(value, se) of the off-diagonal MC Bergman kernel from the materialized Gamma rows.
 
-    Each block's own generator draws its r rows Gamma(N/r - j d/2) into the
-    whole (samples, r) array g; the weight is the complex
+    Each block's own generator draws its r rows Gamma(N/r - j d/2) by
+    ``gamma_rows_reference`` into the whole (samples, r) array g; the weight is the complex
     e^(g kappa) / (I I_Q) with (kappa, c0) from ``_conditional_phase``, and c0
     multiplies its mean and |c0| the se of that mean.
     """
@@ -450,8 +463,7 @@ def bergman_gamma_row_oracle(alg, q_map, p1, p2, samples, seed):
     g = np.empty((samples, r))
     for b in range(0, samples, BLOCK):
         gen = block_generator(seed, 3, b // BLOCK)
-        rows = np.array([gen.gamma(s - j * d / 2.0, size=BLOCK) for j in range(r)])
-        g[b : b + BLOCK] = rows.T[: samples - b]
+        g[b : b + BLOCK] = gamma_rows_reference(gen, s - 0.5 * d * np.arange(r)).T[: samples - b]
     kappa, c0 = _conditional_phase(alg, y0, np.real(w))
     dets = np.prod(g, axis=1) / np.real(np.linalg.det(2.0 * alg.to_matrix(y0)))
     f = np.exp(g @ (kappa[:, 0] + 1j * kappa[:, 1])) * inv_i_iq_oracle(alg, dets)

@@ -6,10 +6,12 @@ import pytest
 import scipy.integrate
 
 from conftest import (
+    MODEL_KINDS,
     base_moments_oracle,
     bergman_gamma_row_oracle,
     bergman_mc_oracle,
     cone_box_mc,
+    gamma_rows_reference,
     inv_i_iq_oracle,
     iq_box_mc,
 )
@@ -18,6 +20,7 @@ from qsiegel.errors import NotInCone, NotInDomain
 from qsiegel.integrals import (
     _conditional_phase,
     _log_prefactor,
+    _phase_parts,
     _sample_cone_gamma,
     base_measure_moments,
     cone_laplace,
@@ -155,15 +158,26 @@ def _sampler_y(alg):
 
 SHAPES = {"invariant": lambda alg: 2.0 * alg.dim / alg.rank + 1.0, "exponential": lambda alg: alg.dim / alg.rank}
 
+# the row protocol is pinned at the model kinds and at herm_complex 3, whose
+# exponential shapes 3, 2, 1 give a row summed from three exponentials
+SAMPLER_SIZES = [pytest.param(kind, param, id=kind) for kind, param in MODEL_KINDS] + [
+    pytest.param("herm_complex", 3, id="herm_complex-3")
+]
+
+
+def _gamma_shapes(alg, s):
+    return s - 0.5 * alg.d * np.arange(alg.rank)
+
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
-def test_bartlett_samples_match_explicit_reference(models, kind, shape):
+@pytest.mark.parametrize("kind,param", SAMPLER_SIZES)
+def test_bartlett_samples_match_explicit_reference(kind, param, shape):
     # reference: per sample, the lower-triangular T from the same draws (the
-    # Gamma(s - j d/2) rows, then the normals, d per entry below the diagonal
-    # in row-major order), then A T T^H A^H with A = cholesky((2y)^-1), then
-    # from_matrix; the Bartlett determinant prod_j T_jj^2 against np.linalg.det(T T^H)
-    alg = models[kind][0]
+    # Gamma(s - j d/2) rows by gamma_rows_reference, then the normals, d per
+    # entry below the diagonal in row-major order), then A T T^H A^H with
+    # A = cholesky((2y)^-1), then from_matrix; the Bartlett determinant
+    # prod_j T_jj^2 against np.linalg.det(T T^H)
+    alg = standard_model(kind, param)[0]
     r, d, n = alg.rank, alg.d, alg.dim
     s = SHAPES[shape](alg)
     y = _sampler_y(alg)
@@ -173,7 +187,7 @@ def test_bartlett_samples_match_explicit_reference(models, kind, shape):
     low_rows, low_cols = np.tril_indices(r, -1)
     for b in range(0, count, BLOCK):
         g = block_generator(7, 4, b // BLOCK)
-        gammas = [g.gamma(s - j * d / 2.0, size=BLOCK) for j in range(r)]
+        gammas = gamma_rows_reference(g, _gamma_shapes(alg, s))
         normals = g.standard_normal((n - r, BLOCK)) if n > r else np.zeros((0, BLOCK))
         for k in range(min(BLOCK, count - b)):
             t = np.diag([math.sqrt(gam[k]) for gam in gammas]).astype(complex)
@@ -222,16 +236,16 @@ def test_sampler_prefix_is_stable(models, kind):
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
-def test_determinants_match_the_per_block_gamma_reference(models, kind, shape):
+@pytest.mark.parametrize("kind,param", SAMPLER_SIZES)
+def test_determinants_match_the_per_block_gamma_reference(kind, param, shape):
     # prod_j T_jj^2 bit for bit against a reference that builds each block's own
-    # generator and draws every row by gamma(shape), whatever the mode: with
-    # zero Gamma-row weights the sampler draws only the Gamma rows, in chunks
-    # sized by those r rows, one generator serves the call, and a shape-1 row
-    # comes from standard_exponential.  Counts cross block and chunk
-    # boundaries and end inside a block
-    alg = models[kind][0]
-    r, d = alg.rank, alg.d
+    # generator and draws its rows by gamma_rows_reference, whatever the mode:
+    # with zero Gamma-row weights the sampler draws only the Gamma rows, in
+    # chunks sized by those r rows, one generator serves the call, and a row
+    # of integer shape k <= 3 is the sum of k standard exponentials.  Counts
+    # cross block and chunk boundaries and end inside a block
+    alg = standard_model(kind, param)[0]
+    r = alg.rank
     s = SHAPES[shape](alg)
     y = _sampler_y(alg)
     for count in (700, 1500, 40_000):
@@ -241,17 +255,17 @@ def test_determinants_match_the_per_block_gamma_reference(models, kind, shape):
         expected = np.empty(count)
         for b in range(0, count, BLOCK):
             g = block_generator(2, 4, b // BLOCK)
-            rows = np.array([g.gamma(s - j * d / 2.0, size=BLOCK) for j in range(r)])
+            rows = gamma_rows_reference(g, _gamma_shapes(alg, s))
             expected[b : b + BLOCK] = np.prod(rows, axis=0)[: count - b]
         assert np.array_equal(dets, expected)
 
 
-@pytest.mark.parametrize("kind", ["rank1", "diagonal", "sym_real", "herm_complex"])
-def test_gamma_row_contractions_match_the_per_block_reference(models, kind):
+@pytest.mark.parametrize("kind,param", SAMPLER_SIZES)
+def test_gamma_row_contractions_match_the_per_block_reference(kind, param):
     # with (r, k) Gamma-row weights the (count, k) output is the materialized
     # Gamma rows times the weights, to rounding, with the same determinants
-    alg = models[kind][0]
-    r, d = alg.rank, alg.d
+    alg = standard_model(kind, param)[0]
+    r = alg.rank
     s = SHAPES["exponential"](alg)
     y = _sampler_y(alg)
     weights = np.random.default_rng(11).standard_normal((r, 3))
@@ -261,7 +275,7 @@ def test_gamma_row_contractions_match_the_per_block_reference(models, kind):
         gammas = np.empty((count, r))
         for b in range(0, count, BLOCK):
             g = block_generator(2, 4, b // BLOCK)
-            gammas[b : b + BLOCK] = np.array([g.gamma(s - j * d / 2.0, size=BLOCK) for j in range(r)]).T[: count - b]
+            gammas[b : b + BLOCK] = gamma_rows_reference(g, _gamma_shapes(alg, s)).T[: count - b]
         expected = gammas @ weights
         assert np.array_equal(only, dets)
         assert np.allclose(out, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
@@ -475,7 +489,10 @@ def test_bergman_mc_is_homogeneous(kind, param):
     _assert_homogeneous(kind, param, "mc")
 
 
-CALIBRATION_SIZES = [("rank1", None), ("diagonal", 2), ("sym_real", 2), ("herm_complex", 2), ("sym_real", 3)]
+# herm_complex 3 is the first size whose proposal has a shape-3 Gamma row
+CALIBRATION_SIZES = [
+    ("rank1", None), ("diagonal", 2), ("sym_real", 2), ("herm_complex", 2), ("sym_real", 3), ("herm_complex", 3)
+]
 
 
 @pytest.mark.parametrize("diagonal", [True, False], ids=["on", "off"])
@@ -505,6 +522,7 @@ def test_bergman_mc_calibrated_against_closed_form(kind, param, diagonal):
 
 
 PROJECTED_SIZES = [("diagonal", 4), ("sym_real", 3), ("herm_complex", 3), ("herm_complex", 4)]
+BERGMAN_MC_SIZES = list(dict.fromkeys(CALIBRATION_SIZES + PROJECTED_SIZES))
 
 
 def _on_off(value):
@@ -626,7 +644,7 @@ def _phase_route(alg, q_map, p1, p2, samples, seed):
     return mean / abs(mean) * math.exp(log_scale + math.log(abs(mean))), math.exp(log_scale + math.log(se))
 
 
-@pytest.mark.parametrize("kind,param", CALIBRATION_SIZES + PROJECTED_SIZES, ids=lambda v: str(v))
+@pytest.mark.parametrize("kind,param", BERGMAN_MC_SIZES, ids=lambda v: str(v))
 def test_bergman_mc_on_the_diagonal_is_real(kind, param):
     # at p1 = p2 the estimate is the mean of the real weight over Delta(u)
     # alone: its imaginary part is exactly 0, and its real part and se are
@@ -638,9 +656,6 @@ def test_bergman_mc_on_the_diagonal_is_real(kind, param):
     assert mc.value.imag == 0.0
     assert abs(mc.value.real - value.real) <= 1e-15 * abs(value.real)
     assert abs(mc.se - se) <= 1e-15 * se
-
-
-BERGMAN_MC_SIZES = list(dict.fromkeys(CALIBRATION_SIZES + PROJECTED_SIZES))
 
 
 @pytest.mark.parametrize("kind,param", BERGMAN_MC_SIZES, ids=lambda v: str(v))
@@ -658,6 +673,24 @@ def test_bergman_mc_off_the_diagonal_has_at_most_the_phase_route_se(kind, param)
         assert abs(mc.se - se) <= 1e-15 * se
 
 
+def test_phase_parts_match_cos_and_sin():
+    # weight cos and weight sin from one half-angle tangent, within 4e-16 per
+    # unit weight of np.cos and np.sin and finite everywhere: on +-0, odd
+    # multiples of pi (where the tangent is largest) and their neighbours,
+    # uniform phases and magnitudes up to 1e6; power-of-two weights scale exactly
+    rng = np.random.default_rng(39)
+    odd = math.pi * (2.0 * np.arange(-1000, 1000) + 1.0)
+    phases = np.concatenate([
+        [0.0, -0.0], odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf),
+        rng.uniform(-10.0, 10.0, 10**6), rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-8.0, 6.0, 10**6),
+    ])
+    weight = 2.0 ** rng.integers(-40, 40, len(phases))
+    re, im = _phase_parts(phases.copy(), weight)
+    assert np.all(np.isfinite(re)) and np.all(np.isfinite(im))
+    assert np.max(np.abs(re - weight * np.cos(phases)) / weight) <= 4e-16
+    assert np.max(np.abs(im - weight * np.sin(phases)) / weight) <= 4e-16
+
+
 class _RecordingGenerator:
     """A generator that records the name of every method it is asked for."""
 
@@ -669,9 +702,8 @@ class _RecordingGenerator:
         return getattr(self._gen, name)
 
 
-@pytest.mark.parametrize("kind,param", BERGMAN_MC_SIZES, ids=lambda v: str(v))
-def test_bergman_mc_draws_no_normals(monkeypatch, kind, param):
-    # on the diagonal and off it, the Bergman MC draws the r Gamma rows alone
+def _bergman_mc_draw_calls(monkeypatch, kind, param):
+    """The set of generator methods each Bergman MC call asks for, on the diagonal and off it."""
     calls = []
     original = integrals.blocks
 
@@ -682,11 +714,29 @@ def test_bergman_mc_draws_no_normals(monkeypatch, kind, param):
     alg, _, q_map = standard_model(kind, param)
     rng = np.random.default_rng(37)
     p1, p2 = _domain_point(alg, q_map, rng), _domain_point(alg, q_map, rng)
+    found = []
     for other in (p1, p2):
         calls.clear()
         bergman_kernel(alg, q_map, p1, other, samples=3_000, seed=1, method="mc")
-        assert calls and "standard_normal" not in calls
-        assert set(calls) <= {"gamma", "standard_exponential"}
+        found.append(set(calls))
+    return found
+
+
+@pytest.mark.parametrize("kind,param", BERGMAN_MC_SIZES, ids=lambda v: str(v))
+def test_bergman_mc_draws_no_normals(monkeypatch, kind, param):
+    # on the diagonal and off it, the Bergman MC draws the r Gamma rows alone
+    for calls in _bergman_mc_draw_calls(monkeypatch, kind, param):
+        assert calls and calls <= {"gamma", "standard_exponential"}
+
+
+@pytest.mark.parametrize(
+    "kind,param", [("rank1", None), ("diagonal", 4), ("herm_complex", 2), ("herm_complex", 3)], ids=lambda v: str(v)
+)
+def test_bergman_mc_at_integer_shapes_draws_only_exponentials(monkeypatch, kind, param):
+    # every proposal row has integer shape k <= 3 here (1 at rank1 and diagonal,
+    # n - j at herm_complex n), so each is a sum of k exponentials: no gamma call
+    for calls in _bergman_mc_draw_calls(monkeypatch, kind, param):
+        assert calls == {"standard_exponential"}
 
 
 @pytest.mark.parametrize("kind,param", [("sym_real", 3), ("herm_complex", 3), ("herm_complex", 4)], ids=lambda v: str(v))

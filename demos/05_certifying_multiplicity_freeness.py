@@ -4,8 +4,8 @@ For every built-in example domain and every subspace variant, three
 independent procedures are run and compared:
 
   1. the algebraic scan of Im Q on S,
-  2. coisotropy of group orbits for the invariant metric,
-  3. the coadjoint-orbit multiplicity condition at sampled cone parameters.
+  2. coisotropy of group orbits for the invariant metric at sampled cone points,
+  3. the coadjoint-orbit multiplicity condition at the inverses of those points.
 
 The three conditions are provably equivalent; any
 disagreement would be an alarm (exit code 2 in the CLI).
@@ -22,7 +22,7 @@ for name in catalog_list():
     alg, rep, q_map = entry.model()
     for var in entry.variants:
         w = var.subspace(q_map.n)
-        report = certify_all(alg, q_map, w, n_coiso=10, n_orbit=25, seed=0)
+        report = certify_all(alg, q_map, w, samples=25, seed=0)
         imq, coiso, orbit = (c.verdict for c in report.certificates)
         flag = "" if report.consistent and report.mf == var.expected_mf else "  <-- ALARM"
         print(
@@ -48,7 +48,7 @@ print()
 print("witness for a failing entry (herm2, real form):")
 entry = catalog_get("herm2")
 alg, rep, q_map = entry.model()
-report = certify_all(alg, q_map, entry.variant("realform").subspace(2), n_coiso=8, n_orbit=16, seed=0)
+report = certify_all(alg, q_map, entry.variant("realform").subspace(2), samples=16, seed=0)
 imq_cert = report.certificates[0]
 print("  residual:", imq_cert.residual)
 print("  witness pair s1, s2 with Im Q(s1, s2) != 0:")

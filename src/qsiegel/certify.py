@@ -13,18 +13,21 @@ Three certifiers are implemented and cross-validated:
   j(W-complement for g_x) inside ker(g_x) + W at cone parameters x.
 
 Only Im Q is algebraically separate.  The coisotropic condition at y is the
-orbit condition at x = y^-1 (both say j Y W-perp lies in W), so those two
-test conjugate conditions by different numerical routes, and their agreement
-checks the numerics.  The theory says the three verdicts agree;
-disagreement is an alarm and maps to a dedicated exit code in the CLI.
+orbit condition at x = y^-1 (both say j Y W-perp lies in W), so
+``certify_all`` tests that one statement by two numerical routes on the same
+points: coisotropy at each y of one draw and orbit multiplicity at its
+inverse.  Their agreement checks the numerics.  The theory says the three
+verdicts agree; disagreement is an alarm and maps to a dedicated exit code
+in the CLI.
 
 No point check draws: each takes the points it checks and returns a
 Certificate whose ``sample_residuals`` keep one residual a point.  The two
 sampled certifiers take stacks of cone points y and x, which ``certify_all``
-draws with ``_cone_points``, in blocks that keep one 2n x 2n float64 stack
-within STACK_BYTES.  ``check_orthocomplement_identity``, which feeds no
-verdict of ``certify_all``, takes domain points (a SiegelPoint stack) and
-checks them in one stacked pass through the phase-space subspaces.
+draws as pairs (y, y^-1) with ``_cone_points``, and certify them in blocks
+that keep one 2n x 2n float64 stack within STACK_BYTES.
+``check_orthocomplement_identity``, which feeds no verdict of
+``certify_all``, takes domain points (a SiegelPoint stack) and checks them
+in one stacked pass through the phase-space subspaces.
 
 The coisotropic residual decides no rank.  The orbit certifier takes, per
 block, one stacked eigh of 2R_x, whose realification is g_x: its
@@ -43,11 +46,11 @@ from typing import List, Optional
 import numpy as np
 
 from . import creal
-from .errors import HypothesisViolated, NotPSD
+from .errors import HypothesisViolated, NotInCone, NotPSD
 from .integrals import base_measure_moments, measure_shape
 from .representation import SiegelPoint
 from .subspaces import complement_bases, kernel_bases, span_bases
-from .tolerances import TOL_PSD, TOL_SUB, TOL_ZERO
+from .tolerances import TOL_CONE, TOL_PSD, TOL_SUB, TOL_ZERO
 
 # byte budget of one stack of 2n x 2n float64 matrices in the sampled
 # certifiers, and of one stack of Q values in the Im Q pair scan.  It bounds
@@ -223,16 +226,14 @@ def check_coisotropic(q_map, w, ys, tol=TOL_SUB):
     ``ys`` is one cone point (N,) or a stack (S, N), certified in blocks of
     ``block_size``; the residual is the worst and ``sample_residuals`` keeps
     each one.  The witness is the point (iy, 0) with tangent vector
-    (0, 0, Y jS G^(-1/2) u), u the top eigenvector of C^T C."""
+    (0, 0, Y jS G^(-1/2) u), u the top eigenvector of C^T C.  Raises
+    NotInCone when some y is not in the open cone."""
     ys = np.asarray(ys, dtype=float)
     stack = np.atleast_2d(ys)
     s_rows = creal.re_to_cx((creal.j_matrix(q_map.n) @ w.perp().basis).T)
-    resid = _blockwise(q_map, lambda block: _coisotropic_residuals(q_map, s_rows, block), stack)
-    worst = float(np.max(resid))
-    verdict = worst <= tol
+    resid, worst, k = _sampled(q_map, lambda block: _coisotropic_residuals(q_map, s_rows, block), stack, tol)
     witness = None
-    if not verdict:
-        k = _witness_index(resid, tol)
+    if k is not None:
         _, c, root, y = _coisotropic_residuals(q_map, s_rows, stack[k : k + 1])
         u = np.linalg.eigh(c[0].T @ c[0])[1][:, -1]
         gamma = y[0] @ (1j * ((root[0] @ u) @ s_rows))
@@ -242,13 +243,17 @@ def check_coisotropic(q_map, w, ys, tol=TOL_SUB):
             "point": {"z": [[0.0, float(t)] for t in stack[k]], "v": creal.pairs(np.zeros(q_map.n))},
         }
     samples = None if ys.ndim == 1 else len(stack)
-    return Certificate("coisotropic", verdict, worst, tol, witness, samples=samples, sample_residuals=resid)
+    return Certificate("coisotropic", k is None, worst, tol, witness, samples=samples, sample_residuals=resid)
 
 
 def _coisotropic_residuals(q_map, s, ys):
     """Per-point |C|_2, C, G^(-1/2) and Y for a stack of cone points, H over the
-    rows ``s`` of S = (jW)-perp = j W-perp; G > 0 for y in the cone, dim S = 0 reads 0."""
+    rows ``s`` of S = (jW)-perp = j W-perp; dim S = 0 reads 0.  G > 0 needs y in
+    the open cone, tested as ``cone_contains`` does: NotInCone when some Y has
+    an eigenvalue at most TOL_CONE."""
     y = q_map.rep.two_r(ys)
+    if np.any(np.linalg.eigvalsh(y)[..., 0] <= TOL_CONE):
+        raise NotInCone("coisotropy is certified at points y of the open cone")
     h = s.conj() @ y @ s.T
     vals, vecs = np.linalg.eigh(h.real)
     root = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
@@ -310,12 +315,9 @@ def check_orbit_multiplicity(q_map, w, x, tol=TOL_SUB):
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
-    resid = _blockwise(q_map, lambda block: _orbit_residuals(q_map, w, block), xs)
-    worst = float(np.max(resid))
-    verdict = worst <= tol
+    resid, worst, k = _sampled(q_map, lambda block: _orbit_residuals(q_map, w, block), xs, tol)
     witness = None
-    if not verdict:
-        k = _witness_index(resid, tol)
+    if k is not None:
         _, resid_mat, jwp = _orbit_residuals(q_map, w, xs[k : k + 1])
         col = int(np.argmax(np.linalg.norm(resid_mat[0], axis=0)))
         witness = {"v": creal.pairs(creal.re_to_cx(jwp[0][:, col])), "x": [float(t) for t in xs[k]]}
@@ -325,7 +327,7 @@ def check_orbit_multiplicity(q_map, w, x, tol=TOL_SUB):
         extra = {"sample_agreement": bool(np.all((resid <= tol) == (resid[0] <= tol)))}
     return Certificate(
         "orbit_multiplicity_one",
-        verdict,
+        k is None,
         worst,
         tol,
         witness,
@@ -369,17 +371,19 @@ def block_size(q_map):
     return max(1, STACK_BYTES // (8 * m * m))
 
 
-def _blockwise(q_map, residuals, stack):
-    """The per-point residuals, ``residuals(block)[0]``, of ``stack`` in blocks of ``block_size``."""
+def _sampled(q_map, residuals, stack, tol):
+    """(per-point residuals, worst, witness index) of ``stack``.
+
+    The residuals are ``residuals(block)[0]`` over blocks of ``block_size``.
+    The witness index is None when the worst is within ``tol``, else the first
+    point above ``tol`` whose residual is within TOL_ZERO of the worst, so
+    that rounding noise among tied points does not pick the witness."""
     block = block_size(q_map)
-    return np.concatenate([residuals(stack[start : start + block])[0] for start in range(0, len(stack), block)])
-
-
-def _witness_index(resid, tol):
-    """First sample above ``tol`` whose residual is within TOL_ZERO of the worst,
-    so that rounding noise among tied samples does not pick the witness."""
-    worst = np.max(resid)
-    return int(np.flatnonzero((resid > tol) & (resid >= worst - TOL_ZERO))[0])
+    resid = np.concatenate([residuals(stack[start : start + block])[0] for start in range(0, len(stack), block)])
+    worst = float(np.max(resid))
+    if worst <= tol:
+        return resid, worst, None
+    return resid, worst, int(np.flatnonzero((resid > tol) & (resid >= worst - TOL_ZERO))[0])
 
 
 # -- combined harness ------------------------------------------------------------
@@ -399,33 +403,34 @@ class CombinedReport:
         }
 
 
-def certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=0, compute_scale=False, tol=TOL_SUB):
+def certify_all(alg, q_map, w, samples=20, seed=0, compute_scale=False, tol=TOL_SUB):
     """Run the three certifiers and compare their verdicts.
 
-    Coisotropy is certified at ``n_coiso`` cone points y and orbit
-    multiplicity at ``n_orbit`` cone parameters x, at least one each, both
-    from ``_cone_points``; each verdict is the conjunction, and ``samples``
-    counts the points certified.  ``consistent`` is True when all three
+    ``_cone_points`` draws ``samples`` pairs (y, x = y^-1), at least one:
+    coisotropy is certified at each cone point y and orbit multiplicity at
+    its inverse x, the one statement j Y W-perp in W by two numerical routes.
+    Each verdict is the conjunction, and each certificate's ``samples``
+    counts the points it certified.  ``consistent`` is True when all three
     conditions agree.  With ``compute_scale`` the coisotropic certificate
     carries the exact metric scale.
     """
     c_imq = check_imq_vanishes(q_map, w)
-    ys = _cone_points(q_map, [seed, 0xC015], max(1, n_coiso))
+    ys, xs = _cone_points(q_map, seed, max(1, samples))
     c_coiso = replace(check_coisotropic(q_map, w, ys, tol=tol), seed=seed)
     if compute_scale:
         c_coiso = replace(c_coiso, metric_scale=exact_metric_scale(alg, q_map, seed=seed)[0])
-    xs = _cone_points(q_map, [seed, 0x0B17], max(1, n_orbit))
     c_orbit = replace(check_orbit_multiplicity(q_map, w, xs, tol=tol), seed=seed)
     consistent = c_imq.verdict == c_coiso.verdict == c_orbit.verdict
     mf = c_imq.verdict if consistent else None
     return CombinedReport([c_imq, c_coiso, c_orbit], consistent, mf)
 
 
-def _cone_points(q_map, key, count):
-    """``count`` interior cone points exp(0.7 g), g standard normal, drawn a
-    block of ``block_size`` at a time from ``default_rng(key)``."""
+def _cone_points(q_map, seed, count):
+    """``count`` interior cone points ys = exp(0.7 g) and their inverses
+    xs = exp(-0.7 g), g standard normal, drawn a block of ``block_size`` at a
+    time from ``default_rng([seed, 0xC015])``.  g and -g have one law, so
+    xs is distributed as ys."""
     alg, block = q_map.algebra, block_size(q_map)
-    rng = np.random.default_rng(key)
-    return np.concatenate(
-        [alg.exp(0.7 * rng.standard_normal((min(block, count - s), alg.dim))) for s in range(0, count, block)]
-    )
+    rng = np.random.default_rng([seed, 0xC015])
+    gs = [0.7 * rng.standard_normal((min(block, count - s), alg.dim)) for s in range(0, count, block)]
+    return np.concatenate([alg.exp(g) for g in gs]), np.concatenate([alg.exp(-g) for g in gs])

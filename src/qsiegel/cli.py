@@ -57,8 +57,8 @@ MAX_ALGEBRA_DIM = 64
 # (--points); the README gives what each costs at N = MAX_ALGEBRA_DIM
 MAX_SAMPLES = 250_000
 MAX_POINTS = 1000
-# largest sample count of check (--samples, and sampling.samples as its
-# default): one sample decides a verdict almost surely, more buy margin, and
+# largest number of paired points of check (--samples, and sampling.samples
+# as its default): one pair decides a verdict almost surely, more buy margin, and
 # at N = MAX_ALGEBRA_DIM each costs milliseconds
 MAX_CHECK_SAMPLES = 1000
 _SAMPLES = _integer_in(1, MAX_SAMPLES)
@@ -230,16 +230,7 @@ def cmd_check(args):
     if samples > MAX_CHECK_SAMPLES:
         raise UsageError(f"sampling.samples of check must be at most {MAX_CHECK_SAMPLES}, got {samples}")
     tol = args.tol if args.tol is not None else sampling["tolerances"].get("subspace", TOL_SUB)
-    report = certify_all(
-        alg,
-        q_map,
-        w,
-        n_coiso=samples,
-        n_orbit=max(50, samples),
-        seed=seed,
-        compute_scale=not args.no_scale,
-        tol=tol,
-    )
+    report = certify_all(alg, q_map, w, samples=samples, seed=seed, compute_scale=not args.no_scale, tol=tol)
     emit(report.to_dict(), args.out)
     return 0 if report.consistent else 2
 

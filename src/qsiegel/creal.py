@@ -35,15 +35,14 @@ def realify(a):
     return out
 
 
-def complexify(m, check=True, tol=1e-9):
+def complexify(m, tol=1e-9):
     """Inverse of realify; raises if m does not commute with j."""
     m = np.asarray(m, dtype=float)
     n = m.shape[0] // 2
     a = m[:n, :n] + 1j * m[n:, :n]
-    if check:
-        err = np.linalg.norm(m - realify(a))
-        if err > tol * max(1.0, np.linalg.norm(m)):
-            raise ValueError(f"matrix is not complex-linear (defect {err:.2e})")
+    err = np.linalg.norm(m - realify(a))
+    if err > tol * max(1.0, np.linalg.norm(m)):
+        raise ValueError(f"matrix is not complex-linear (defect {err:.2e})")
     return a
 
 

@@ -91,7 +91,7 @@ def build_kernel_params(q_map, w, x, chi=None):
     """Assemble kernel parameters; raises NotInLambda for inadmissible x."""
     x = np.asarray(x, dtype=float)
     spaces = derive_spaces(q_map, w, x)
-    pxc = creal.complexify(spaces.proj_sx, check=True, tol=1e-8)
+    pxc = creal.complexify(spaces.proj_sx, tol=1e-8)
     a_x = 2.0 * pxc.conj().T @ q_map.rep.r_op(x) @ pxc
     if chi is None:
         chi = np.zeros(spaces.s.dim)

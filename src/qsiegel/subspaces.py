@@ -93,14 +93,15 @@ class RealSubspace:
 
     def intersect(self, other):
         """Intersection via the null space of [B1 | -B2]: its complement for the
-        identity form, whose 2-norm is 1."""
+        identity form, whose 2-norm is 1.  Its orthonormal vectors (c, d) are
+        right singular vectors with C d = mu c and C^T c = mu d, C = B1^T B2,
+        so c_k . c_l = d_k . d_l = delta_kl / 2 and sqrt(2) B1 c is orthonormal
+        without a re-span."""
         if self.dim == 0 or other.dim == 0:
             return RealSubspace.zero(self.ambient)
         stacked = np.hstack([self.basis, -other.basis])
         coeffs = complement_bases(np.eye(stacked.shape[1]), stacked.T, 1.0)[: self.dim]
-        if coeffs.shape[1] == 0:
-            return RealSubspace.zero(self.ambient)
-        return RealSubspace.from_spanning(self.basis @ coeffs)
+        return RealSubspace(np.sqrt(2.0) * (self.basis @ coeffs))
 
     def contains_vector(self, v, tol=TOL_SUB):
         v = np.asarray(v, dtype=float)

@@ -487,7 +487,7 @@ def base_moments_oracle(alg, q_map, directions_u, directions_v, samples, seed):
 def intersect_oracle(a, b):
     """A meet B as ``RealSubspace.intersect`` read before it called
     ``complement_bases``: its own SVD of [A | -B], the null mask at
-    TOL_RANK * max(s[0], 1) and the coefficients on A re-spanned."""
+    TOL_RANK * max(s[0], 1) and sqrt(2) A times the coefficients on A."""
     if a.dim == 0 or b.dim == 0:
         return RealSubspace.zero(a.ambient)
     stacked = np.hstack([a.basis, -b.basis])
@@ -496,9 +496,7 @@ def intersect_oracle(a, b):
     null_mask[s.size :] = True
     null_mask[: s.size] = s <= TOL_RANK * max(s[0], 1.0)
     coeffs = vt[null_mask][:, : a.dim].T
-    if coeffs.shape[1] == 0:
-        return RealSubspace.zero(a.ambient)
-    return RealSubspace.from_spanning(a.basis @ coeffs)
+    return RealSubspace(np.sqrt(2.0) * (a.basis @ coeffs))
 
 
 def split_projection_oracle(d, n):

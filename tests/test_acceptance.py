@@ -146,7 +146,7 @@ def test_criterion_5_certifier_equivalence():
     seen = set()
     for name, var in ALL_VARIANTS:
         alg, q_map, w = _model_and_w(name, var)
-        report = certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=11)
+        report = certify_all(alg, q_map, w, samples=50, seed=11)
         assert report.consistent, f"certifiers disagree on {name}/{var}"
         expected = catalog_get(name).variant(var).expected_mf
         assert report.mf == expected, f"{name}/{var}"

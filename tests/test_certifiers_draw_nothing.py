@@ -6,6 +6,8 @@
 draws points.  This scans the syntax tree of ``certify.py``: a point check
 must not use a generator, a normal draw or a point sampler, itself or through
 any function of the module that it names, directly or through each other.
+``certify_all`` draws once, one generator for the pairs (y, y^-1) at which
+both sampled certifiers check.
 """
 import ast
 from pathlib import Path
@@ -54,3 +56,18 @@ def test_the_sampled_certifiers_draw_nothing():
     assert draws(source, "check_coisotropic") == []
     assert draws(source, "check_orbit_multiplicity") == []
     assert draws(source, "check_orthocomplement_identity") == []
+
+
+def test_certify_all_draws_its_points_once():
+    # one stack of pairs (y, y^-1) serves both sampled certifiers
+    source = (SRC / "certify.py").read_text()
+    assert [hit for hit in uses(source, ("_cone_points",)) if hit[0] == "certify_all"] == [
+        ("certify_all", "_cone_points")
+    ]
+
+
+def test_cone_points_uses_one_generator():
+    source = (SRC / "certify.py").read_text()
+    assert [hit for hit in uses(source, ("default_rng",)) if hit[0] == "_cone_points"] == [
+        ("_cone_points", "default_rng")
+    ]

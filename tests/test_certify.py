@@ -19,7 +19,7 @@ from qsiegel import (
 from qsiegel import certify
 from qsiegel.catalog import catalog_get, catalog_list
 from qsiegel.certify import BaseMetric, block_size, exact_measure_moments, exact_metric_scale
-from qsiegel.errors import HypothesisViolated, NotPSD
+from qsiegel.errors import HypothesisViolated, NotInCone, NotPSD
 from qsiegel.integrals import base_measure_moments, sample_invariant_measure
 from qsiegel.kernels import frame_w_subspace
 from qsiegel.subspaces import complement_wrt, kernel_of_form
@@ -47,7 +47,7 @@ def w_real(rank1):
 
 def coiso_points(q_map, seed, count):
     """The ``count`` cone points at which ``certify_all`` certifies coisotropy for ``seed``."""
-    return certify._cone_points(q_map, [seed, 0xC015], count)
+    return certify._cone_points(q_map, seed, count)[0]
 
 
 # -- Im Q vanishing -----------------------------------------------------------
@@ -222,7 +222,7 @@ def test_certify_all_metric_scale_is_one_on_the_catalog():
         entry = catalog_get(name)
         alg, _, q_map = entry.model()
         for variant in entry.variants:
-            report = certify_all(alg, q_map, variant.subspace(q_map.n), 1, 1, seed=2, compute_scale=True)
+            report = certify_all(alg, q_map, variant.subspace(q_map.n), samples=1, seed=2, compute_scale=True)
             assert abs(report.certificates[1].metric_scale - 1.0) <= 1e-12, (name, variant.name)
 
 
@@ -469,13 +469,15 @@ def test_orbit_residuals_match_the_qr_oracle_at_interior_x(kind, param):
 @pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
 def test_coisotropic_at_y_is_orbit_condition_at_y_inverse(kind, param):
     # W_y^perp in j W_y, W_y = Y^(-1/2) W, is j Y W^perp in W: the orbit
-    # certifier's inclusion at x = y^-1.  Every dimension of W is drawn, so
-    # both verdicts occur (a hypersurface is always coisotropic).
+    # certifier's inclusion at x = y^-1, the pairs that certify_all draws.
+    # Every dimension of W is drawn, so both verdicts occur (a hypersurface
+    # is always coisotropic).
     alg, _, q_map = standard_model(kind, param)
     n = q_map.n
     rng = np.random.default_rng(33)
-    ys = coiso_points(q_map, 5, 7)
-    xs = np.array([alg.invert(y) for y in ys])
+    ys, xs = certify._cone_points(q_map, 5, 7)
+    for x, y in zip(xs, ys):
+        assert np.max(np.abs(alg.mult(x, y) - alg.unit)) <= 1e-12
     for d in range(2 * n + 1):
         w = RealSubspace.from_spanning(rng.standard_normal((2 * n, d))) if d else RealSubspace.zero(2 * n)
         coiso = check_coisotropic(q_map, w, ys).sample_residuals
@@ -483,9 +485,79 @@ def test_coisotropic_at_y_is_orbit_condition_at_y_inverse(kind, param):
         assert list(coiso <= TOL_SUB) == list(orbit <= TOL_SUB), d
 
 
+CATALOG_VARIANTS = [(name, var.name) for name in catalog_list() for var in catalog_get(name).variants]
 NOT_MF_VARIANTS = [
     (name, var.name) for name in catalog_list() for var in catalog_get(name).variants if not var.expected_mf
 ]
+
+
+def _coisotropic_window(q_map, w, ys):
+    """|M_y|_2 / lambda_max(Y) and |M_y|_2 / lambda_min(Y) at each y, and |M_y|_2,
+    M_y[i, j] = <y, Im Q(s_j, s_i)> over an orthonormal basis s of S = (jW)-perp
+    (its 2-norm does not depend on the basis), read from ``q_eval``."""
+    s = creal.re_to_cx(w.j_image(q_map.n).perp().basis.T)
+    m = np.imag(q_map.q_eval(s[None, :, :], s[:, None, :])) @ ys.T
+    norm = np.linalg.norm(np.moveaxis(m, -1, 0), ord=2, axis=(-2, -1))
+    lam = np.linalg.eigvalsh(q_map.rep.two_r(ys))
+    return norm / lam[:, -1], norm / lam[:, 0], norm
+
+
+def _assert_in_window(label, q_map, w, ys):
+    # S is orthonormal over the reals, so lambda_min(Y) I <= G <= lambda_max(Y) I
+    # and C = G^(-1/2) M_y G^(-1/2) has |M_y| / lambda_max <= |C|_2 <= |M_y| / lambda_min,
+    # up to a relative 1e-12 of rounding.  Where M_y vanishes in exact arithmetic
+    # (a hypersurface W, a multiplicity-free W) both sides are rounding noise, and
+    # the residual must read 0 within TOL_ZERO.  Returns the number of windows tested.
+    r = check_coisotropic(q_map, w, ys).sample_residuals
+    lo, hi, norm = _coisotropic_window(q_map, w, ys)
+    zero = norm <= TOL_ZERO
+    assert np.all(r[zero] <= TOL_ZERO), label
+    assert np.all(lo[~zero] <= r[~zero] * (1 + 1e-12)), (label, np.max(lo / r))
+    assert np.all(r[~zero] <= hi[~zero] * (1 + 1e-12)), (label, np.max(r / hi))
+    return int(np.sum(~zero))
+
+
+@pytest.mark.parametrize("kind,param", ORACLE_SIZES, ids=lambda v: str(v))
+def test_coisotropic_residual_lies_in_its_im_q_window(kind, param):
+    # random W of every dimension with S != 0, at the points certify_all draws
+    alg, _, q_map = standard_model(kind, param)
+    n = q_map.n
+    rng = np.random.default_rng(38)
+    ys = coiso_points(q_map, 8, 10)
+    tested = 0
+    for d in range(2 * n):
+        w = RealSubspace.from_spanning(rng.standard_normal((2 * n, d))) if d else RealSubspace.zero(2 * n)
+        tested += _assert_in_window(d, q_map, w, ys)
+    assert tested == 10 * (2 * n - 1)
+
+
+def test_coisotropic_residual_lies_in_its_im_q_window_on_the_catalog():
+    tested = 0
+    for name in catalog_list():
+        entry = catalog_get(name)
+        _, _, q_map = entry.model()
+        ys = coiso_points(q_map, 9, 10)
+        for var in entry.variants:
+            w = var.subspace(q_map.n)
+            if w.j_image(q_map.n).perp().dim:
+                tested += _assert_in_window(f"{name}/{var.name}", q_map, w, ys)
+    assert tested == 10 * len(NOT_MF_VARIANTS)
+
+
+@pytest.mark.parametrize("name,variant", CATALOG_VARIANTS)
+def test_coisotropic_refuses_points_outside_the_open_cone(name, variant):
+    # G = Re H > 0 needs y in the open cone: at -e, at 0 and at an indefinite
+    # y the closed form ended in an SVD that did not converge, or read 0 at
+    # sym2/frame, (1, -1, 0); alone or in a stack of cone points
+    entry = catalog_get(name)
+    alg, _, q_map = entry.model()
+    w = entry.variant(variant).subspace(q_map.n)
+    frame = np.array(alg.standard_frame())
+    indefinite = frame.sum(axis=0) - 2.0 * frame[-1]
+    for y in (-alg.unit, np.zeros(alg.dim), indefinite):
+        for ys in (y, np.vstack([coiso_points(q_map, 0, 3), y])):
+            with pytest.raises(NotInCone):
+                check_coisotropic(q_map, w, ys)
 
 
 @pytest.mark.parametrize("name,variant", NOT_MF_VARIANTS)
@@ -517,7 +589,7 @@ def test_orbit_witness_is_a_unit_vector_of_jw_prime_outside_k(name, variant):
     entry = catalog_get(name)
     alg, _, q_map = entry.model()
     w = entry.variant(variant).subspace(q_map.n)
-    orbit = certify_all(alg, q_map, w, n_coiso=1, n_orbit=50, seed=3).certificates[2]
+    orbit = certify_all(alg, q_map, w, samples=50, seed=3).certificates[2]
     assert not orbit.verdict
     v = creal.cx_to_re(np.array([complex(*t) for t in orbit.witness["v"]]))
     gx = q_map.g_matrix(np.array(orbit.witness["x"]))
@@ -550,7 +622,7 @@ def test_witness_is_first_of_the_tied_worst_samples():
     entry = catalog_get("sym3")
     alg, _, q_map = entry.model()
     w = entry.variant("complexline").subspace(q_map.n)
-    _, coiso, orbit = certify_all(alg, q_map, w, n_coiso=20, n_orbit=50, seed=3).certificates
+    _, coiso, orbit = certify_all(alg, q_map, w, samples=50, seed=3).certificates
     for cert in (coiso, orbit):
         assert not cert.verdict
         assert np.max(cert.sample_residuals) - np.min(cert.sample_residuals) <= TOL_ZERO
@@ -558,7 +630,7 @@ def test_witness_is_first_of_the_tied_worst_samples():
         assert np.argmax(cert.sample_residuals) != 0
     y = coiso_points(q_map, 3, 1)[0]
     assert coiso.witness["point"] == {"z": [[0.0, float(t)] for t in y], "v": [[0.0, 0.0]] * q_map.n}
-    x = certify._cone_points(q_map, [3, 0x0B17], 1)[0]
+    x = certify._cone_points(q_map, 3, 1)[1][0]
     assert orbit.witness["x"] == [float(t) for t in x]
 
 
@@ -571,12 +643,12 @@ def test_certify_all_memory_is_bounded_by_one_block():
     n = q_map.n
     w = RealSubspace(np.vstack([np.eye(n), np.zeros((n, n))]))
     block = block_size(q_map)
-    certify_all(alg, q_map, w, n_coiso=block, n_orbit=block, seed=0)
+    certify_all(alg, q_map, w, samples=block, seed=0)
     peaks = []
     for count in (block, 4 * block):
         tracemalloc.start()
         try:
-            certify_all(alg, q_map, w, n_coiso=count, n_orbit=count, seed=0)
+            certify_all(alg, q_map, w, samples=count, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -592,7 +664,7 @@ def test_certify_all_catalog_agreement():
         alg, _, q_map = entry.model()
         for var in entry.variants:
             w = var.subspace(q_map.n)
-            report = certify_all(alg, q_map, w, n_coiso=6, n_orbit=12, seed=5)
+            report = certify_all(alg, q_map, w, samples=12, seed=5)
             assert report.consistent, f"{name}/{var.name}"
             assert report.mf == var.expected_mf, f"{name}/{var.name}"
             assert oracle_expected_mf(q_map, w) == var.expected_mf
@@ -601,7 +673,7 @@ def test_certify_all_catalog_agreement():
 
 def test_certificate_serialization(rank1):
     alg, _, q_map = rank1
-    report = certify_all(alg, q_map, RealSubspace.zero(2), n_coiso=4, n_orbit=6, seed=6)
+    report = certify_all(alg, q_map, RealSubspace.zero(2), samples=6, seed=6)
     d = report.to_dict()
     assert d["consistent"] is True and d["mf"] is False
     conditions = {c["condition"] for c in d["certificates"]}
@@ -614,7 +686,7 @@ def test_certificate_serialization(rank1):
 def test_certify_all_counts_the_points_it_certifies(rank1):
     # zero points asked for still certifies one per sampled certifier, and reports it
     alg, _, q_map = rank1
-    report = certify_all(alg, q_map, RealSubspace.zero(2), n_coiso=0, n_orbit=0, seed=3)
+    report = certify_all(alg, q_map, RealSubspace.zero(2), samples=0, seed=3)
     for cert in report.certificates[1:]:
         assert cert.samples == len(cert.sample_residuals) == 1
         assert cert.to_dict()["samples"] == 1 and cert.seed == 3
@@ -628,14 +700,11 @@ def test_certifiers_agree_on_random_subspaces(models):
         for trial in range(12):
             d = int(rng.integers(0, 2 * q_map.n + 1))
             w = RealSubspace.from_spanning(rng.standard_normal((2 * q_map.n, d)))
-            report = certify_all(alg, q_map, w, n_coiso=6, n_orbit=12, seed=trial)
+            report = certify_all(alg, q_map, w, samples=12, seed=trial)
             assert report.consistent, f"{kind} trial {trial} dim {d}"
 
 
 # -- invariance: the verdict must not depend on choices that do not matter ---------------
-
-CATALOG_VARIANTS = [(name, var.name) for name in catalog_list() for var in catalog_get(name).variants]
-
 
 @pytest.mark.parametrize("name,variant", CATALOG_VARIANTS)
 def test_mf_verdict_invariant_under_rebasing_and_seed(name, variant):
@@ -652,9 +721,9 @@ def test_mf_verdict_invariant_under_rebasing_and_seed(name, variant):
         q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
         rebased = q1 @ np.diag(rng.uniform(0.5, 2.0, k)) @ q2 @ basis
         w = RealSubspace.from_spanning(rebased.T) if k else var.subspace(q_map.n)
-        reports.append(certify_all(alg, q_map, w, n_coiso=6, n_orbit=12, seed=0))
+        reports.append(certify_all(alg, q_map, w, samples=12, seed=0))
     for seed in (1, 2, 3):
-        reports.append(certify_all(alg, q_map, var.subspace(q_map.n), n_coiso=6, n_orbit=12, seed=seed))
+        reports.append(certify_all(alg, q_map, var.subspace(q_map.n), samples=12, seed=seed))
     assert all(r.consistent and r.mf == var.expected_mf for r in reports)
 
 

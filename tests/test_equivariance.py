@@ -61,5 +61,5 @@ def test_verdict_invariant_under_the_structure_group(name, variant):
     for _ in range(3):
         g = creal.realify(structure_group_element(alg, rng))
         moved = RealSubspace.from_spanning(g @ w.basis) if w.dim else w
-        report = certify_all(alg, q_map, moved, n_coiso=6, n_orbit=12, seed=0)
+        report = certify_all(alg, q_map, moved, samples=12, seed=0)
         assert report.consistent and report.mf == var.expected_mf
